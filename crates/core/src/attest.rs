@@ -378,9 +378,8 @@ pub struct CfaReport {
     /// The [`CfChain`] head over `log` as sealed by the device.
     pub chain_head: [u8; 20],
     /// `HMAC(K_a, "CFA1" ‖ id ‖ digest ‖ nonce ‖ chain_head ‖ #raw edges)`.
-    /// Encoding-independent: the raw edge count, not the run count, so
-    /// the same sealed report can ship raw (protocol v3) or compressed
-    /// (v4).
+    /// Binds the raw edge count, not the run count, so the seal does
+    /// not depend on how the log is encoded.
     pub mac: Vec<u8>,
 }
 
@@ -434,8 +433,8 @@ impl CfaReport {
         self.log.iter().map(|&(_, _, n)| u64::from(n)).sum()
     }
 
-    /// Serializes the report in the compressed (protocol v4) form:
-    /// `(from, to, count)` run triples.
+    /// Serializes the report with its log as `(from, to, count)` run
+    /// triples, the one wire form.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&self.id.to_bytes());
@@ -455,30 +454,7 @@ impl CfaReport {
         out
     }
 
-    /// Serializes the report in the legacy raw (protocol ≤ v3) form:
-    /// the fully expanded `(from, to)` edge stream. Same seal — the MAC
-    /// covers the chain head and the raw edge count, both
-    /// encoding-independent.
-    pub fn to_bytes_v3(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.id.to_bytes());
-        out.extend_from_slice(&(self.digest.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.digest);
-        out.extend_from_slice(&(self.nonce.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.nonce);
-        out.extend_from_slice(&self.chain_head);
-        out.extend_from_slice(&(self.raw_edges() as u32).to_le_bytes());
-        for (from, to) in tytan_crypto::expand_runs(&self.log) {
-            out.extend_from_slice(&from.to_le_bytes());
-            out.extend_from_slice(&to.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.mac.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.mac);
-        out
-    }
-
-    /// Parses a report serialized with [`CfaReport::to_bytes`]
-    /// (compressed form).
+    /// Parses a report serialized with [`CfaReport::to_bytes`].
     ///
     /// Returns `None` on truncation, oversized length prefixes, a raw
     /// edge total above the prover-side cap [`sp_emu::CF_LOG_CAP`]
@@ -522,38 +498,6 @@ impl CfaReport {
             digest,
             nonce,
             log,
-            chain_head,
-            mac,
-        })
-    }
-
-    /// Parses a report serialized with [`CfaReport::to_bytes_v3`] (raw
-    /// form), canonically run-length-compressing the edge stream.
-    ///
-    /// Returns `None` on truncation, oversized length prefixes, or an
-    /// edge count above the prover-side cap [`sp_emu::CF_LOG_CAP`].
-    pub fn from_bytes_v3(bytes: &[u8]) -> Option<Self> {
-        let mut rest = bytes;
-        let id = TaskId::from_u64(u64::from_be_bytes(take(&mut rest, 8)?.try_into().ok()?));
-        let digest = take_vec(&mut rest)?;
-        let nonce = take_vec(&mut rest)?;
-        let chain_head: [u8; 20] = take(&mut rest, 20)?.try_into().ok()?;
-        let count = take_u32(&mut rest)? as usize;
-        if count > sp_emu::CF_LOG_CAP {
-            return None;
-        }
-        let mut raw = Vec::with_capacity(count);
-        for _ in 0..count {
-            let from = take_u32(&mut rest)?;
-            let to = take_u32(&mut rest)?;
-            raw.push((from, to));
-        }
-        let mac = take_vec(&mut rest)?;
-        Some(CfaReport {
-            id,
-            digest,
-            nonce,
-            log: tytan_crypto::compress_log(raw),
             chain_head,
             mac,
         })
@@ -1633,7 +1577,7 @@ mod tests {
         }
 
         #[test]
-        fn v3_and_v4_wire_forms_carry_the_same_sealed_report() {
+        fn wire_form_carries_the_sealed_report() {
             let (attestor, verifier, rec) = cfa_fixture();
             // A loop-heavy log: the jump at 12 re-fires 400 times.
             let mut log = honest_log();
@@ -1641,23 +1585,16 @@ mod tests {
             let head = CfChain::fold_runs(log.iter().copied());
             let report = attestor.attest_cfa(&rec, b"n", &log, head);
 
-            let v4 = report.to_bytes();
-            let v3 = report.to_bytes_v3();
-            // Compression is real: 5 runs vs 404 raw edges on the wire.
-            assert!(v4.len() < v3.len() / 10);
+            // Compression is real: 5 runs of 12 bytes, not 404 edges.
+            let bytes = report.to_bytes();
+            assert!(bytes.len() < 404 * 8 / 10);
 
-            // Both decode back to the identical sealed report — same
-            // MAC, same chain head, same canonical log — and verify.
-            let from_v4 = CfaReport::from_bytes(&v4).unwrap();
-            let from_v3 = CfaReport::from_bytes_v3(&v3).unwrap();
-            assert_eq!(from_v4, report);
-            assert_eq!(from_v3, report);
+            // It decodes back to the identical sealed report — same MAC,
+            // same chain head, same canonical log — and verifies.
+            let decoded = CfaReport::from_bytes(&bytes).unwrap();
+            assert_eq!(decoded, report);
             assert_eq!(
-                verifier.verify_cfa(&from_v4, b"n", &rec.digest, &demo_edges()),
-                Ok(())
-            );
-            assert_eq!(
-                verifier.verify_cfa(&from_v3, b"n", &rec.digest, &demo_edges()),
+                verifier.verify_cfa(&decoded, b"n", &rec.digest, &demo_edges()),
                 Ok(())
             );
         }
@@ -1824,7 +1761,7 @@ mod tests {
         proptest! {
             // Arbitrary raw logs: canonical compression round-trips, and
             // the run-fold equals the raw fold — the equivalence that
-            // lets one sealed report ship at either protocol version.
+            // lets the prover seal runs over the raw edge stream.
             #[test]
             fn compressed_and_raw_logs_seal_identically(
                 raw in proptest::collection::vec((0u32..64, 0u32..64), 0..200)
@@ -1838,7 +1775,7 @@ mod tests {
                 );
             }
 
-            // v4 garbage never panics; anything that parses re-encodes
+            // Garbage never panics; anything that parses re-encodes
             // to itself (canonical-form validation makes the decode a
             // bijection on its image).
             #[test]
@@ -1847,25 +1784,6 @@ mod tests {
             ) {
                 if let Some(report) = CfaReport::from_bytes(&bytes) {
                     prop_assert_eq!(CfaReport::from_bytes(&report.to_bytes()), Some(report));
-                }
-            }
-
-            // Same for the legacy raw decoder — and whatever it accepts
-            // is canonical after recompression, so it round-trips
-            // through *both* wire forms.
-            #[test]
-            fn cfa_v3_garbage_parses_to_none_or_roundtrips(
-                bytes in proptest::collection::vec(any::<u8>(), 0..512)
-            ) {
-                if let Some(report) = CfaReport::from_bytes_v3(&bytes) {
-                    prop_assert_eq!(
-                        CfaReport::from_bytes(&report.to_bytes()),
-                        Some(report.clone())
-                    );
-                    prop_assert_eq!(
-                        CfaReport::from_bytes_v3(&report.to_bytes_v3()),
-                        Some(report)
-                    );
                 }
             }
         }

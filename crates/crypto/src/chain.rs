@@ -19,12 +19,11 @@
 //! with any head of the count-free chain.
 //!
 //! Only the 20-byte chain head is authenticated (MACed into the CFA
-//! report); the edge log itself travels in the clear — raw at protocol
-//! v3 or run-length-compressed at v4. Both encodings of the same edge
-//! stream verify against the same head, because the verifier refolds
-//! the *canonical decomposition*: [`CfChain::fold_all`] compresses a
-//! raw log on the fly, and [`CfChain::fold_runs`] consumes runs
-//! directly. Any tampering with the log — reorder, truncation,
+//! report); the edge log itself travels in the clear, run-length
+//! compressed. A raw edge stream and its runs verify against the same
+//! head, because the verifier refolds the *canonical decomposition*:
+//! [`CfChain::fold_all`] compresses a raw log on the fly, and
+//! [`CfChain::fold_runs`] consumes runs directly. Any tampering with the log — reorder, truncation,
 //! substitution, or splitting/merging run counts — changes the head
 //! and cannot survive. (The verifier consults edge-by-edge
 //! admissibility first, so tampering that also bends an edge off the

@@ -40,8 +40,8 @@
 //! fleet [--devices N] [--rounds N] [--seed N] [--workers N]
 //!       [--chunk N] [--replay-every N] [--corrupt-every N]
 //!       [--cfa] [--detour-every N] [--monitored-cycles N]
-//!       [--max-version N] [--metrics-out FILE] [--events-out FILE]
-//!       [--bundle-dir DIR] [--json]
+//!       [--metrics-out FILE] [--events-out FILE] [--bundle-dir DIR]
+//!       [--json]
 //! fleet replay-bundle FILE...
 //! fleet check-metrics FILE --schema SCHEMA
 //! ```
@@ -376,11 +376,6 @@ fn parse_args_from(argv: Vec<String>) -> Result<(FleetConfig, bool), String> {
             "--monitored-cycles" => {
                 config.monitored_cycles = value(&mut args, "--monitored-cycles")?
             }
-            "--max-version" => {
-                let v = value(&mut args, "--max-version")?;
-                config.max_version =
-                    u8::try_from(v).map_err(|_| format!("--max-version: {v} out of range"))?;
-            }
             "--metrics-out" => config.metrics_out = Some(path(&mut args, "--metrics-out")?),
             "--events-out" => config.events_out = Some(path(&mut args, "--events-out")?),
             "--bundle-dir" => config.bundle_dir = Some(path(&mut args, "--bundle-dir")?),
@@ -389,7 +384,7 @@ fn parse_args_from(argv: Vec<String>) -> Result<(FleetConfig, bool), String> {
                 println!(
                     "usage: fleet [--devices N] [--rounds N] [--seed N] [--workers N] \
                      [--chunk N] [--replay-every N] [--corrupt-every N] \
-                     [--cfa] [--detour-every N] [--monitored-cycles N] [--max-version N] \
+                     [--cfa] [--detour-every N] [--monitored-cycles N] \
                      [--metrics-out FILE] [--events-out FILE] [--bundle-dir DIR] [--json]\n\
                      \x20      fleet replay-bundle FILE...\n\
                      \x20      fleet check-metrics FILE --schema SCHEMA"

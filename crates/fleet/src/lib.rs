@@ -90,11 +90,6 @@ pub struct FleetConfig {
     pub detour_every: Option<u64>,
     /// (CFA mode) guest cycles of monitored execution before attesting.
     pub monitored_cycles: u64,
-    /// Highest protocol version devices advertise in their Hello,
-    /// clamped to [`proto::PROTOCOL_VERSION`]. Lowering it to 3 forces
-    /// the raw expanded CFA wire form (protocol v4 ships edge logs
-    /// run-length compressed) — the compatibility leg CI keeps green.
-    pub max_version: u8,
     /// Where to write the Prometheus metrics exposition after the run
     /// (`None` = don't write).
     pub metrics_out: Option<PathBuf>,
@@ -119,7 +114,6 @@ impl Default for FleetConfig {
             cfa: false,
             detour_every: None,
             monitored_cycles: 50_000,
-            max_version: PROTOCOL_VERSION,
             metrics_out: None,
             events_out: None,
             bundle_dir: None,
@@ -134,12 +128,6 @@ impl FleetConfig {
         h.update(b"tytan-fleet-master-v1");
         h.update(&self.seed.to_be_bytes());
         h.finalize().try_into().expect("SHA-1 is 20 bytes")
-    }
-
-    /// The protocol version devices open their sessions at.
-    fn device_version(&self) -> u8 {
-        self.max_version
-            .clamp(proto::MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
     }
 
     fn worker_count(&self) -> usize {
@@ -318,13 +306,12 @@ fn device_conversation(
         })
         .map_err(|_| "verifier gone".to_string())?;
 
-    let device_version = config.device_version();
     let hello = encode(
         &Message::Hello {
             device,
-            max_version: device_version,
+            max_version: PROTOCOL_VERSION,
         },
-        device_version,
+        PROTOCOL_VERSION,
     );
     send_chunked(&inbound, device, &hello, config.chunk);
 
@@ -344,10 +331,10 @@ fn device_conversation(
         }
     };
 
-    let version = match next_message(&mut decoder)? {
-        Message::Welcome { version } => version,
+    match next_message(&mut decoder)? {
+        Message::Welcome { version } if version == PROTOCOL_VERSION => {}
         other => return Err(format!("{device}: expected welcome, got {other:?}")),
-    };
+    }
 
     for round in 0..config.rounds {
         // Verdict frames for earlier rounds interleave with the next
@@ -389,7 +376,7 @@ fn device_conversation(
                         corr,
                         report: detoured,
                     },
-                    version,
+                    PROTOCOL_VERSION,
                 );
                 send_chunked(&inbound, device, &frame, config.chunk);
             }
@@ -399,7 +386,7 @@ fn device_conversation(
                     corr,
                     report,
                 },
-                version,
+                PROTOCOL_VERSION,
             );
             send_chunked(&inbound, device, &frame, config.chunk);
             if config.replay_hit(device.as_u64()) {
@@ -416,7 +403,7 @@ fn device_conversation(
                 corr,
                 report: report.clone(),
             },
-            version,
+            PROTOCOL_VERSION,
         );
         send_chunked(&inbound, device, &frame, config.chunk);
         if config.replay_hit(device.as_u64()) {
@@ -432,7 +419,7 @@ fn device_conversation(
                     corr,
                     report: forged,
                 },
-                version,
+                PROTOCOL_VERSION,
             );
             send_chunked(&inbound, device, &frame, config.chunk);
         }
@@ -768,25 +755,6 @@ mod tests {
             outcome.cfa_runs,
             outcome.cfa_edges
         );
-    }
-
-    #[test]
-    fn raw_v3_sessions_still_verify_with_detours() {
-        // Devices capped at protocol 3 ship expanded logs; the verifier
-        // recompresses on decode and everything still books clean —
-        // including the typed rejection of the injected detours.
-        let outcome = run_fleet(&FleetConfig {
-            devices: 6,
-            cfa: true,
-            detour_every: Some(3),
-            max_version: 3,
-            ..FleetConfig::default()
-        })
-        .expect("fleet runs");
-        assert_eq!(outcome.accepted, 6);
-        assert_eq!(outcome.injected_detours, 2);
-        assert_eq!(outcome.rejected_inadmissible, 2);
-        assert!(outcome.clean(), "outcome: {outcome:?}");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!
 //! `len` covers everything after itself (version byte, type byte and
 //! payload) and is bounded by [`MAX_FRAME_LEN`], so a corrupted length
-//! prefix cannot make the decoder buffer unboundedly. Every frame carries
-//! the protocol version; the session-level agreement is negotiated once
-//! via [`Message::Hello`] / [`Message::Welcome`] (see [`negotiate`]), and
-//! any frame outside the supported window is a typed
-//! [`CodecError::UnsupportedVersion`] — never a silent misparse.
+//! prefix cannot make the decoder buffer unboundedly. There is exactly
+//! one protocol version, [`PROTOCOL_VERSION`]: every frame carries it,
+//! and a frame stamped with any other version byte is a typed
+//! [`CodecError::UnsupportedVersion`] — never a silent misparse. The
+//! verifier applies the same rule to the version a device advertises in
+//! its [`Message::Hello`].
 //!
 //! Decoding is strict: unknown message types, short payloads, trailing
 //! payload bytes, oversized nonces and non-canonical report encodings are
@@ -41,59 +42,32 @@
 
 use tytan::attest::{AttestationReport, CfaReport, DeviceId, CF_LOG_CAP};
 
-/// The newest protocol version this implementation speaks.
+/// The one protocol version this implementation speaks.
 ///
-/// Version 2 adds control-flow attestation: [`Message::CfaReport`] and
-/// the reserved type-byte range [`FIRST_V2_TYPE`]`..=`[`LAST_RESERVED_TYPE`].
-/// Version 3 adds correlation ids (see [`CORR_VERSION`]): challenges,
-/// reports and verdicts carry a verifier-minted `corr` so one id follows
-/// an attestation across the wire, the verifier's logs and any forensic
-/// bundle it produces.
-/// Version 4 ships [`Message::CfaReport`] edge logs run-length
-/// compressed (see [`CFA_RLE_VERSION`]).
+/// Challenges, reports and verdicts carry a verifier-minted correlation
+/// id, and [`Message::CfaReport`] ships its edge log as run-length
+/// compressed `(from, to, count)` triples. Earlier drafts of the format
+/// used version bytes 1–3; keeping this value at 4 makes their frames
+/// fail typed instead of misparsing.
 pub const PROTOCOL_VERSION: u8 = 4;
-
-/// The oldest protocol version this implementation still accepts.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
-
-/// First protocol version whose [`Message::Challenge`],
-/// [`Message::Report`], [`Message::CfaReport`] and [`Message::Verdict`]
-/// frames carry a correlation id. At older versions the field is omitted
-/// on encode and decodes as `0` — downgraded sessions keep working, they
-/// just lose end-to-end correlation.
-pub const CORR_VERSION: u8 = 3;
-
-/// First protocol version whose [`Message::CfaReport`] payload carries
-/// the edge log as canonical `(from, to, count)` run triples instead of
-/// the fully expanded `(from, to)` stream. The report's seal (MAC over
-/// chain head + raw edge count) is encoding-independent, so the *same*
-/// sealed report ships at either version; a downgraded session pays
-/// bandwidth, never a re-attestation. Both forms decode to the identical
-/// in-memory report — the raw form is canonically recompressed on
-/// decode.
-pub const CFA_RLE_VERSION: u8 = 4;
 
 /// Upper bound on `len` (version + type + payload). Frames beyond this
 /// are rejected before any payload is buffered. Sized for the largest
-/// legal [`Message::CfaReport`] frame, whichever wire form is bigger:
-/// at version 4 an edge log at the prover-side cap
-/// ([`tytan::attest::CF_LOG_CAP`], re-exported from the emulator crate)
-/// degenerates to 65 536 count-1 runs × 12 bytes = 768 KiB of run
-/// table; at versions 2–3 the same log ships expanded as 65 536 edges
-/// × 8 bytes = 512 KiB. Either way, plus three 64 KiB length-framed
-/// fields (digest, nonce, MAC) and headers, the worst case stays under
-/// 1 MiB — checked at compile time below, so a cap change cannot
-/// silently make legal reports unframeable.
+/// legal [`Message::CfaReport`] frame: an edge log at the prover-side
+/// cap ([`tytan::attest::CF_LOG_CAP`], re-exported from the emulator
+/// crate) degenerates to 65 536 count-1 runs × 12 bytes = 768 KiB of
+/// run table. Plus three 64 KiB length-framed fields (digest, nonce,
+/// MAC) and headers, the worst case stays under 1 MiB — checked at
+/// compile time below, so a cap change cannot silently make legal
+/// reports unframeable.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 const _: () = {
     // Worst-case CfaReport payload: id + three length-framed 64 KiB
-    // fields + chain head + run/edge count + the log itself.
+    // fields + chain head + run count + the log itself.
     let fields = 8 + (4 + (1 << 16)) * 3 + 20 + 4;
-    let log_v4 = 12 * CF_LOG_CAP; // count-1 runs, 12 bytes each
-    let log_v3 = 8 * CF_LOG_CAP; // expanded edges, 8 bytes each
-    let log = if log_v4 > log_v3 { log_v4 } else { log_v3 };
-    // Frame: version + type + device + correlation id + inner length.
+    let log = 12 * CF_LOG_CAP; // count-1 runs, 12 bytes each
+                               // Frame: version + type + device + correlation id + inner length.
     assert!(2 + 8 + 8 + 4 + fields + log <= MAX_FRAME_LEN);
 };
 
@@ -118,14 +92,11 @@ pub enum CodecError {
         /// The declared length.
         len: usize,
     },
-    /// The frame's version byte is outside the supported window.
+    /// A version byte other than [`PROTOCOL_VERSION`]: on a frame, or
+    /// advertised as a device's newest version in its `Hello`.
     UnsupportedVersion {
         /// The version on the wire.
         got: u8,
-        /// Oldest accepted version.
-        min: u8,
-        /// Newest accepted version.
-        max: u8,
     },
     /// The type byte names no known message.
     UnknownMessageType(u8),
@@ -148,12 +119,10 @@ impl std::fmt::Display for CodecError {
                 write!(f, "truncated frame: have {have} bytes, need {need}")
             }
             CodecError::BadLength { len } => write!(f, "bad frame length {len}"),
-            CodecError::UnsupportedVersion { got, min, max } => {
-                write!(
-                    f,
-                    "unsupported protocol version {got} (supported {min}..={max})"
-                )
-            }
+            CodecError::UnsupportedVersion { got } => write!(
+                f,
+                "unsupported protocol version {got} (this build speaks {PROTOCOL_VERSION})"
+            ),
             CodecError::UnknownMessageType(t) => write!(f, "unknown message type {t:#04x}"),
             CodecError::MalformedPayload(what) => write!(f, "malformed payload: {what}"),
             CodecError::TrailingBytes { extra } => {
@@ -217,9 +186,9 @@ pub enum Message {
         /// Newest version the device supports.
         max_version: u8,
     },
-    /// Verifier → device: accepts the session at the negotiated version.
+    /// Verifier → device: accepts the session.
     Welcome {
-        /// The agreed protocol version for this session.
+        /// The session's protocol version, always [`PROTOCOL_VERSION`].
         version: u8,
     },
     /// Verifier → device: a fresh challenge nonce.
@@ -227,7 +196,7 @@ pub enum Message {
         /// The challenged device.
         device: DeviceId,
         /// Verifier-minted correlation id for this attestation round
-        /// (version 3+ on the wire; `0` when the session predates it).
+        /// (minted from 1; `0` is reserved for "none").
         corr: u64,
         /// The nonce to attest against.
         nonce: Vec<u8>,
@@ -253,7 +222,7 @@ pub enum Message {
         code: u8,
     },
     /// Device → verifier: a control-flow-attested report answering a
-    /// challenge (protocol version 2+).
+    /// challenge.
     CfaReport {
         /// The reporting device.
         device: DeviceId,
@@ -271,19 +240,6 @@ const TYPE_REPORT: u8 = 4;
 const TYPE_VERDICT: u8 = 5;
 const TYPE_CFA_REPORT: u8 = 6;
 
-/// First message-type byte that requires protocol version 2. A version-1
-/// frame carrying a type in [`FIRST_V2_TYPE`]`..=`[`LAST_RESERVED_TYPE`]
-/// is rejected as [`CodecError::UnsupportedVersion`] — a version-1-only
-/// verifier gives senders of new report types a typed version error, not
-/// a confusing "unknown message".
-pub const FIRST_V2_TYPE: u8 = 6;
-
-/// Last type byte of the reserved versioned range. Types 7–15 are held
-/// back for future versioned report kinds; today they decode as
-/// [`CodecError::UnknownMessageType`] at version 2 and as
-/// [`CodecError::UnsupportedVersion`] at version 1.
-pub const LAST_RESERVED_TYPE: u8 = 15;
-
 impl Message {
     fn type_byte(&self) -> u8 {
         match self {
@@ -293,15 +249,6 @@ impl Message {
             Message::Report { .. } => TYPE_REPORT,
             Message::Verdict { .. } => TYPE_VERDICT,
             Message::CfaReport { .. } => TYPE_CFA_REPORT,
-        }
-    }
-
-    /// The minimum protocol version that can carry this message.
-    pub fn min_version(&self) -> u8 {
-        if self.type_byte() >= FIRST_V2_TYPE {
-            2
-        } else {
-            1
         }
     }
 
@@ -316,14 +263,7 @@ impl Message {
         }
     }
 
-    fn payload(&self, version: u8) -> Vec<u8> {
-        // Correlation ids ride immediately after the device id from
-        // version 3 on; older versions never see the field.
-        let push_corr = |out: &mut Vec<u8>, corr: &u64| {
-            if version >= CORR_VERSION {
-                out.extend_from_slice(&corr.to_be_bytes());
-            }
-        };
+    fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Message::Hello {
@@ -340,7 +280,7 @@ impl Message {
                 nonce,
             } => {
                 out.extend_from_slice(&device.to_bytes());
-                push_corr(&mut out, corr);
+                out.extend_from_slice(&corr.to_be_bytes());
                 out.extend_from_slice(&(nonce.len() as u16).to_le_bytes());
                 out.extend_from_slice(nonce);
             }
@@ -350,7 +290,7 @@ impl Message {
                 report,
             } => {
                 out.extend_from_slice(&device.to_bytes());
-                push_corr(&mut out, corr);
+                out.extend_from_slice(&corr.to_be_bytes());
                 let bytes = report.to_bytes();
                 out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
                 out.extend_from_slice(&bytes);
@@ -362,7 +302,7 @@ impl Message {
                 code,
             } => {
                 out.extend_from_slice(&device.to_bytes());
-                push_corr(&mut out, corr);
+                out.extend_from_slice(&corr.to_be_bytes());
                 out.push(u8::from(*accepted));
                 out.push(*code);
             }
@@ -372,15 +312,8 @@ impl Message {
                 report,
             } => {
                 out.extend_from_slice(&device.to_bytes());
-                push_corr(&mut out, corr);
-                // The log rides compressed from CFA_RLE_VERSION on;
-                // older sessions get the expanded raw stream. Same
-                // sealed report either way.
-                let bytes = if version >= CFA_RLE_VERSION {
-                    report.to_bytes()
-                } else {
-                    report.to_bytes_v3()
-                };
+                out.extend_from_slice(&corr.to_be_bytes());
+                let bytes = report.to_bytes();
                 out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
                 out.extend_from_slice(&bytes);
             }
@@ -389,28 +322,11 @@ impl Message {
     }
 }
 
-/// Negotiates the session protocol version from the device's advertised
-/// maximum: the newest version both sides speak.
-///
-/// # Errors
-///
-/// [`CodecError::UnsupportedVersion`] when the windows do not overlap.
-pub fn negotiate(device_max: u8) -> Result<u8, CodecError> {
-    if device_max < MIN_PROTOCOL_VERSION {
-        return Err(CodecError::UnsupportedVersion {
-            got: device_max,
-            min: MIN_PROTOCOL_VERSION,
-            max: PROTOCOL_VERSION,
-        });
-    }
-    Ok(device_max.min(PROTOCOL_VERSION))
-}
-
-/// Encodes `message` as one complete frame at `version`. At versions
-/// below [`CORR_VERSION`] any correlation id is silently omitted — the
-/// downgrade loses observability, never interoperability.
+/// Encodes `message` as one complete frame stamped with `version`.
+/// Peers speak only [`PROTOCOL_VERSION`]; a frame stamped with any other
+/// byte decodes as [`CodecError::UnsupportedVersion`].
 pub fn encode(message: &Message, version: u8) -> Vec<u8> {
-    let payload = message.payload(version);
+    let payload = message.payload();
     let len = 2 + payload.len();
     let mut out = Vec::with_capacity(4 + len);
     out.extend_from_slice(&(len as u32).to_le_bytes());
@@ -434,26 +350,34 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, tail) = self
+            .bytes
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::MalformedPayload("field extends past payload"))?;
+        self.bytes = tail;
+        Ok(*head)
+    }
+
     fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.array()?;
+        Ok(byte)
     }
 
     fn u16_le(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32_le(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn corr(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     fn device(&mut self) -> Result<DeviceId, CodecError> {
-        Ok(DeviceId::from_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(DeviceId::from_bytes(self.array()?))
     }
 
     fn finish(self) -> Result<(), CodecError> {
@@ -467,18 +391,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Reads a correlation id when `version` carries one, `0` otherwise
-/// (pre-[`CORR_VERSION`] frames have no correlation field).
-fn corr_field(r: &mut Reader<'_>, version: u8) -> Result<u64, CodecError> {
-    if version >= CORR_VERSION {
-        Ok(u64::from_be_bytes(r.take(8)?.try_into().expect("8 bytes")))
-    } else {
-        Ok(0)
-    }
-}
-
-fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Message, CodecError> {
-    let mut r = Reader { bytes: payload };
+fn decode_payload(type_byte: u8, mut r: Reader<'_>) -> Result<Message, CodecError> {
     let message = match type_byte {
         TYPE_HELLO => Message::Hello {
             device: r.device()?,
@@ -487,7 +400,7 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Message,
         TYPE_WELCOME => Message::Welcome { version: r.u8()? },
         TYPE_CHALLENGE => {
             let device = r.device()?;
-            let corr = corr_field(&mut r, version)?;
+            let corr = r.corr()?;
             let len = r.u16_le()? as usize;
             if len > MAX_NONCE_LEN {
                 return Err(CodecError::MalformedPayload("nonce too long"));
@@ -500,7 +413,7 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Message,
         }
         TYPE_REPORT => {
             let device = r.device()?;
-            let corr = corr_field(&mut r, version)?;
+            let corr = r.corr()?;
             let len = r.u32_le()? as usize;
             let bytes = r.take(len)?;
             let report = AttestationReport::from_bytes(bytes)
@@ -518,7 +431,7 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Message,
         }
         TYPE_VERDICT => {
             let device = r.device()?;
-            let corr = corr_field(&mut r, version)?;
+            let corr = r.corr()?;
             let accepted = match r.u8()? {
                 0 => false,
                 1 => true,
@@ -533,24 +446,12 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Message,
         }
         TYPE_CFA_REPORT => {
             let device = r.device()?;
-            let corr = corr_field(&mut r, version)?;
+            let corr = r.corr()?;
             let len = r.u32_le()? as usize;
             let bytes = r.take(len)?;
-            // Version selects the wire form of the edge log: compressed
-            // run triples from CFA_RLE_VERSION, expanded pairs before.
-            // Both decode to the same canonical in-memory report.
-            let (report, reencoded_len) = if version >= CFA_RLE_VERSION {
-                let report = CfaReport::from_bytes(bytes)
-                    .ok_or(CodecError::MalformedPayload("cfa report does not parse"))?;
-                let len = report.to_bytes().len();
-                (report, len)
-            } else {
-                let report = CfaReport::from_bytes_v3(bytes)
-                    .ok_or(CodecError::MalformedPayload("cfa report does not parse"))?;
-                let len = report.to_bytes_v3().len();
-                (report, len)
-            };
-            if reencoded_len != len {
+            let report = CfaReport::from_bytes(bytes)
+                .ok_or(CodecError::MalformedPayload("cfa report does not parse"))?;
+            if report.to_bytes().len() != len {
                 return Err(CodecError::MalformedPayload("cfa report not canonical"));
             }
             Message::CfaReport {
@@ -573,60 +474,26 @@ fn decode_payload(type_byte: u8, payload: &[u8], version: u8) -> Result<Message,
 /// Any [`CodecError`]; [`CodecError::Truncated`] means more bytes may
 /// complete the frame, every other variant is fatal for the stream.
 pub fn decode(bytes: &[u8]) -> Result<(Message, usize), CodecError> {
-    decode_with_window(bytes, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
-}
-
-/// [`decode`] against an explicit accepted-version window `min..=max`.
-///
-/// This is what a deployed verifier built against an *older* protocol
-/// revision effectively runs: compatibility tests call it with
-/// `(1, 1)` to prove that version-2 frames (and any frame carrying a
-/// type byte in the reserved range [`FIRST_V2_TYPE`]`..=`
-/// [`LAST_RESERVED_TYPE`]) are rejected as the typed
-/// [`CodecError::UnsupportedVersion`] rather than misparsed.
-///
-/// # Errors
-///
-/// As [`decode`].
-pub fn decode_with_window(bytes: &[u8], min: u8, max: u8) -> Result<(Message, usize), CodecError> {
-    if bytes.len() < 4 {
-        return Err(CodecError::Truncated {
-            have: bytes.len(),
-            need: 4,
-        });
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
+    let mut r = Reader { bytes };
+    let prefix = r.array().map_err(|_| CodecError::Truncated {
+        have: bytes.len(),
+        need: 4,
+    })?;
+    let len = u32::from_le_bytes(prefix) as usize;
     if !(2..=MAX_FRAME_LEN).contains(&len) {
         return Err(CodecError::BadLength { len });
     }
     let total = 4 + len;
-    if bytes.len() < total {
-        return Err(CodecError::Truncated {
-            have: bytes.len(),
-            need: total,
-        });
+    let frame = r.take(len).map_err(|_| CodecError::Truncated {
+        have: bytes.len(),
+        need: total,
+    })?;
+    let mut r = Reader { bytes: frame };
+    let [version, type_byte] = r.array()?;
+    if version != PROTOCOL_VERSION {
+        return Err(CodecError::UnsupportedVersion { got: version });
     }
-    let version = bytes[4];
-    if !(min..=max).contains(&version) {
-        return Err(CodecError::UnsupportedVersion {
-            got: version,
-            min,
-            max,
-        });
-    }
-    let type_byte = bytes[5];
-    // Reserved versioned range: a version-1 frame cannot carry a
-    // version-2 message type. Typed as a version problem so old
-    // verifiers (max = 1) and confused senders both get an actionable
-    // error instead of "unknown message".
-    if (FIRST_V2_TYPE..=LAST_RESERVED_TYPE).contains(&type_byte) && version < 2 {
-        return Err(CodecError::UnsupportedVersion {
-            got: version,
-            min: 2,
-            max,
-        });
-    }
-    let message = decode_payload(type_byte, &bytes[6..total], version)?;
+    let message = decode_payload(type_byte, r)?;
     Ok((message, total))
 }
 
@@ -825,177 +692,87 @@ mod tests {
 
     #[test]
     fn version_outside_window_is_typed() {
-        let mut bytes = encode(
-            &Message::Welcome {
-                version: PROTOCOL_VERSION,
-            },
-            PROTOCOL_VERSION,
-        );
-        bytes[4] = PROTOCOL_VERSION + 1;
-        assert_eq!(
-            decode(&bytes),
-            Err(CodecError::UnsupportedVersion {
-                got: PROTOCOL_VERSION + 1,
-                min: MIN_PROTOCOL_VERSION,
-                max: PROTOCOL_VERSION,
-            })
-        );
-        bytes[4] = 0;
-        assert!(matches!(
-            decode(&bytes),
-            Err(CodecError::UnsupportedVersion { got: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn negotiation_picks_newest_common_version() {
-        assert_eq!(negotiate(PROTOCOL_VERSION), Ok(PROTOCOL_VERSION));
-        assert_eq!(negotiate(PROTOCOL_VERSION + 9), Ok(PROTOCOL_VERSION));
-        // A version-1-only device still negotiates a v1 session.
-        assert_eq!(negotiate(1), Ok(1));
-        assert!(matches!(
-            negotiate(MIN_PROTOCOL_VERSION.wrapping_sub(1)),
-            Err(CodecError::UnsupportedVersion { .. })
-        ));
-    }
-
-    #[test]
-    fn v1_frame_with_reserved_type_is_a_typed_version_error() {
-        let msg = Message::CfaReport {
-            device: DeviceId::from_u64(11),
-            corr: 0,
-            report: sample_cfa_report(),
-        };
-        assert_eq!(msg.min_version(), 2);
-        // A confused (or malicious) sender stamps version 1 on a
-        // reserved-range type: typed as a version problem.
-        let frame = encode(&msg, 1);
-        assert_eq!(
-            decode(&frame),
-            Err(CodecError::UnsupportedVersion {
-                got: 1,
-                min: 2,
-                max: PROTOCOL_VERSION,
-            })
-        );
-        // The whole reserved range behaves the same at version 1.
-        for reserved in FIRST_V2_TYPE..=LAST_RESERVED_TYPE {
-            let mut frame = encode(&Message::Welcome { version: 1 }, 1);
-            frame[5] = reserved;
-            assert!(
-                matches!(
-                    decode(&frame),
-                    Err(CodecError::UnsupportedVersion { got: 1, min: 2, .. })
-                ),
-                "type {reserved}"
-            );
+        // The one version rule: every other version byte, on every
+        // message kind, is the typed reject and poisons the stream.
+        for version in (0..=u8::MAX).filter(|&v| v != PROTOCOL_VERSION) {
+            let want = CodecError::UnsupportedVersion { got: version };
+            for msg in sample_messages() {
+                let frame = encode(&msg, version);
+                assert_eq!(decode(&frame), Err(want.clone()), "{msg:?}");
+                let mut decoder = FrameDecoder::new();
+                decoder.push(&frame);
+                assert_eq!(decoder.next_message(), Err(want.clone()), "{msg:?}");
+                assert!(decoder.is_poisoned());
+                decoder.push(&encode(&msg, PROTOCOL_VERSION));
+                assert_eq!(decoder.next_message(), Err(CodecError::Poisoned));
+            }
         }
     }
 
-    #[test]
-    fn old_verifier_window_rejects_new_report_frames_as_unsupported_version() {
-        // A verifier built before version 2 accepts only 1..=1; a
-        // version-2 CFA frame must fail with the typed version error,
-        // not a misparse, so the device can fall back to plain reports.
-        let frame = encode(
-            &Message::CfaReport {
-                device: DeviceId::from_u64(3),
-                corr: 0,
-                report: sample_cfa_report(),
-            },
-            PROTOCOL_VERSION,
-        );
-        assert_eq!(
-            decode_with_window(&frame, 1, 1),
-            Err(CodecError::UnsupportedVersion {
-                got: PROTOCOL_VERSION,
-                min: 1,
-                max: 1,
-            })
-        );
-        // The same old window still decodes v1 traffic unchanged.
-        let v1 = encode(&Message::Welcome { version: 1 }, 1);
-        assert!(decode_with_window(&v1, 1, 1).is_ok());
-    }
-
-    #[test]
-    fn cfa_frames_ship_compressed_at_v4_and_raw_at_v3() {
-        let msg = Message::CfaReport {
-            device: DeviceId::from_u64(11),
-            corr: 7,
-            report: sample_cfa_report(),
-        };
-        let v4 = encode(&msg, PROTOCOL_VERSION);
-        let v3 = encode(&msg, 3);
-        // 3 runs × 12 bytes vs 302 raw edges × 8 bytes.
-        assert!(v4.len() < v3.len() / 10, "{} vs {}", v4.len(), v3.len());
-        // Both wire forms decode to the identical in-memory message —
-        // same sealed report, same canonical run log.
-        let (from_v4, _) = decode(&v4).expect("v4 decodes");
-        let (from_v3, _) = decode(&v3).expect("v3 decodes");
-        assert_eq!(from_v4, msg);
-        assert_eq!(from_v3, msg);
+    /// A `CfaReport` frame at [`PROTOCOL_VERSION`] around hand-built
+    /// inner report bytes.
+    fn cfa_frame(inner: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&DeviceId::from_u64(11).to_bytes());
+        payload.extend_from_slice(&7u64.to_be_bytes());
+        payload.extend_from_slice(&(inner.len() as u32).to_le_bytes());
+        payload.extend_from_slice(inner);
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&((2 + payload.len()) as u32).to_le_bytes());
+        frame.push(PROTOCOL_VERSION);
+        frame.push(TYPE_CFA_REPORT);
+        frame.extend_from_slice(&payload);
+        frame
     }
 
     #[test]
     fn non_canonical_v4_run_log_is_rejected() {
-        // Hand-build a v4 CFA frame whose inner report splits a run
-        // into two adjacent runs of the same edge: the raw stream and
-        // the MAC'd edge count are unchanged, but the encoding is not
+        // Hand-build a CFA frame whose inner report splits a run into
+        // two adjacent runs of the same edge: the raw stream and the
+        // MAC'd edge count are unchanged, but the encoding is not
         // canonical and must not decode.
-        let device = DeviceId::from_u64(11);
         let report = sample_cfa_report();
         let mut split = report.clone();
         split.log = vec![(0, 8, 1), (8, 16, 299), (8, 16, 1), (16, 12, 1)];
         assert_eq!(split.raw_edges(), report.raw_edges());
-        let mut frame = Vec::new();
-        let inner = split.to_bytes();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&device.to_bytes());
-        payload.extend_from_slice(&7u64.to_be_bytes());
-        payload.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&inner);
-        frame.extend_from_slice(&((2 + payload.len()) as u32).to_le_bytes());
-        frame.push(PROTOCOL_VERSION);
-        frame.push(FIRST_V2_TYPE); // TYPE_CFA_REPORT
-        frame.extend_from_slice(&payload);
         assert!(matches!(
-            decode(&frame),
+            decode(&cfa_frame(&split.to_bytes())),
             Err(CodecError::MalformedPayload(_))
         ));
     }
 
     #[test]
-    fn pre_corr_versions_drop_the_correlation_id() {
-        // Encoding at version 2 omits the field; decoding yields 0. A
-        // downgraded session loses correlation, nothing else.
-        for version in [1, 2] {
-            let msg = Message::Challenge {
-                device: DeviceId::from_u64(9),
-                corr: 0xDEAD_BEEF,
-                nonce: vec![1, 2, 3],
-            };
-            let bytes = encode(&msg, version);
-            let (decoded, consumed) = decode(&bytes).expect("decodes");
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(
-                decoded,
-                Message::Challenge {
-                    device: DeviceId::from_u64(9),
-                    corr: 0,
-                    nonce: vec![1, 2, 3],
-                },
-                "version {version}"
+    fn expanded_pair_cfa_payload_is_malformed() {
+        // The edge log has one wire form, run triples. The retired
+        // layout (raw edge count, then every `(from, to)` pair) must
+        // not decode, even stamped with the current version.
+        let loopy = sample_cfa_report();
+        let mut straight = loopy.clone();
+        straight.log = vec![(0, 8, 1), (8, 16, 1), (16, 12, 1)];
+        for report in [loopy, straight] {
+            let mut inner = Vec::new();
+            inner.extend_from_slice(&report.id.to_bytes());
+            inner.extend_from_slice(&(report.digest.len() as u32).to_le_bytes());
+            inner.extend_from_slice(&report.digest);
+            inner.extend_from_slice(&(report.nonce.len() as u32).to_le_bytes());
+            inner.extend_from_slice(&report.nonce);
+            inner.extend_from_slice(&report.chain_head);
+            inner.extend_from_slice(&(report.raw_edges() as u32).to_le_bytes());
+            for (from, to) in tytan_crypto::expand_runs(&report.log) {
+                inner.extend_from_slice(&from.to_le_bytes());
+                inner.extend_from_slice(&to.to_le_bytes());
+            }
+            inner.extend_from_slice(&(report.mac.len() as u32).to_le_bytes());
+            inner.extend_from_slice(&report.mac);
+            assert!(
+                matches!(
+                    decode(&cfa_frame(&inner)),
+                    Err(CodecError::MalformedPayload(_))
+                ),
+                "log {:?}",
+                report.log
             );
         }
-        // A v3 frame is 8 bytes longer than the same message at v2.
-        let msg = Message::Verdict {
-            device: DeviceId::from_u64(1),
-            corr: 5,
-            accepted: true,
-            code: verdict_code::OK,
-        };
-        assert_eq!(encode(&msg, CORR_VERSION).len(), encode(&msg, 2).len() + 8);
     }
 
     #[test]
@@ -1011,44 +788,6 @@ mod tests {
                 | Message::CfaReport { corr, .. } => assert_eq!(msg.corr(), *corr),
             }
         }
-    }
-
-    #[test]
-    fn v2_only_verifier_window_rejects_v3_frames_as_unsupported_version() {
-        // A verifier built before correlation ids accepts 1..=2; a v3
-        // frame fails with the typed version error so the device can
-        // re-negotiate down (and the corr bytes are never misparsed as
-        // nonce length or report length).
-        let frame = encode(
-            &Message::Challenge {
-                device: DeviceId::from_u64(4),
-                corr: 77,
-                nonce: vec![0xAA; 8],
-            },
-            PROTOCOL_VERSION,
-        );
-        assert_eq!(
-            decode_with_window(&frame, 1, 2),
-            Err(CodecError::UnsupportedVersion {
-                got: PROTOCOL_VERSION,
-                min: 1,
-                max: 2,
-            })
-        );
-        // The v2 encoding of the same message still decodes in that
-        // window (corr degrades to 0).
-        let v2 = encode(
-            &Message::Challenge {
-                device: DeviceId::from_u64(4),
-                corr: 77,
-                nonce: vec![0xAA; 8],
-            },
-            2,
-        );
-        assert!(matches!(
-            decode_with_window(&v2, 1, 2),
-            Ok((Message::Challenge { corr: 0, .. }, _))
-        ));
     }
 
     #[test]
@@ -1112,7 +851,7 @@ mod tests {
         );
         // Grow the inner length prefix and pad: `from_bytes` would accept
         // the prefix, the canonical check must not. Header, device and
-        // (version 3) correlation id precede the inner length.
+        // correlation id precede the inner length.
         let inner_len_at = 4 + 2 + 8 + 8;
         let inner = u32::from_le_bytes(frame[inner_len_at..inner_len_at + 4].try_into().unwrap());
         frame[inner_len_at..inner_len_at + 4].copy_from_slice(&(inner + 2).to_le_bytes());

@@ -51,14 +51,14 @@ pub const EDGE_TAIL_CAP: usize = 32;
 
 /// Bundle format version written into every bundle. Version 2 switched
 /// `edge_tail` from expanded `[from, to]` pairs to run-length-encoded
-/// `[from, to, count]` triples, matching the protocol-v4 wire form.
+/// `[from, to, count]` triples, matching the wire form.
 pub const BUNDLE_FORMAT_VERSION: u64 = 2;
 
 /// One taped frame: its correlation id, full wire length, and the first
 /// [`FRAME_SNIPPET_LEN`] bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameRecord {
-    /// Correlation id the frame carried (`0` for pre-v3 sessions).
+    /// Correlation id the frame carried, echoed from its challenge.
     pub corr: u64,
     /// Full frame length on the wire.
     pub len: usize,

@@ -36,9 +36,7 @@ use tytan_trace::events::{EventLog, LogFields, Severity};
 use tytan_trace::{EventKind, HistId, Layer, Tracer};
 
 use crate::farm::device_attestation_key;
-use crate::proto::{
-    encode, negotiate, verdict_code, CodecError, FrameDecoder, Message, PROTOCOL_VERSION,
-};
+use crate::proto::{encode, verdict_code, CodecError, FrameDecoder, Message, PROTOCOL_VERSION};
 use crate::recorder::{FlightRecorder, ForensicBundle, EDGE_TAIL_CAP};
 
 /// Maps a session verdict to its wire [`verdict_code`]. Shared by
@@ -61,7 +59,7 @@ pub fn result_code(result: &Result<(), VerifyError>) -> u8 {
 pub struct FlushEntry {
     /// The device whose report was judged.
     pub device: DeviceId,
-    /// Correlation id the report carried (`0` for pre-v3 sessions).
+    /// Correlation id the report carried, echoed from its challenge.
     pub corr: u64,
     /// The session verdict ([`Ok`] means accepted and nonce consumed).
     pub result: Result<(), VerifyError>,
@@ -335,155 +333,173 @@ impl FleetVerifier {
     }
 
     /// Feeds received bytes from `from`'s connection through its frame
-    /// decoder and handles every complete message: `Hello` negotiates
-    /// and returns reply frames, `Report`s join the pending batch.
+    /// decoder and handles every complete message: a `Hello` at
+    /// [`PROTOCOL_VERSION`] gets a `Welcome` and a first challenge,
+    /// `Report`s join the pending batch.
     ///
-    /// Returns frames to send back to `from` (negotiation replies).
+    /// Returns frames to send back to `from` (the `Hello` replies).
     /// Decode failures poison that connection and bump
     /// `fleet_decode_errors`; they never propagate as panics.
     pub fn ingest(&mut self, from: DeviceId, bytes: &[u8]) -> Vec<Vec<u8>> {
+        // Decode every complete frame first, so the decoder's borrow of
+        // `self.decoders` ends before any message is handled.
         let decoder = self.decoders.entry(from).or_default();
         decoder.push(bytes);
-        let mut replies = Vec::new();
+        let mut decoded = Vec::new();
+        let mut failure = None;
         loop {
             let decode_began = Instant::now();
-            let next = self
-                .decoders
-                .get_mut(&from)
-                .expect("entry above")
-                .next_message_with_frame();
-            let (message, frame) = match next {
-                Ok(Some(decoded)) => {
+            match decoder.next_message_with_frame() {
+                Ok(Some(message)) => {
                     self.tracer.histograms().record(
                         self.h_stage_decode,
                         decode_began.elapsed().as_nanos() as u64,
                     );
-                    decoded
+                    decoded.push(message);
                 }
-                Ok(None) => break,
-                Err(CodecError::Poisoned) => break,
+                Ok(None) | Err(CodecError::Poisoned) => break,
                 Err(err) => {
-                    self.tracer.counters().add(self.counters.decode_errors, 1);
-                    self.tracer
-                        .emit(Layer::Fleet, 0, 0, EventKind::Mark("decode_error"));
-                    self.log_event(
-                        Severity::Warn,
-                        "decode_error",
-                        Some(from),
-                        0,
-                        format!("{err}"),
-                    );
+                    failure = Some(err);
                     break;
-                }
-            };
-            match message {
-                Message::Hello {
-                    device,
-                    max_version,
-                } => {
-                    self.tracer.counters().add(self.counters.hello, 1);
-                    *self.hello_counts.entry(device).or_insert(0) += 1;
-                    if !self.sessions.contains_key(&device) {
-                        self.tracer.counters().add(self.counters.unknown_device, 1);
-                        self.log_event(
-                            Severity::Warn,
-                            "hello_unknown",
-                            Some(device),
-                            0,
-                            "hello from unprovisioned device".to_string(),
-                        );
-                        continue;
-                    }
-                    match negotiate(max_version) {
-                        Ok(version) => {
-                            self.log_event(
-                                Severity::Info,
-                                "hello",
-                                Some(device),
-                                0,
-                                format!("negotiated version {version}"),
-                            );
-                            replies.push(encode(&Message::Welcome { version }, version));
-                            if let Some(frame) = self.challenge_frame(device, version) {
-                                replies.push(frame);
-                            }
-                        }
-                        Err(_) => {
-                            self.tracer.counters().add(self.counters.decode_errors, 1);
-                        }
-                    }
-                }
-                Message::Report {
-                    device,
-                    corr,
-                    report,
-                } => {
-                    self.tracer.counters().add(self.counters.reports, 1);
-                    self.recorder.note_frame(device, corr, &frame);
-                    self.log_event(
-                        Severity::Debug,
-                        "report",
-                        Some(device),
-                        corr,
-                        format!("frame {} bytes", frame.len()),
-                    );
-                    self.pending
-                        .push((device, corr, PendingReport::Plain(report)));
-                }
-                Message::CfaReport {
-                    device,
-                    corr,
-                    report,
-                } => {
-                    self.tracer.counters().add(self.counters.reports, 1);
-                    self.tracer.counters().add(self.counters.cfa_reports, 1);
-                    self.recorder.note_frame(device, corr, &frame);
-                    if self.edge_set.is_none() {
-                        self.tracer
-                            .counters()
-                            .add(self.counters.cfa_unconfigured, 1);
-                        self.log_event(
-                            Severity::Warn,
-                            "cfa_unconfigured",
-                            Some(device),
-                            corr,
-                            "cfa report dropped: no edge set registered".to_string(),
-                        );
-                        continue;
-                    }
-                    // Two counters, two semantics: `cfa_edges` stays on the
-                    // raw expanded-edge count (replay work admitted, and
-                    // the long-lived bench baseline), `cfa_runs` counts
-                    // what actually crossed the wire and gets refolded.
-                    self.tracer
-                        .counters()
-                        .add(self.counters.cfa_edges, report.raw_edges());
-                    self.tracer
-                        .counters()
-                        .add(self.counters.cfa_runs, report.log.len() as u64);
-                    self.log_event(
-                        Severity::Debug,
-                        "cfa_report",
-                        Some(device),
-                        corr,
-                        format!(
-                            "frame {} bytes, {} edges in {} runs",
-                            frame.len(),
-                            report.raw_edges(),
-                            report.log.len()
-                        ),
-                    );
-                    self.pending
-                        .push((device, corr, PendingReport::Cfa(report)));
-                }
-                // Welcome / Challenge / Verdict are verifier → device;
-                // receiving one here is a protocol misuse we just count.
-                Message::Welcome { .. } | Message::Challenge { .. } | Message::Verdict { .. } => {
-                    self.tracer.counters().add(self.counters.decode_errors, 1);
                 }
             }
         }
+        let mut replies = Vec::new();
+        for (message, frame) in decoded {
+            self.handle(message, &frame, &mut replies);
+        }
+        if let Some(err) = failure {
+            self.tracer.counters().add(self.counters.decode_errors, 1);
+            self.tracer
+                .emit(Layer::Fleet, 0, 0, EventKind::Mark("decode_error"));
+            self.log_event(
+                Severity::Warn,
+                "decode_error",
+                Some(from),
+                0,
+                format!("{err}"),
+            );
+        }
         replies
+    }
+
+    /// Handles one decoded message; `frame` is its exact wire bytes.
+    fn handle(&mut self, message: Message, frame: &[u8], replies: &mut Vec<Vec<u8>>) {
+        match message {
+            Message::Hello {
+                device,
+                max_version,
+            } => {
+                self.tracer.counters().add(self.counters.hello, 1);
+                *self.hello_counts.entry(device).or_insert(0) += 1;
+                if !self.sessions.contains_key(&device) {
+                    self.tracer.counters().add(self.counters.unknown_device, 1);
+                    self.log_event(
+                        Severity::Warn,
+                        "hello_unknown",
+                        Some(device),
+                        0,
+                        "hello from unprovisioned device".to_string(),
+                    );
+                    return;
+                }
+                if max_version < PROTOCOL_VERSION {
+                    self.tracer.counters().add(self.counters.decode_errors, 1);
+                    self.log_event(
+                        Severity::Warn,
+                        "hello_unsupported_version",
+                        Some(device),
+                        0,
+                        CodecError::UnsupportedVersion { got: max_version }.to_string(),
+                    );
+                    return;
+                }
+                self.log_event(
+                    Severity::Info,
+                    "hello",
+                    Some(device),
+                    0,
+                    format!("version {PROTOCOL_VERSION}"),
+                );
+                replies.push(encode(
+                    &Message::Welcome {
+                        version: PROTOCOL_VERSION,
+                    },
+                    PROTOCOL_VERSION,
+                ));
+                if let Some(frame) = self.challenge_frame(device, PROTOCOL_VERSION) {
+                    replies.push(frame);
+                }
+            }
+            Message::Report {
+                device,
+                corr,
+                report,
+            } => {
+                self.tracer.counters().add(self.counters.reports, 1);
+                self.recorder.note_frame(device, corr, frame);
+                self.log_event(
+                    Severity::Debug,
+                    "report",
+                    Some(device),
+                    corr,
+                    format!("frame {} bytes", frame.len()),
+                );
+                self.pending
+                    .push((device, corr, PendingReport::Plain(report)));
+            }
+            Message::CfaReport {
+                device,
+                corr,
+                report,
+            } => {
+                self.tracer.counters().add(self.counters.reports, 1);
+                self.tracer.counters().add(self.counters.cfa_reports, 1);
+                self.recorder.note_frame(device, corr, frame);
+                if self.edge_set.is_none() {
+                    self.tracer
+                        .counters()
+                        .add(self.counters.cfa_unconfigured, 1);
+                    self.log_event(
+                        Severity::Warn,
+                        "cfa_unconfigured",
+                        Some(device),
+                        corr,
+                        "cfa report dropped: no edge set registered".to_string(),
+                    );
+                    return;
+                }
+                // Two counters, two semantics: `cfa_edges` stays on the
+                // raw expanded-edge count (replay work admitted, and
+                // the long-lived bench baseline), `cfa_runs` counts
+                // what actually crossed the wire and gets refolded.
+                self.tracer
+                    .counters()
+                    .add(self.counters.cfa_edges, report.raw_edges());
+                self.tracer
+                    .counters()
+                    .add(self.counters.cfa_runs, report.log.len() as u64);
+                self.log_event(
+                    Severity::Debug,
+                    "cfa_report",
+                    Some(device),
+                    corr,
+                    format!(
+                        "frame {} bytes, {} edges in {} runs",
+                        frame.len(),
+                        report.raw_edges(),
+                        report.log.len()
+                    ),
+                );
+                self.pending
+                    .push((device, corr, PendingReport::Cfa(report)));
+            }
+            // Welcome / Challenge / Verdict are verifier → device;
+            // receiving one here is a protocol misuse we just count.
+            Message::Welcome { .. } | Message::Challenge { .. } | Message::Verdict { .. } => {
+                self.tracer.counters().add(self.counters.decode_errors, 1);
+            }
+        }
     }
 
     /// Builds the forensic bundle for one rejected report of a
@@ -804,6 +820,36 @@ mod tests {
             crate::proto::decode(&replies[1]).unwrap().0,
             Message::Challenge { .. }
         ));
+    }
+
+    #[test]
+    fn hello_below_protocol_version_is_rejected_typed() {
+        let mut v = verifier_with(1);
+        let log = Arc::new(EventLog::new(16));
+        v.attach_event_log(log.clone());
+        let device = DeviceId::from_u64(0);
+        let hello = encode(
+            &Message::Hello {
+                device,
+                max_version: PROTOCOL_VERSION - 1,
+            },
+            PROTOCOL_VERSION,
+        );
+        // No Welcome, no Challenge, no correlation id minted.
+        assert!(v.ingest(device, &hello).is_empty());
+        assert_eq!(v.next_corr, 0);
+        assert_eq!(v.tracer().counters().get("fleet_decode_errors"), Some(1));
+        let events = log.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].event, "hello_unsupported_version");
+        assert_eq!(events[0].severity, Severity::Warn);
+        assert_eq!(
+            events[0].fields.detail,
+            CodecError::UnsupportedVersion {
+                got: PROTOCOL_VERSION - 1
+            }
+            .to_string()
+        );
     }
 
     #[test]

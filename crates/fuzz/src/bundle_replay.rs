@@ -58,7 +58,7 @@ pub fn bundle_replay(rng: &mut FuzzRng) -> Result<(), String> {
     let device = DeviceId::from_u64(rng.below(16));
     verifier.provision(device);
 
-    // The real admission path: Hello negotiates and yields a challenge.
+    // The real admission path: Hello yields a Welcome and a challenge.
     let hello = encode(
         &Message::Hello {
             device,

@@ -17,10 +17,9 @@
 //!   order of detection) and never reach `Ok`. Mutation covers run
 //!   counts too: inflating or shrinking a run changes the raw edge
 //!   count inside the MAC.
-//! - **Codec round-trip** — both wire forms (v4 run triples and the
-//!   legacy v3 expanded pairs) must decode back to the same sealed
-//!   report, and that decode must verify.
-//! - **Non-canonical encode** — a v4 byte stream carrying a split run
+//! - **Codec round-trip** — the wire form (run triples) must decode
+//!   back to the same sealed report, and that decode must verify.
+//! - **Non-canonical encode** — a byte stream carrying a split run
 //!   (adjacent runs with the same edge) or a zero-count run must be
 //!   rejected by the decoder, never silently re-canonicalised.
 //!
@@ -246,26 +245,19 @@ pub fn cfa_log(rng: &mut FuzzRng) -> Result<(), String> {
             }
         }
         4 => {
-            // Codec round-trip: both wire forms must decode back to
-            // the identical sealed report, and the decode must verify.
-            // The v3 path exercises decoder-side recompression; logs
+            // Codec round-trip: the wire form must decode back to the
+            // identical sealed report, and the decode must verify. Logs
             // produced by `compress_log` are canonical, so it must be
             // lossless.
-            let v4 = honest.to_bytes();
-            let dec = CfaReport::from_bytes(&v4)
-                .ok_or_else(|| "canonical v4 encode failed to decode".to_string())?;
+            let bytes = honest.to_bytes();
+            let dec = CfaReport::from_bytes(&bytes)
+                .ok_or_else(|| "canonical encode failed to decode".to_string())?;
             if dec != honest {
-                return Err(format!("v4 round-trip changed the report: {dec:?}"));
-            }
-            let v3 = honest.to_bytes_v3();
-            let dec3 = CfaReport::from_bytes_v3(&v3)
-                .ok_or_else(|| "expanded v3 encode failed to decode".to_string())?;
-            if dec3 != honest {
-                return Err(format!("v3 round-trip changed the report: {dec3:?}"));
+                return Err(format!("round-trip changed the report: {dec:?}"));
             }
             verifier
-                .verify_cfa(&dec3, &nonce, &digest, &case.edges)
-                .map_err(|e| format!("v3-decoded honest report rejected: {e:?}"))
+                .verify_cfa(&dec, &nonce, &digest, &case.edges)
+                .map_err(|e| format!("decoded honest report rejected: {e:?}"))
         }
         _ => {
             // Non-canonical v4 bytes: splitting a run into two adjacent

@@ -3,7 +3,7 @@
 //! The fleet service accepts length-prefixed frames from thousands of
 //! connections, so its decode → batch-verify → session pipeline is the
 //! widest untrusted-input surface in the host plane. The oracle drives
-//! one provisioned device per case through the real negotiated path
+//! one provisioned device per case through the real admission path
 //! (`Hello` → `Welcome` + `Challenge`), builds an honestly MACed report
 //! for the issued nonce, and then attacks:
 //!
@@ -52,7 +52,7 @@ pub fn fleet_frame(rng: &mut FuzzRng) -> Result<(), String> {
     let device = DeviceId::from_u64(rng.below(16));
     verifier.provision(device);
 
-    // The real admission path: Hello negotiates and yields a challenge.
+    // The real admission path: Hello yields a Welcome and a challenge.
     let hello = encode(
         &Message::Hello {
             device,
