@@ -1,23 +1,21 @@
 //! Host-side throughput of the simulator itself: how many guest
 //! instructions per second each execution engine retires. Not a paper
 //! table — a health metric for the reproduction substrate, and the
-//! before/after yardstick for the engines (fast interpreter, block
-//! translator) against the legacy reference loop.
+//! before/after yardstick for the block translator (the default engine)
+//! against the legacy reference loop.
 //!
-//! Workloads:
+//! Workloads (block translator unless suffixed `_legacy`):
 //! - `mpu_on` / `mpu_off` — the plain compute loop, with and without
-//!   EA-MPU checking (fast interpreter, the default).
-//! - `mpu_on_translated` / `mpu_off_translated` — the same loops on the
-//!   block translation engine; `mpu_on` vs. `mpu_on_translated` is the
-//!   translator speedup over the interpreter.
-//! - `mpu_on_fast_off` — the same loop on the legacy per-instruction
-//!   reference loop; `mpu_on` vs. this is the fast-path speedup.
+//!   EA-MPU checking.
+//! - `mpu_on_legacy` — the same loop on the legacy per-instruction
+//!   reference loop; `mpu_on` vs. this is the translator speedup.
 //! - `mmio_heavy` — every iteration reads a sensor register and writes a
 //!   UART register, so device routing dominates.
 //! - `irq_heavy` — a ~200-cycle timer interrupt storm through the IDT.
-//! - `smc_thrash` — self-modifying code: every iteration stores into its
-//!   own code line, invalidating the predecode and translation caches
-//!   (worst case).
+//! - `smc_thrash` / `smc_thrash_legacy` — self-modifying code: every
+//!   iteration stores into its own code, dropping and recompiling the
+//!   translated block (the translator's worst case, against the
+//!   uncached reference).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sp32::asm::assemble;
@@ -50,7 +48,7 @@ fn busy_machine(engine: EngineKind, mpu_enabled: bool) -> Machine {
 }
 
 fn mmio_machine() -> Machine {
-    let mut machine = machine_with(EngineKind::Fast, true);
+    let mut machine = machine_with(EngineKind::Translated, true);
     machine.add_device(Box::new(Sensor::new(0xf000_0110, 7)));
     machine.add_device(Box::new(Uart::new(0xf000_0200)));
     load(
@@ -62,7 +60,7 @@ fn mmio_machine() -> Machine {
 }
 
 fn irq_machine() -> Machine {
-    let mut machine = machine_with(EngineKind::Fast, true);
+    let mut machine = machine_with(EngineKind::Translated, true);
     let program = assemble(
         "main:\n sti\nloop:\n addi r2, 1\n jmp loop\n\
          handler:\n addi r3, 1\n iret\n",
@@ -83,10 +81,10 @@ fn irq_machine() -> Machine {
     machine
 }
 
-fn smc_machine() -> Machine {
-    let mut machine = machine_with(EngineKind::Fast, true);
+fn smc_machine(engine: EngineKind) -> Machine {
+    let mut machine = machine_with(engine, true);
     // The store rewrites `target` with its own current encoding: semantics
-    // never change, but the predecode line is invalidated every iteration.
+    // never change, but the compiled loop block is dropped every iteration.
     load(
         &mut machine,
         "main:\n movi r1, target\n ldw r2, [r1]\n\
@@ -101,18 +99,13 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(INSTRUCTIONS));
     type Case = (&'static str, fn() -> Machine);
     let cases: Vec<Case> = vec![
-        ("mpu_on", || busy_machine(EngineKind::Fast, true)),
-        ("mpu_off", || busy_machine(EngineKind::Fast, false)),
-        ("mpu_on_translated", || {
-            busy_machine(EngineKind::Translated, true)
-        }),
-        ("mpu_off_translated", || {
-            busy_machine(EngineKind::Translated, false)
-        }),
-        ("mpu_on_fast_off", || busy_machine(EngineKind::Legacy, true)),
+        ("mpu_on", || busy_machine(EngineKind::Translated, true)),
+        ("mpu_off", || busy_machine(EngineKind::Translated, false)),
+        ("mpu_on_legacy", || busy_machine(EngineKind::Legacy, true)),
         ("mmio_heavy", mmio_machine),
         ("irq_heavy", irq_machine),
-        ("smc_thrash", smc_machine),
+        ("smc_thrash", || smc_machine(EngineKind::Translated)),
+        ("smc_thrash_legacy", || smc_machine(EngineKind::Legacy)),
     ];
     for (label, build) in cases {
         group.bench_function(label, |b| {

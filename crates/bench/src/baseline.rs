@@ -257,7 +257,7 @@ mod tests {
             r#"{
               "host_guest_ips": 1000000,
               "counters": {
-                "predecode_hit_rate": 0.97,
+                "block_hit_rate": 0.97,
                 "emu_instr_alu": 12345
               },
               "latency": {
@@ -372,8 +372,8 @@ mod tests {
     fn metric_missing_from_current_is_a_violation() {
         let current = doc(|s| {
             *s = s.replace(
-                "\"predecode_hit_rate\": 0.97,\n                \"emu_instr_alu\": 12345",
-                "\"predecode_hit_rate\": 0.97",
+                "\"block_hit_rate\": 0.97,\n                \"emu_instr_alu\": 12345",
+                "\"block_hit_rate\": 0.97",
             );
         });
         let cmp = compare_documents(&doc(|_| {}), &current).expect("parses");

@@ -6,7 +6,7 @@
 //!
 //! - `--json`: additionally emits the same data as JSON — paper value,
 //!   measured value, and unit per row, the host-side simulation rate
-//!   (`host_guest_ips`), the fast-path cache counters, and the latency
+//!   (`host_guest_ips`), the host-cache counters, and the latency
 //!   histogram summaries of the observed workload — and writes it to
 //!   `BENCH_tables.json` in the current directory.
 //! - `--check`: validates the JSON document against the checked-in schema
@@ -25,7 +25,7 @@
 //!   `flamegraph.pl` or speedscope); prints the top cycle consumers and
 //!   symbolization coverage to stderr.
 //! - `--engine-floor <x>`: asserts the block translator's speedup over the
-//!   fast interpreter (the `translator speedup` row of the
+//!   legacy reference loop (the `translator speedup` row of the
 //!   `engine_throughput` table) is at least `<x>`, exiting nonzero
 //!   otherwise. Implies computing the document.
 

@@ -126,7 +126,7 @@ pub fn render(table: &Table) -> String {
 /// validates against `schema/bench_tables.schema.json`).
 ///
 /// `host_guest_ips` is the host-side simulation rate (guest instructions
-/// per host second) measured on the standard busy loop — the fast-path
+/// per host second) measured on the standard busy loop — the engine
 /// health metric tracked alongside the paper numbers. `counters` is the
 /// flat instrumentation snapshot (see
 /// [`experiments::fast_path_counters`]): raw per-layer event counts plus
@@ -297,7 +297,7 @@ mod tests {
             ],
         };
         let counters = vec![
-            ("predecode_hit_rate".to_string(), 0.97),
+            ("block_hit_rate".to_string(), 0.97),
             ("eampu_cache_hit_rate".to_string(), 0.99),
             ("emu_block_compile".to_string(), 12.0),
             ("emu_block_hit".to_string(), 480.0),
@@ -395,7 +395,7 @@ mod tests {
             &latency,
         );
         assert!(json.contains("\"host_guest_ips\": 12345679"));
-        assert!(json.contains("\"predecode_hit_rate\": 0.97"));
+        assert!(json.contains("\"block_hit_rate\": 0.97"));
         assert!(json.contains(
             "\"lat_irq_entry\": {\"count\": 15, \"p50\": 180, \"p90\": 220, \"p99\": 260, \"max\": 291}"
         ));

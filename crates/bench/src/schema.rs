@@ -205,7 +205,7 @@ mod tests {
             r#"{
               "host_guest_ips": 1000000,
               "counters": {
-                "predecode_hit_rate": 0.97,
+                "block_hit_rate": 0.97,
                 "eampu_cache_hit_rate": 0.99,
                 "emu_block_compile": 12,
                 "emu_block_hit": 480,
@@ -279,14 +279,12 @@ mod tests {
 
     #[test]
     fn missing_counter_is_reported() {
-        let errors = check_bench_tables(&doc(|s| {
-            *s = s.replace("predecode_hit_rate", "predecode_hits")
-        }))
-        .unwrap_err();
+        let errors = check_bench_tables(&doc(|s| *s = s.replace("block_hit_rate", "block_hits")))
+            .unwrap_err();
         assert!(
             errors
                 .iter()
-                .any(|e| e.contains("predecode_hit_rate") && e.contains("missing")),
+                .any(|e| e.contains("block_hit_rate") && e.contains("missing")),
             "{errors:?}"
         );
     }

@@ -2,12 +2,12 @@
 //! engines.
 //!
 //! Each test runs a representative paper workload once per
-//! [`EngineKind`] — the event-driven fast interpreter, the block
-//! translation engine, and the legacy per-instruction reference loop —
-//! and asserts the *modelled* results are bit-identical: final clock
-//! values, instruction/interrupt counts, and every measured value that
-//! feeds a paper-table row. The engines are host-side optimisations
-//! only; if any of these diverge, one of them changed the model.
+//! [`EngineKind`] — the block translation engine (the default) and the
+//! legacy per-instruction reference loop — and asserts the *modelled*
+//! results are bit-identical: final clock values, instruction/interrupt
+//! counts, and every measured value that feeds a paper-table row. The
+//! translator is a host-side optimisation only; if these diverge, it
+//! changed the model.
 
 use sp_emu::{EngineKind, MachineConfig};
 use std::sync::Arc;
@@ -22,10 +22,6 @@ fn with_engine(engine: EngineKind) -> MachineConfig {
         engine,
         ..MachineConfig::default()
     }
-}
-
-fn fast() -> MachineConfig {
-    with_engine(EngineKind::Fast)
 }
 
 fn legacy() -> MachineConfig {
@@ -54,28 +50,16 @@ fn table4_secure_load_is_cycle_identical() {
             r.total_cycles(),
         )
     };
-    let reference = report(legacy());
-    assert_eq!(report(fast()), reference, "table 4 diverged (fast)");
-    assert_eq!(
-        report(translated()),
-        reference,
-        "table 4 diverged (translated)"
-    );
+    assert_eq!(report(translated()), report(legacy()), "table 4 diverged");
 }
 
 #[test]
 fn table5_relocation_is_cycle_identical() {
     for n in [0u32, 1, 2, 4] {
-        let reference = experiments::measure_relocation_with(n, legacy());
-        assert_eq!(
-            experiments::measure_relocation_with(n, fast()),
-            reference,
-            "table 5 row ({n} addresses) diverged (fast)"
-        );
         assert_eq!(
             experiments::measure_relocation_with(n, translated()),
-            reference,
-            "table 5 row ({n} addresses) diverged (translated)"
+            experiments::measure_relocation_with(n, legacy()),
+            "table 5 row ({n} addresses) diverged"
         );
     }
 }
@@ -83,16 +67,10 @@ fn table5_relocation_is_cycle_identical() {
 #[test]
 fn table7_measurement_is_cycle_identical() {
     for (blocks, sites) in [(1u32, 0u32), (4, 0), (4, 2), (8, 0)] {
-        let reference = experiments::measure_measurement_with(blocks, sites, legacy());
-        assert_eq!(
-            experiments::measure_measurement_with(blocks, sites, fast()),
-            reference,
-            "table 7 row ({blocks} blocks, {sites} sites) diverged (fast)"
-        );
         assert_eq!(
             experiments::measure_measurement_with(blocks, sites, translated()),
-            reference,
-            "table 7 row ({blocks} blocks, {sites} sites) diverged (translated)"
+            experiments::measure_measurement_with(blocks, sites, legacy()),
+            "table 7 row ({blocks} blocks, {sites} sites) diverged"
         );
     }
 }
@@ -103,12 +81,10 @@ fn ipc_round_trip_is_cycle_identical() {
         let p = experiments::measure_ipc_with(config);
         (p.proxy, p.entry)
     };
-    let reference = phases(legacy());
-    assert_eq!(phases(fast()), reference, "IPC phases diverged (fast)");
     assert_eq!(
         phases(translated()),
-        reference,
-        "IPC phases diverged (translated)"
+        phases(legacy()),
+        "IPC phases diverged"
     );
 }
 
@@ -117,12 +93,12 @@ fn tracing_is_cycle_neutral_on_cruise_control_slice() {
     // Same workload as `cruise_control_slice_is_cycle_identical`, but the
     // axis under test is the instrumentation: a fully-wired recorder
     // (machine, EA-MPU, kernel trace, core markers) against no tracer at
-    // all, fast path on both sides. If recording an event or bumping a
-    // counter ever ticked the machine or changed a decision, these would
-    // diverge.
+    // all, block translator on both sides. If recording an event or
+    // bumping a counter ever ticked the machine or changed a decision,
+    // these would diverge.
     let run = |traced: bool| {
         let config = PlatformConfig {
-            machine: fast(),
+            machine: translated(),
             ..Default::default()
         };
         let mut platform: Platform = Platform::boot(config).expect("boots");
@@ -158,7 +134,7 @@ fn profiling_is_cycle_neutral_on_cruise_control_slice() {
     // divergence here means attribution ticked the guest clock.
     let run = |profiled: bool| {
         let config = PlatformConfig {
-            machine: fast(),
+            machine: translated(),
             ..Default::default()
         };
         let mut platform: Platform = Platform::boot(config).expect("boots");
@@ -223,15 +199,9 @@ fn cruise_control_slice_is_cycle_identical() {
             platform.machine().stats(),
         )
     };
-    let reference = run(legacy());
-    assert_eq!(
-        run(fast()),
-        reference,
-        "cruise-control slice diverged (fast)"
-    );
     assert_eq!(
         run(translated()),
-        reference,
-        "cruise-control slice diverged (translated)"
+        run(legacy()),
+        "cruise-control slice diverged"
     );
 }

@@ -354,8 +354,8 @@ impl RemoteVerifier {
 ///
 /// The device MACs `(id, digest, nonce, chain_head, edge count)` under
 /// `K_a` — the raw edge log travels in the clear and is *implicitly*
-/// authenticated, because the verifier refolds it through [`CfChain`]
-/// and compares against the MAC'd head ([`VerifyError::ChainMismatch`]
+/// authenticated, because the verifier refolds it through
+/// [`CfChain`](tytan_crypto::CfChain) and compares against the MAC'd head ([`VerifyError::ChainMismatch`]
 /// on any discrepancy). The verifier then replays the log against the
 /// [`AdmissibleEdgeSet`] that `tytan-lint` extracted from the same
 /// image, so a run that detours through statically-illegal edges —
@@ -375,7 +375,8 @@ pub struct CfaReport {
     /// canonical maximal-run decomposition `(from, to, count)` — the
     /// form the monitor records and the chain is defined over.
     pub log: Vec<(u32, u32, u32)>,
-    /// The [`CfChain`] head over `log` as sealed by the device.
+    /// The [`CfChain`](tytan_crypto::CfChain) head over `log` as sealed
+    /// by the device.
     pub chain_head: [u8; 20],
     /// `HMAC(K_a, "CFA1" ‖ id ‖ digest ‖ nonce ‖ chain_head ‖ #raw edges)`.
     /// Binds the raw edge count, not the run count, so the seal does
@@ -557,7 +558,8 @@ pub struct VerifyStageNanos {
     /// Edge-log replay against the static CFG (admissibility and
     /// shadow-stack return checks).
     pub edge_replay: u64,
-    /// Refolding the edge log through [`CfChain`] and comparing heads.
+    /// Refolding the edge log through [`CfChain`](tytan_crypto::CfChain)
+    /// and comparing heads.
     pub chain_refold: u64,
 }
 

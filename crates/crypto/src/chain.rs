@@ -40,7 +40,7 @@
 //!
 //! The chain is deliberately engine-agnostic: it consumes architectural
 //! `(from, to)` pc pairs, never cycle counts or block boundaries, so
-//! all three execution engines produce byte-identical heads for the
+//! both execution engines produce byte-identical heads for the
 //! same guest run.
 
 use crate::sha1;
@@ -190,7 +190,7 @@ pub fn expand_runs(runs: &[(u32, u32, u32)]) -> impl Iterator<Item = (u32, u32)>
 
 /// Batch chain refolder: precomputed-padding single-block folds.
 ///
-/// A run folds a fixed [`RUN_MSG_LEN`]-byte message, short enough that
+/// A run folds a fixed `RUN_MSG_LEN`-byte message, short enough that
 /// its padded SHA-1 form is exactly one 64-byte block: message bytes,
 /// the `0x80` terminator, zeros, and the constant 256-bit length field.
 /// The refolder formats that block once and rewrites only the first 32

@@ -134,7 +134,7 @@ impl TransferDecision {
 /// slots), so two rule-identical MPUs driven through the same guest
 /// execution must produce byte-identical logs — regardless of whether
 /// the decision cache answered or a fresh scan did. Differential
-/// harnesses compare logs across the fast-path and legacy interpreters
+/// harnesses compare logs across the translated and legacy engines
 /// to prove the cache layers never change an outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionRecord {

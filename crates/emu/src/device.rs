@@ -33,7 +33,7 @@ pub trait Device: Any {
     /// or `None` if no poll will ever matter until the device is next
     /// accessed or reconfigured.
     ///
-    /// The machine's fast run loop uses this to skip per-instruction
+    /// The machine's default run loop uses this to skip per-instruction
     /// polling: it guarantees [`Device::poll_irq`] is called at the first
     /// instruction boundary whose cycle count reaches the returned value,
     /// which is exactly when a per-instruction polling loop would first

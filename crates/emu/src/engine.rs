@@ -1,15 +1,15 @@
 //! The execution-engine abstraction: [`CpuCore`].
 //!
-//! The machine has three ways to retire guest instructions — the legacy
-//! per-instruction loop, the event-driven fast interpreter, and the
-//! block translation engine — all bit-identical in every observable
-//! (clock, architectural state, events, trace, EA-MPU decision log).
-//! [`CpuCore`] names that contract as a trait so harnesses can hold the
-//! strategy as a value: the differential fuzzer iterates `dyn CpuCore`
-//! participants, and the bench suite measures them side by side.
+//! The machine has two ways to retire guest instructions — the legacy
+//! per-instruction reference loop and the block translation engine —
+//! bit-identical in every observable (clock, architectural state,
+//! events, trace, EA-MPU decision log, control-flow chain). [`CpuCore`]
+//! names that contract as a trait so harnesses can hold the strategy as
+//! a value: the differential fuzzer iterates `dyn CpuCore` participants,
+//! and the bench suite measures them side by side.
 //!
-//! A core is a stateless strategy; all engine state (predecode cache,
-//! translation cache) lives in the [`Machine`] and is sized by
+//! A core is a stateless strategy; all engine state (the translation
+//! cache) lives in the [`Machine`] and is sized by
 //! [`MachineConfig::engine`](crate::MachineConfig). A core must therefore
 //! only drive machines configured for its [`EngineKind`] — pick it with
 //! [`core_for`]`(machine.engine())`.
@@ -41,10 +41,8 @@ pub trait CpuCore {
 /// The original per-instruction reference loop.
 pub struct LegacyCore;
 
-/// The event-driven batching interpreter (predecode + decision caches).
-pub struct FastCore;
-
-/// The basic-block translation engine (threaded code + fast caches).
+/// The basic-block translation engine (threaded code + EA-MPU decision
+/// cache), the default.
 pub struct TranslatedCore;
 
 impl CpuCore for LegacyCore {
@@ -57,19 +55,6 @@ impl CpuCore for LegacyCore {
     fn exec(&self, m: &mut Machine, max_cycles: u64) -> Event {
         debug_assert_eq!(m.engine(), EngineKind::Legacy);
         m.run_legacy(max_cycles)
-    }
-}
-
-impl CpuCore for FastCore {
-    fn name(&self) -> &'static str {
-        "fast"
-    }
-    fn kind(&self) -> EngineKind {
-        EngineKind::Fast
-    }
-    fn exec(&self, m: &mut Machine, max_cycles: u64) -> Event {
-        debug_assert_eq!(m.engine(), EngineKind::Fast);
-        m.run_fast(max_cycles)
     }
 }
 
@@ -90,7 +75,6 @@ impl CpuCore for TranslatedCore {
 pub fn core_for(kind: EngineKind) -> &'static dyn CpuCore {
     match kind {
         EngineKind::Legacy => &LegacyCore,
-        EngineKind::Fast => &FastCore,
         EngineKind::Translated => &TranslatedCore,
     }
 }
@@ -104,49 +88,28 @@ mod tests {
 
     #[test]
     fn core_names_round_trip_through_the_env_selector() {
-        for kind in [EngineKind::Legacy, EngineKind::Fast, EngineKind::Translated] {
+        for kind in [EngineKind::Legacy, EngineKind::Translated] {
             let core = core_for(kind);
             assert_eq!(core.kind(), kind);
-            assert_eq!(engine_from_env(Some(core.name()), None), kind);
+            assert_eq!(engine_from_env(Some(core.name())), kind);
         }
     }
 
     #[test]
-    fn exec_engine_selector_and_fast_path_alias() {
-        // TYTAN_EXEC_ENGINE wins, whatever the deprecated alias says.
-        assert_eq!(
-            engine_from_env(Some("legacy"), Some("1")),
-            EngineKind::Legacy
-        );
-        assert_eq!(
-            engine_from_env(Some("translated"), Some("0")),
-            EngineKind::Translated
-        );
-        assert_eq!(engine_from_env(Some("fast"), None), EngineKind::Fast);
-        // Unknown values fall back to the default engine.
-        assert_eq!(engine_from_env(Some("turbo"), None), EngineKind::Fast);
-        assert_eq!(
-            engine_from_env(Some(" translated "), None),
-            EngineKind::Translated
-        );
-
-        // Deprecated TYTAN_FAST_PATH alias: disabling it selects the
-        // legacy loop, anything else (including unset) the fast engine.
-        // Pinned so the alias keeps working for existing harness configs.
-        for off in ["0", "false", "off", "no", " off "] {
-            assert_eq!(engine_from_env(None, Some(off)), EngineKind::Legacy);
+    fn exec_engine_selector_defaults_to_the_translator() {
+        assert_eq!(engine_from_env(Some(" legacy ")), EngineKind::Legacy);
+        // Anything else, including unset and retired engine names,
+        // selects the default.
+        for other in [Some("translated"), Some("fast"), Some(""), None] {
+            assert_eq!(engine_from_env(other), EngineKind::Translated);
         }
-        for on in ["1", "true", "on", "yes", ""] {
-            assert_eq!(engine_from_env(None, Some(on)), EngineKind::Fast);
-        }
-        assert_eq!(engine_from_env(None, None), EngineKind::Fast);
     }
 
     #[test]
     fn cores_execute_identically_through_the_trait() {
         let source = "main:\n movi r2, 0\nloop:\n addi r2, 1\n cmpi r2, 500\n jnz loop\n hlt\n";
         let mut reference: Option<(u64, u32)> = None;
-        for kind in [EngineKind::Legacy, EngineKind::Fast, EngineKind::Translated] {
+        for kind in [EngineKind::Legacy, EngineKind::Translated] {
             let mut m = crate::Machine::new(MachineConfig {
                 engine: kind,
                 ..MachineConfig::default()

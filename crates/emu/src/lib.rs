@@ -53,7 +53,7 @@ mod machine;
 pub use cfa::{CfMonitor, CF_LOG_CAP, OUT_OF_REGION};
 pub use cycles::{CycleModel, FirmwareCosts};
 pub use device::Device;
-pub use engine::{core_for, CpuCore, FastCore, LegacyCore, TranslatedCore};
+pub use engine::{core_for, CpuCore, LegacyCore, TranslatedCore};
 pub use machine::{
     engine_from_env, CycleObserver, DispatchStamp, EngineKind, Event, Fault, Machine,
     MachineConfig, MachineSnapshot, MachineStats,

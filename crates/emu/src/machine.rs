@@ -10,8 +10,8 @@ use std::sync::{Arc, OnceLock};
 use tytan_trace::{CounterId, EventKind, Layer, Tracer};
 
 // The block translation engine. A child of this module (not a sibling)
-// because it is the machine's third run loop and needs the same private
-// state the other two use.
+// because it is the machine's default run loop and needs the same
+// private state the legacy loop uses.
 #[path = "translate.rs"]
 pub(crate) mod translate;
 
@@ -79,8 +79,8 @@ pub struct MachineConfig {
     /// Which execution engine drives [`Machine::run`]. Engine choice is
     /// model-invariant — every charged cycle and every observable machine
     /// state is bit-identical across engines (the cycle-identity and
-    /// three-way lockstep differential tests assert this); the non-default
-    /// engines exist for those tests, for debugging, and for throughput.
+    /// lockstep differential tests assert this); the legacy engine exists
+    /// as the reference those tests compare against.
     pub engine: EngineKind,
 }
 
@@ -98,57 +98,42 @@ impl Default for MachineConfig {
     }
 }
 
-/// Which run loop [`Machine::run`] uses. All three are cycle- and
+/// Which run loop [`Machine::run`] uses. Both are cycle- and
 /// state-identical; see [`MachineConfig::engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// The original per-instruction reference loop: poll every device and
     /// re-check every boundary condition between each instruction, with
-    /// all host-side caches (predecode, EA-MPU decision cache) off.
+    /// the host-side EA-MPU decision cache off.
     Legacy,
-    /// The event-driven interpreter fast path: predecode cache, EA-MPU
-    /// decision cache, batched stepping between boundaries. The default.
-    Fast,
-    /// The block translation engine: basic blocks discovered at execution
-    /// time are compiled to threaded code with pre-decoded operands,
-    /// pre-summed cycle costs and pre-resolved EA-MPU decisions, cached
-    /// by entry address, invalidated on self-modifying writes and any
-    /// MPU/platform reconfiguration. Falls back to [`Machine::step`]
-    /// wherever a block cannot be (or is not worth) compiling.
+    /// The block translation engine, the default: basic blocks discovered
+    /// at execution time are compiled to threaded code with pre-decoded
+    /// operands, pre-summed cycle costs and pre-resolved EA-MPU
+    /// decisions, cached by entry address, invalidated on self-modifying
+    /// writes and any MPU/platform reconfiguration. Falls back to
+    /// [`Machine::step`] wherever a block cannot be (or is not worth)
+    /// compiling.
     Translated,
 }
 
-/// Resolves the engine choice from environment-variable values: the
-/// `TYTAN_EXEC_ENGINE` setting (`legacy`/`fast`/`translated`) wins, with
-/// the older boolean `TYTAN_FAST_PATH` (`0`/`false`/`off`/`no` meaning
-/// legacy) kept as a deprecated alias. Unset (or unrecognised) values
-/// fall through to the default, [`EngineKind::Fast`].
-pub fn engine_from_env(exec_engine: Option<&str>, fast_path: Option<&str>) -> EngineKind {
-    if let Some(v) = exec_engine {
-        return match v.trim() {
-            "legacy" => EngineKind::Legacy,
-            "translated" => EngineKind::Translated,
-            _ => EngineKind::Fast,
-        };
-    }
-    match fast_path {
-        Some(v) if matches!(v.trim(), "0" | "false" | "off" | "no") => EngineKind::Legacy,
-        _ => EngineKind::Fast,
+/// Resolves the engine choice from the value of `TYTAN_EXEC_ENGINE`:
+/// `legacy` selects [`EngineKind::Legacy`]; anything else, including
+/// unset, selects the default, [`EngineKind::Translated`].
+pub fn engine_from_env(exec_engine: Option<&str>) -> EngineKind {
+    match exec_engine.map(str::trim) {
+        Some("legacy") => EngineKind::Legacy,
+        _ => EngineKind::Translated,
     }
 }
 
 /// Default for [`MachineConfig::engine`], resolved once per process from
-/// `TYTAN_EXEC_ENGINE` / `TYTAN_FAST_PATH` (see [`engine_from_env`]). CI
-/// runs the whole workspace test suite once per engine so every loop
-/// stays exercised end-to-end; the result is cached for the process
-/// because a test binary must not see the default flip mid-run.
+/// `TYTAN_EXEC_ENGINE` (see [`engine_from_env`]). CI runs the whole
+/// workspace test suite once per engine so both loops stay exercised
+/// end-to-end; the result is cached for the process because a test
+/// binary must not see the default flip mid-run.
 fn engine_default() -> EngineKind {
     static ENGINE: OnceLock<EngineKind> = OnceLock::new();
-    *ENGINE.get_or_init(|| {
-        let exec = std::env::var("TYTAN_EXEC_ENGINE").ok();
-        let fast = std::env::var("TYTAN_FAST_PATH").ok();
-        engine_from_env(exec.as_deref(), fast.as_deref())
-    })
+    *ENGINE.get_or_init(|| engine_from_env(std::env::var("TYTAN_EXEC_ENGINE").ok().as_deref()))
 }
 
 /// A hardware fault raised during execution.
@@ -237,7 +222,7 @@ pub struct MachineStats {
 ///
 /// Two machines configured identically and driven through the same
 /// inputs must produce equal snapshots at every boundary regardless of
-/// which run loop (fast path or legacy) drives them — this is the state
+/// which run loop (block translator or legacy) drives them — this is the state
 /// half of the differential-testing oracle (RAM is compared separately
 /// via [`Machine::ram_digest`], which is too expensive to hash per
 /// step).
@@ -313,28 +298,14 @@ pub struct Machine {
     firmware_costs: FirmwareCosts,
     stats: MachineStats,
     engine: EngineKind,
-    /// Whether the host-side caches (predecode, EA-MPU decision cache)
-    /// are active: true for every engine except [`EngineKind::Legacy`],
-    /// which must exercise the pure uncached pipeline.
-    fast_caches: bool,
-    /// Whether the predecode cache specifically is maintained: only the
-    /// fast interpreter, whose hot loop decodes through it. The block
-    /// translator pre-decodes into its own cache and reaches `step` only
-    /// on cold fallback paths, so maintaining predecode tags there would
-    /// tax every RAM write for nothing.
-    predecode_on: bool,
     /// Monotonic epoch of the firmware-trap set; part of the translation
     /// engine's revalidation snapshot (compiled blocks stop before trap
     /// addresses, so the set's shape is baked into them).
     trap_gen: u64,
-    /// Translation-engine state: the block cache, the code-page bitmap
+    /// Translation-engine state: the block cache, the code-word bitmap
     /// and the dirty-range queue (see `translate`). Empty unless the
     /// engine is [`EngineKind::Translated`].
     tcache: translate::TransState,
-    /// Direct-mapped predecode cache indexed by `(eip >> 2) % size`; an
-    /// entry is valid when its `tag` equals the word-aligned EIP it was
-    /// filled for. RAM writes invalidate overlapping entries.
-    predecode: Vec<Predecoded>,
     /// Earliest cycle at which any device needs polling (`u64::MAX` =
     /// never); recomputed when `device_deadline_dirty` is set.
     device_deadline: u64,
@@ -365,8 +336,6 @@ struct EmuTrace {
     /// Instruction-class counters, indexed by [`instr_class`]:
     /// alu / mem / branch / system.
     class: [CounterId; 4],
-    predecode_hit: CounterId,
-    predecode_miss: CounterId,
     block_compile: CounterId,
     block_hit: CounterId,
     block_invalidate_smc: CounterId,
@@ -402,28 +371,6 @@ fn instr_class(instr: &Instr) -> usize {
     }
 }
 
-/// One predecode-cache entry (see [`Machine::predecode`]).
-///
-/// Besides the decoded instruction, the entry memoises both possible cycle
-/// costs (branch taken / not taken) so a cache hit skips the cost-model
-/// match as well as the decode — the values are exactly what
-/// [`CycleModel::cost`] returns for this instruction.
-#[derive(Clone, Copy)]
-struct Predecoded {
-    tag: u32,
-    instr: Instr,
-    cost_not_taken: u64,
-    cost_taken: u64,
-}
-
-/// Entries in the predecode cache; covers 16 KiB of code, power of two.
-const PREDECODE_ENTRIES: usize = 4096;
-
-/// Tag meaning "empty". Unreachable for real entries: only instructions
-/// whose word-aligned EIP plus size fits in RAM are cached, so a valid tag
-/// is always below the RAM size.
-const PREDECODE_EMPTY: u32 = u32::MAX;
-
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
@@ -439,12 +386,10 @@ impl fmt::Debug for Machine {
 impl Machine {
     /// Builds a machine from `config` with zeroed RAM and registers.
     pub fn new(config: MachineConfig) -> Self {
-        let fast_caches = config.engine != EngineKind::Legacy;
-        let predecode_on = config.engine == EngineKind::Fast;
         let mut mpu = EaMpu::new(config.mpu_slots);
         // On the legacy engine the MPU must take its pure scan path too,
         // so differential tests compare against the fully-legacy pipeline.
-        mpu.set_decision_cache_enabled(fast_caches);
+        mpu.set_decision_cache_enabled(config.engine != EngineKind::Legacy);
         Machine {
             regs: [0; 8],
             eip: 0,
@@ -467,19 +412,8 @@ impl Machine {
             firmware_costs: config.firmware_costs,
             stats: MachineStats::default(),
             engine: config.engine,
-            fast_caches,
-            predecode_on,
             trap_gen: 0,
             tcache: translate::TransState::new(config.ram_size),
-            predecode: vec![
-                Predecoded {
-                    tag: PREDECODE_EMPTY,
-                    instr: Instr::Nop,
-                    cost_not_taken: 0,
-                    cost_taken: 0,
-                };
-                if predecode_on { PREDECODE_ENTRIES } else { 0 }
-            ],
             device_deadline: 0,
             device_deadline_dirty: true,
             trace: None,
@@ -491,7 +425,7 @@ impl Machine {
     }
 
     /// Attaches host-side observability to this machine and its EA-MPU:
-    /// instruction-class, predecode-cache, MMIO, fault and IRQ counters are
+    /// instruction-class, block-cache, MMIO, fault and IRQ counters are
     /// registered in `tracer`'s registry, and IRQ entry/exit plus faults are
     /// emitted as cycle-stamped events.
     ///
@@ -512,8 +446,6 @@ impl Machine {
                 c.register("emu_instr_branch"),
                 c.register("emu_instr_system"),
             ],
-            predecode_hit: c.register("emu_predecode_hit"),
-            predecode_miss: c.register("emu_predecode_miss"),
             block_compile: c.register("emu_block_compile"),
             block_hit: c.register("emu_block_hit"),
             block_invalidate_smc: c.register("emu_block_invalidate_smc"),
@@ -548,15 +480,11 @@ impl Machine {
     ///
     /// Monitoring is an observer only: it never advances the clock and
     /// never changes an outcome, so the monitored run's cycles and
-    /// architectural state are bit-identical with or without it. On the
-    /// translated engine the block cache is bypassed while a monitor is
-    /// attached — every instruction retires through the interpreter's
-    /// step path, where edges are observed — which changes host speed
-    /// but no guest-visible observable.
+    /// architectural state are bit-identical with or without it. Compiled
+    /// blocks stay in use: a block ends at every control transfer, so its
+    /// terminator is its only taken edge, and the block loop records it
+    /// at the same point [`Machine::step`] does.
     pub fn attach_cf_monitor(&mut self, region: eampu::Region) {
-        // Compiled blocks retire whole blocks without surfacing their
-        // interior edges; drop them so execution funnels through `step`.
-        self.tcache.flush();
         self.cf_monitor = Some(crate::cfa::CfMonitor::new(region));
     }
 
@@ -565,8 +493,7 @@ impl Machine {
         self.cf_monitor.as_ref()
     }
 
-    /// Detaches and returns the control-flow monitor, if any. The
-    /// translated engine resumes block caching on the next run.
+    /// Detaches and returns the control-flow monitor, if any.
     pub fn take_cf_monitor(&mut self) -> Option<crate::cfa::CfMonitor> {
         self.cf_monitor.take()
     }
@@ -657,8 +584,9 @@ impl Machine {
     /// the current instruction boundary (see [`MachineSnapshot`]).
     ///
     /// Used by differential harnesses to compare two machines in
-    /// lockstep; deliberately excludes host-side caches (predecode,
-    /// EA-MPU decision cache) because those must never be observable.
+    /// lockstep; deliberately excludes host-side caches (translated
+    /// blocks, EA-MPU decision cache) because those must never be
+    /// observable.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             regs: self.regs,
@@ -753,51 +681,6 @@ impl Machine {
         self.devices.iter().position(|d| d.range().contains(addr))
     }
 
-    /// Drops predecode-cache entries for any instruction overlapping the
-    /// written range `[addr, addr + len)`. An instruction starting at
-    /// word-aligned `W` spans `[W, W + 8)` at most, so candidate start
-    /// words run from one word below the range to its last contained word.
-    fn invalidate_predecode(&mut self, addr: u32, len: usize) {
-        if !self.fast_caches {
-            return;
-        }
-        // A zero-length write touches no bytes, so there is nothing to
-        // invalidate — and the `len - 1` last-byte computation below would
-        // underflow (wrapping to a full-address-space sweep in release
-        // builds). Guard it explicitly rather than relying on callers.
-        let Some(last_offset) = (len as u32).checked_sub(1) else {
-            return;
-        };
-        // Self-modifying-code tracking for the translation engine: a write
-        // into a page spanned by a compiled block queues an invalidation
-        // range, drained at the next batch boundary. No-op (an all-zero
-        // page-bitmap probe) unless translated blocks exist.
-        self.tcache.note_code_write(addr, last_offset);
-        if !self.predecode_on {
-            return;
-        }
-        if len >= PREDECODE_ENTRIES * 4 {
-            // The write blankets the whole cache's index space.
-            for entry in &mut self.predecode {
-                entry.tag = PREDECODE_EMPTY;
-            }
-            return;
-        }
-        let first = (addr & !3).saturating_sub(4);
-        let last = addr.saturating_add(last_offset) & !3;
-        let mut word = first;
-        loop {
-            let idx = (word >> 2) as usize & (PREDECODE_ENTRIES - 1);
-            if self.predecode[idx].tag == word {
-                self.predecode[idx].tag = PREDECODE_EMPTY;
-            }
-            if word >= last {
-                break;
-            }
-            word += 4;
-        }
-    }
-
     /// Reads a 32-bit little-endian word, bypassing the EA-MPU (hardware
     /// path, loaders, debuggers).
     ///
@@ -833,7 +716,7 @@ impl Machine {
         if (addr as usize) + 4 <= self.ram.len() {
             let i = addr as usize;
             self.ram[i..i + 4].copy_from_slice(&value.to_le_bytes());
-            self.invalidate_predecode(addr, 4);
+            self.tcache.note_code_write(addr, 4);
             return Ok(());
         }
         if let Some(dev) = self.device_index_at(addr) {
@@ -871,7 +754,7 @@ impl Machine {
         match self.ram.get_mut(addr as usize) {
             Some(slot) => {
                 *slot = value;
-                self.invalidate_predecode(addr, 1);
+                self.tcache.note_code_write(addr, 1);
                 Ok(())
             }
             None => Err(Fault::Bus { addr }),
@@ -903,7 +786,7 @@ impl Machine {
         match self.ram.get_mut(start..end) {
             Some(slice) => {
                 slice.copy_from_slice(bytes);
-                self.invalidate_predecode(addr, bytes.len());
+                self.tcache.note_code_write(addr, bytes.len());
                 Ok(())
             }
             None => Err(Fault::Bus { addr }),
@@ -1292,65 +1175,23 @@ impl Machine {
     /// the faulting instruction.
     pub fn step(&mut self) -> Result<(), Fault> {
         let eip = self.eip;
-        let predecode_idx = (eip >> 2) as usize & (PREDECODE_ENTRIES - 1);
-        // Memoised (not-taken, taken) cycle costs when decode was skipped.
-        let mut precost = None;
-        // The alignment test keeps a guest EIP of `0xFFFF_FFFF` (equal to
-        // the PREDECODE_EMPTY sentinel, and matching every empty slot)
-        // from false-hitting: real tags are always word-aligned, the
-        // sentinel never is. Found by the tytan-fuzz differential plane.
-        let instr = if self.predecode_on && eip & 3 == 0 && self.predecode[predecode_idx].tag == eip
-        {
-            let entry = self.predecode[predecode_idx];
-            precost = Some((entry.cost_not_taken, entry.cost_taken));
-            if let Some(t) = &self.trace {
-                t.tracer.counters().incr(t.predecode_hit);
-            }
-            entry.instr
+        let first = self.read_word(eip).map_err(|_| Fault::Decode { eip })?;
+        let needs_ext = sp32::encoded_len_words(first) == 2;
+        // An instruction must fit strictly below the top of the address
+        // space: both its own words and the fall-through EIP after it.
+        // Code fetched from a device mapped at the very edge (e.g. a
+        // boot ROM at 0xFFFF_FFFC) would otherwise wrap the `eip + 4`
+        // ext-word fetch and the fall-through computation below.
+        let size = if needs_ext { 8u32 } else { 4u32 };
+        if eip.checked_add(size).is_none() {
+            return Err(Fault::Decode { eip });
+        }
+        let ext = if needs_ext {
+            Some(self.read_word(eip + 4).map_err(|_| Fault::Decode { eip })?)
         } else {
-            if let (true, Some(t)) = (self.predecode_on, &self.trace) {
-                t.tracer.counters().incr(t.predecode_miss);
-            }
-            let first = self.read_word(eip).map_err(|_| Fault::Decode { eip })?;
-            let needs_ext = sp32::encoded_len_words(first) == 2;
-            // An instruction must fit strictly below the top of the address
-            // space: both its own words and the fall-through EIP after it.
-            // Code fetched from a device mapped at the very edge (e.g. a
-            // boot ROM at 0xFFFF_FFFC) would otherwise wrap the `eip + 4`
-            // ext-word fetch and the fall-through computation below.
-            let size = if needs_ext { 8u32 } else { 4u32 };
-            if eip.checked_add(size).is_none() {
-                return Err(Fault::Decode { eip });
-            }
-            let ext = if needs_ext {
-                Some(self.read_word(eip + 4).map_err(|_| Fault::Decode { eip })?)
-            } else {
-                None
-            };
-            let instr = decode(first, ext).map_err(|_| Fault::Decode { eip })?;
-            // Cache only word-aligned instructions fetched entirely from
-            // RAM: RAM fetches are side-effect free (unlike MMIO reads,
-            // which must keep re-executing), RAM writes invalidate the
-            // entry, and a RAM-resident tag can never equal the empty
-            // sentinel.
-            if self.predecode_on
-                && eip & 3 == 0
-                && eip as usize + instr.size_bytes() as usize <= self.ram.len()
-            {
-                let costs = (
-                    self.cycle_model.cost(&instr, false),
-                    self.cycle_model.cost(&instr, true),
-                );
-                self.predecode[predecode_idx] = Predecoded {
-                    tag: eip,
-                    instr,
-                    cost_not_taken: costs.0,
-                    cost_taken: costs.1,
-                };
-                precost = Some(costs);
-            }
-            instr
+            None
         };
+        let instr = decode(first, ext).map_err(|_| Fault::Decode { eip })?;
         let fallthrough = eip + instr.size_bytes();
         let mut next = fallthrough;
         let mut taken = false;
@@ -1534,16 +1375,7 @@ impl Machine {
         if !transfer_checked {
             self.check_transfer(eip, next)?;
         }
-        let cost = match precost {
-            Some((not_taken, taken_cost)) => {
-                if taken {
-                    taken_cost
-                } else {
-                    not_taken
-                }
-            }
-            None => self.cycle_model.cost(&instr, taken),
-        };
+        let cost = self.cycle_model.cost(&instr, taken);
         self.clock += cost;
         self.stats.instructions += 1;
         if let Some(t) = &self.trace {
@@ -1578,7 +1410,6 @@ impl Machine {
     pub fn run(&mut self, max_cycles: u64) -> Event {
         match self.engine {
             EngineKind::Legacy => self.run_legacy(max_cycles),
-            EngineKind::Fast => self.run_fast(max_cycles),
             EngineKind::Translated => self.run_translated(max_cycles),
         }
     }
@@ -1590,7 +1421,7 @@ impl Machine {
 
     /// The original per-instruction loop: poll every device and re-check
     /// every boundary condition between each instruction. Kept verbatim as
-    /// the reference the cycle-identity tests compare [`Machine::run_fast`]
+    /// the reference the cycle-identity tests compare the block translator
     /// against.
     pub(crate) fn run_legacy(&mut self, max_cycles: u64) -> Event {
         let deadline = self.clock.saturating_add(max_cycles);
@@ -1637,83 +1468,6 @@ impl Machine {
             }
         }
     }
-
-    /// Event-driven loop, equivalent to [`Machine::run_legacy`] boundary by
-    /// boundary. The outer iteration performs the same poll → deliver →
-    /// trap → halt → budget sequence; the inner loop batches [`Machine::step`]
-    /// calls for as long as none of those boundary actions could do
-    /// anything. Per-instruction polling is replaced by the cached
-    /// `device_deadline`, which [`Device::next_event`] guarantees is the
-    /// first boundary where a poll could matter, so devices observe the
-    /// exact same poll timeline the legacy loop gives them.
-    pub(crate) fn run_fast(&mut self, max_cycles: u64) -> Event {
-        let deadline = self.clock.saturating_add(max_cycles);
-        loop {
-            if self.device_deadline_dirty {
-                self.recompute_device_deadline();
-            }
-            if self.clock >= self.device_deadline {
-                self.poll_devices();
-                self.recompute_device_deadline();
-            }
-
-            if self.interrupts_enabled() {
-                if let Some(&vector) = self.pending_irqs.iter().next() {
-                    self.pending_irqs.remove(&vector);
-                    let origin = self.eip;
-                    if let Err(fault) = self.dispatch_interrupt(vector, origin) {
-                        self.stats.faults += 1;
-                        self.note_fault();
-                        return Event::Fault(fault);
-                    }
-                }
-            }
-
-            if self.trap_hit(self.eip) && !self.halted {
-                return Event::FirmwareTrap { addr: self.eip };
-            }
-
-            if self.halted {
-                self.clock += 8;
-                if let Some(o) = &self.observer {
-                    o.idle(8);
-                }
-                if self.clock >= deadline {
-                    return Event::IdleBudgetExhausted;
-                }
-                continue;
-            }
-
-            if self.clock >= deadline {
-                return Event::BudgetExhausted;
-            }
-
-            // Batched stepping: between boundaries where nothing external
-            // can intervene — no device due, no deliverable IRQ, no trap,
-            // budget remaining — the legacy loop's checks are all no-ops,
-            // so skipping them is unobservable. The pending-IRQ set only
-            // changes at poll boundaries (never inside `step`), and the
-            // device deadline only moves under the dirty flag (which breaks
-            // the batch), so both bounds are loop-invariant here.
-            let step_limit = deadline.min(self.device_deadline);
-            let has_pending = !self.pending_irqs.is_empty();
-            loop {
-                if let Err(fault) = self.step() {
-                    self.stats.faults += 1;
-                    self.note_fault();
-                    return Event::Fault(fault);
-                }
-                if self.halted
-                    || self.device_deadline_dirty
-                    || self.clock >= step_limit
-                    || (has_pending && self.interrupts_enabled())
-                    || self.trap_hit(self.eip)
-                {
-                    break;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1730,16 +1484,16 @@ mod tests {
     }
 
     #[test]
-    fn tracer_counts_classes_and_predecode_without_touching_cycles() {
+    fn tracer_counts_classes_and_blocks_without_touching_cycles() {
         use std::sync::Arc;
         use tytan_trace::RingRecorder;
 
-        // Pin the fast path on: the predecode-coverage assertions below are
-        // about the cache, which the legacy loop (TYTAN_FAST_PATH=0 in the
-        // CI matrix) legitimately never consults.
+        // Pin the translator on: the block-cache assertions below are
+        // about its cache, which the legacy loop
+        // (TYTAN_EXEC_ENGINE=legacy in the CI matrix) never consults.
         let build = |src: &str| {
             let mut m = Machine::new(MachineConfig {
-                engine: EngineKind::Fast,
+                engine: EngineKind::Translated,
                 ..MachineConfig::default()
             });
             let p = assemble(src, 0x100).expect("assemble");
@@ -1763,11 +1517,10 @@ mod tests {
         assert_eq!(c.get("emu_instr_alu"), Some(101));
         assert_eq!(c.get("emu_instr_branch"), Some(50));
         assert_eq!(c.get("emu_instr_system"), Some(1));
-        // The loop body re-executes from the predecode cache.
-        let hits = c.get("emu_predecode_hit").unwrap();
-        let misses = c.get("emu_predecode_miss").unwrap();
-        assert_eq!(hits + misses, traced.stats().instructions);
-        assert!(hits > misses, "loop should be predecode-cache resident");
+        // The loop body re-executes from the block cache.
+        let hits = c.get("emu_block_hit").unwrap();
+        let compiles = c.get("emu_block_compile").unwrap();
+        assert!(hits > compiles, "loop should be block-cache resident");
     }
 
     #[test]
@@ -2306,8 +2059,7 @@ mod tests {
         }
     }
 
-    const ALL_ENGINES: [EngineKind; 3] =
-        [EngineKind::Legacy, EngineKind::Fast, EngineKind::Translated];
+    const ALL_ENGINES: [EngineKind; 2] = [EngineKind::Legacy, EngineKind::Translated];
 
     fn edge_machine(engine: EngineKind, word: u32) -> Machine {
         let mut m = Machine::new(MachineConfig {
@@ -2360,10 +2112,12 @@ mod tests {
 
     #[test]
     fn jump_to_the_predecode_sentinel_address_faults_on_both_paths() {
-        // Found by tytan-fuzz: `jmp 0xFFFF_FFFF` lands the EIP exactly on
-        // the PREDECODE_EMPTY sentinel, which used to false-hit every
-        // never-filled cache slot on the fast path and execute a
-        // zero-cost Nop forever while the legacy path faulted.
+        // Found by tytan-fuzz: `jmp 0xFFFF_FFFF` lands the EIP on the
+        // all-ones address, the empty-slot tag of a since-removed
+        // per-instruction decode cache, which once made a cached engine
+        // execute a zero-cost Nop forever while the legacy path faulted.
+        // Kept as a legacy-vs-translated regression for the unaligned
+        // top-of-address-space fetch.
         let mut words = Vec::new();
         sp32::encode(
             &Instr::Jmp {
@@ -2387,33 +2141,6 @@ mod tests {
                 "{engine:?}: fetch at the sentinel address must fault"
             );
         }
-    }
-
-    #[test]
-    fn zero_length_writes_do_not_sweep_the_predecode_cache() {
-        let mut m = Machine::new(MachineConfig {
-            engine: EngineKind::Fast,
-            ..MachineConfig::default()
-        });
-        let p = assemble("movi r0, 1\nmovi r1, 2\nhlt\n", 0x100).expect("assemble");
-        m.load_image(0x100, &p.bytes).expect("load");
-        m.set_eip(0x100);
-        m.run(1_000);
-        let populated = |m: &Machine| {
-            m.predecode
-                .iter()
-                .filter(|e| e.tag != PREDECODE_EMPTY)
-                .count()
-        };
-        let before = populated(&m);
-        assert!(before > 0, "run populated the predecode cache");
-        // Zero-length invalidations must be no-ops: the last-byte
-        // computation `len - 1` used to underflow and (in release builds)
-        // sweep the entire aligned address space.
-        m.invalidate_predecode(0, 0);
-        m.invalidate_predecode(u32::MAX, 0);
-        m.write_bytes(0x100, &[]).expect("empty write");
-        assert_eq!(populated(&m), before, "cache swept by zero-length write");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The block translation engine ([`EngineKind::Translated`]).
+//! The block translation engine ([`EngineKind::Translated`]), the
+//! default run loop.
 //!
 //! Basic blocks are discovered at execution time with the same boundary
 //! rules the static linter uses ([`sp32::cfg`]) and "compiled" into
@@ -15,12 +16,14 @@
 //! decision-log record, every trace span. Three mechanisms keep it so:
 //!
 //! - **Boundary preservation.** The outer loop of
-//!   [`Machine::run_translated`] performs the exact poll → deliver →
-//!   trap → halt → budget sequence of the fast interpreter; block
-//!   execution only replaces the batched-step inner loop, and checks
-//!   the same batch-break conditions after every retired op. Blocks
-//!   end at every control transfer and stop before firmware-trap
-//!   addresses, so a boundary can never be crossed mid-block.
+//!   [`Machine::run_translated`] performs the legacy loop's poll →
+//!   deliver → trap → halt → budget sequence, but polls devices only
+//!   at the cached device deadline, which [`Device::next_event`]
+//!   guarantees is the first boundary where a poll could matter. Between
+//!   boundaries it executes blocks, checking the batch-break conditions
+//!   after every retired op. Blocks end at every control transfer and
+//!   stop before firmware-trap addresses, so a boundary can never be
+//!   crossed mid-block.
 //! - **Pre-resolution soundness.** EA-MPU work is specialised at
 //!   compile time: a statically-resolvable check compiles to either
 //!   nothing (allowed and unobserved) or a [`EaMpu::replay_transfer`] /
@@ -31,18 +34,29 @@
 //!   MPU enable, firmware-trap set — is covered by a generation
 //!   snapshot revalidated on entry to `run_translated`; any mismatch
 //!   drops all blocks (counted as `emu_block_invalidate_mpu`).
-//! - **Self-modifying-code tracking.** Pages (512 bytes) spanned by
-//!   compiled blocks are marked in a bitmap; every RAM write into a
-//!   marked page queues a dirty range ([`TransState::note_code_write`],
-//!   hooked into the machine's write paths next to the predecode
-//!   invalidation). Dirty ranges break the block batch and drop
-//!   overlapping blocks (counted as `emu_block_invalidate_smc`) before
-//!   the next block executes.
+//! - **Self-modifying-code tracking.** RAM words covered by compiled
+//!   blocks are marked in a bitmap; every RAM write into a marked word
+//!   queues a dirty range ([`TransState::note_code_write`], hooked into
+//!   the machine's write paths). Dirty ranges break the block batch and
+//!   drop overlapping blocks (counted as `emu_block_invalidate_smc`)
+//!   before the next block executes; the rewritten words then run
+//!   through [`Machine::step`] until the next full flush, so code that
+//!   keeps rewriting itself is interpreted rather than recompiled per
+//!   rewrite. Word granularity matters: tasks keep data and stack next
+//!   to their code, and a coarser granule would flag their every store
+//!   as a code write.
+//!
+//! The control-flow monitor needs no interpreter of its own: a block
+//! ends at every control transfer, so its only taken edge is its
+//! terminator, which the block loop records where [`Machine::step`]
+//! does — after the transfer check succeeds.
 //!
 //! Anything a block cannot express — `Int`/`Iret` (interrupt frames,
 //! resume latches, IRQ trace spans), undecodable or unfetchable code,
 //! MMIO-resident code — falls back to [`Machine::step`], which is the
-//! shared semantic core of all three engines.
+//! shared semantic core of both engines.
+//!
+//! [`Device::next_event`]: crate::Device::next_event
 
 use super::{instr_class, EngineKind, Event, Fault, Machine};
 use eampu::{AccessDecision, AccessKind, TransferDecision};
@@ -80,8 +94,8 @@ impl Hasher for EntryHasher {
 /// The translation cache: compiled blocks keyed by entry address.
 pub(crate) type BlockMap = HashMap<u32, TBlock, BuildHasherDefault<EntryHasher>>;
 
-/// log2 of the SMC-tracking page size.
-const PAGE_SHIFT: u32 = 9;
+/// log2 of the SMC-tracking granule: one bitmap bit per RAM word.
+const GRANULE_SHIFT: u32 = 2;
 
 /// Longest straight-line run compiled into one block.
 const MAX_OPS: usize = 64;
@@ -182,19 +196,87 @@ struct Snap {
     trap_gen: u64,
 }
 
+/// A set of RAM granules ([`GRANULE_SHIFT`]): one bit each, plus the
+/// range of bitmap words that may hold set bits, so that probing an
+/// empty map costs one compare and clearing costs what was marked.
+struct GranuleMap {
+    bits: Vec<u64>,
+    /// Half-open range of `bits` words that may be non-zero; empty
+    /// (`lo >= hi`) when no bit is set.
+    lo: usize,
+    hi: usize,
+}
+
+impl GranuleMap {
+    fn new(ram_size: u32) -> Self {
+        let words = ((ram_size >> GRANULE_SHIFT) as usize + 1).div_ceil(64);
+        GranuleMap {
+            bits: vec![0; words],
+            lo: words,
+            hi: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lo >= self.hi
+    }
+
+    fn clear(&mut self) {
+        if !self.is_empty() {
+            self.bits[self.lo..self.hi].fill(0);
+        }
+        (self.lo, self.hi) = (self.bits.len(), 0);
+    }
+
+    /// Sets (`on`) or clears the granules covering bytes `first..=last`.
+    fn set(&mut self, first: u32, last: u32, on: bool) {
+        for granule in (first >> GRANULE_SHIFT)..=(last >> GRANULE_SHIFT) {
+            let word = granule as usize / 64;
+            let Some(bits) = self.bits.get_mut(word) else {
+                break;
+            };
+            let bit = 1u64 << (granule % 64);
+            if on {
+                *bits |= bit;
+                (self.lo, self.hi) = (self.lo.min(word), self.hi.max(word + 1));
+            } else {
+                *bits &= !bit;
+            }
+        }
+    }
+
+    /// Whether any granule covering bytes `first..=last` is set.
+    fn any(&self, first: u32, last: u32) -> bool {
+        let first = (first >> GRANULE_SHIFT) as usize;
+        let last = (last >> GRANULE_SHIFT) as usize;
+        let lo = (first / 64).max(self.lo);
+        let hi = (last / 64 + 1).min(self.hi);
+        (lo..hi).any(|word| {
+            let mut mask = !0u64;
+            if word == first / 64 {
+                mask &= !0u64 << (first % 64);
+            }
+            if word == last / 64 {
+                mask &= !0u64 >> (63 - last % 64);
+            }
+            self.bits[word] & mask != 0
+        })
+    }
+}
+
 /// Translation-engine state owned by the [`Machine`].
 pub(crate) struct TransState {
     /// Compiled blocks by entry address. Taken out of the machine (via
     /// `mem::take`) for the duration of `run_translated` so handlers
     /// can borrow the machine mutably while a block is executing.
     pub(crate) blocks: BlockMap,
-    /// One bit per [`PAGE_SHIFT`] page of RAM: set when some compiled
-    /// block's code spans the page.
-    pages: Vec<u64>,
-    /// True when any bit in `pages` is set — the one-compare guard on
-    /// the RAM-write hot path.
-    any_pages: bool,
-    /// Write ranges `[start, end)` that hit marked pages; drained (and
+    /// Granules covered by some compiled block's code.
+    code: GranuleMap,
+    /// Granules of compiled code that the guest or host rewrote. They
+    /// are left to [`Machine::step`] until the next flush: code that
+    /// rewrites itself would otherwise pay a block compile per rewrite.
+    rewritten: GranuleMap,
+    /// Write ranges `[start, end)` that hit compiled code; drained (and
     /// overlapping blocks dropped) at batch boundaries.
     dirty: Vec<(u32, u32)>,
     /// The snapshot current blocks were compiled under.
@@ -203,66 +285,37 @@ pub(crate) struct TransState {
 
 impl TransState {
     pub(crate) fn new(ram_size: u32) -> Self {
-        let pages = (ram_size >> PAGE_SHIFT) as usize + 1;
         TransState {
             blocks: BlockMap::default(),
-            pages: vec![0; pages.div_ceil(64)],
-            any_pages: false,
+            code: GranuleMap::new(ram_size),
+            rewritten: GranuleMap::new(ram_size),
             dirty: Vec::new(),
             snap: None,
         }
     }
 
-    /// Drops every block and clears the page map and dirty queue.
+    /// Drops every block and clears both granule maps and the dirty
+    /// queue.
     pub(crate) fn flush(&mut self) {
         self.blocks.clear();
-        self.reset_pages();
+        self.code.clear();
+        self.rewritten.clear();
         self.dirty.clear();
         self.snap = None;
     }
 
-    fn reset_pages(&mut self) {
-        self.pages.fill(0);
-        self.any_pages = false;
-    }
-
-    fn mark_pages(&mut self, start: u32, end: u32) {
-        let last = end.saturating_sub(1);
-        for page in (start >> PAGE_SHIFT)..=(last >> PAGE_SHIFT) {
-            if let Some(word) = self.pages.get_mut(page as usize / 64) {
-                *word |= 1u64 << (page % 64);
-            }
-        }
-        self.any_pages = true;
-    }
-
-    fn page_marked(&self, page: u32) -> bool {
-        self.pages
-            .get(page as usize / 64)
-            .is_some_and(|w| w & (1u64 << (page % 64)) != 0)
-    }
-
-    /// Notes a RAM write of `last_offset + 1` bytes at `addr` (called
-    /// from the machine's write paths, beside the predecode
-    /// invalidation). Queues a dirty range when the write touches a
-    /// page spanned by compiled code.
-    pub(crate) fn note_code_write(&mut self, addr: u32, last_offset: u32) {
-        if !self.any_pages {
+    /// Notes a RAM write of `len` bytes at `addr` (called from the
+    /// machine's write paths). Queues a dirty range when the write
+    /// touches a granule covered by compiled code.
+    pub(crate) fn note_code_write(&mut self, addr: u32, len: usize) {
+        // A zero-length write touches no bytes; `len - 1` below would
+        // underflow into a whole-address-space range.
+        if len == 0 || self.code.is_empty() {
             return;
         }
-        let last = addr.saturating_add(last_offset);
-        for page in (addr >> PAGE_SHIFT)..=(last >> PAGE_SHIFT) {
-            if self.page_marked(page) {
-                self.dirty.push((addr, last.saturating_add(1)));
-                return;
-            }
-        }
-    }
-
-    fn rebuild_pages<'a>(&mut self, blocks: impl Iterator<Item = &'a TBlock>) {
-        self.reset_pages();
-        for block in blocks {
-            self.mark_pages(block.entry, block.end);
+        let last = addr.saturating_add(len as u32 - 1);
+        if self.code.any(addr, last) {
+            self.dirty.push((addr, last.saturating_add(1)));
         }
     }
 }
@@ -294,22 +347,48 @@ impl Machine {
     }
 
     /// Drains queued SMC dirty ranges, dropping every block whose code
-    /// overlaps one.
+    /// overlaps one and marking the rewritten code words. Only the
+    /// dropped blocks' granules leave the code map, and survivors sharing
+    /// a granule with them are marked again, so a drop never rebuilds the
+    /// whole map.
     fn drain_dirty(&mut self, blocks: &mut BlockMap) {
         if self.tcache.dirty.is_empty() {
             return;
         }
-        let ranges = std::mem::take(&mut self.tcache.dirty);
-        let before = blocks.len();
-        blocks.retain(|_, b| !ranges.iter().any(|&(s, e)| s < b.end && e > b.entry));
-        let removed = before - blocks.len();
-        if removed > 0 {
-            self.tcache.rebuild_pages(blocks.values());
-            if let Some(t) = &self.trace {
-                t.tracer
-                    .counters()
-                    .add(t.block_invalidate_smc, removed as u64);
+        let written = std::mem::take(&mut self.tcache.dirty);
+        let mut dropped = Vec::new();
+        blocks.retain(|_, b| {
+            let hit = written.iter().any(|&(s, e)| s < b.end && e > b.entry);
+            if hit {
+                dropped.push((b.entry, b.end));
             }
+            !hit
+        });
+        if dropped.is_empty() {
+            return;
+        }
+        let state = &mut self.tcache;
+        for &(entry, end) in &dropped {
+            state.code.set(entry, end - 1, false);
+            for &(s, e) in &written {
+                let (first, last) = (s.max(entry), e.min(end) - 1);
+                if first <= last {
+                    state.rewritten.set(first, last, true);
+                }
+            }
+        }
+        let granule = |a: u32| a >> GRANULE_SHIFT;
+        for b in blocks.values() {
+            if dropped.iter().any(|&(entry, end)| {
+                granule(entry) <= granule(b.end - 1) && granule(b.entry) <= granule(end - 1)
+            }) {
+                state.code.set(b.entry, b.end - 1, true);
+            }
+        }
+        if let Some(t) = &self.trace {
+            t.tracer
+                .counters()
+                .add(t.block_invalidate_smc, dropped.len() as u64);
         }
     }
 
@@ -364,8 +443,8 @@ impl Machine {
 
     /// Compiles the basic block starting at `entry`, or `None` when the
     /// first instruction is unfetchable/undecodable (the caller falls
-    /// back to [`Machine::step`], which faults identically) or lives in
-    /// MMIO space.
+    /// back to [`Machine::step`], which faults identically), lives in
+    /// MMIO space, or was rewritten while compiled.
     fn compile_block(&self, entry: u32) -> Option<TBlock> {
         let observed = self.mpu.traced() || self.mpu.log_enabled();
         let mut ops: Vec<TOp> = Vec::new();
@@ -387,6 +466,11 @@ impl Machine {
                 break;
             };
             let fallthrough = pc + fetched.size;
+            if self.tcache.rewritten.any(pc, fallthrough - 1) {
+                // Rewritten code runs through the step fallback of the
+                // run loop (see `TransState::rewritten`).
+                break;
+            }
             if matches!(fetched.instr, Instr::Int { .. } | Instr::Iret) {
                 // Interrupt machinery (frames, resume latches, IRQ
                 // trace spans) runs through the shared step path.
@@ -606,14 +690,6 @@ impl Machine {
     /// Executes at `self.eip`: a cached block, a freshly compiled one,
     /// or a single interpreted step when no block can start here.
     fn exec_at(&mut self, blocks: &mut BlockMap, step_limit: u64) -> Result<(), Fault> {
-        // A control-flow monitor needs to see every taken edge, and
-        // compiled blocks retire interior edges without surfacing them:
-        // bypass the block cache entirely while one is attached (the
-        // attach already flushed compiled blocks). Host speed changes,
-        // guest observables do not.
-        if self.cf_monitor.is_some() {
-            return self.step();
-        }
         let eip = self.eip;
         if let Some(block) = blocks.get(&eip) {
             if let Some(t) = &self.trace {
@@ -624,12 +700,12 @@ impl Machine {
         if let Some(block) = self.compile_block(eip) {
             if blocks.len() >= MAX_BLOCKS {
                 blocks.clear();
-                self.tcache.reset_pages();
+                self.tcache.code.clear();
             }
             if let Some(t) = &self.trace {
                 t.tracer.counters().incr(t.block_compile);
             }
-            self.tcache.mark_pages(block.entry, block.end);
+            self.tcache.code.set(block.entry, block.end - 1, true);
             let block = blocks.entry(eip).or_insert(block);
             return exec_block(self, block, step_limit);
         }
@@ -637,14 +713,17 @@ impl Machine {
     }
 
     /// The translated run loop: boundary-identical to
-    /// [`Machine::run_fast`], with the batched-step inner loop replaced
-    /// by block execution whenever no IRQ is pending.
+    /// [`Machine::run_legacy`], batching between boundaries where nothing
+    /// external can intervene — no device due, no deliverable IRQ, no
+    /// trap, budget remaining — so skipping the legacy loop's checks
+    /// there is unobservable. Batches execute blocks whenever no IRQ is
+    /// pending, and single steps otherwise.
     pub(crate) fn run_translated(&mut self, max_cycles: u64) -> Event {
         self.revalidate_translations();
         // Move the block map out of `self` for the duration of the run:
         // a block must stay borrowed while its handlers mutate the
         // machine, so it cannot live inside the machine meanwhile. The
-        // page map and dirty queue stay behind for the write hooks.
+        // code bitmap and dirty queue stay behind for the write hooks.
         let mut blocks = std::mem::take(&mut self.tcache.blocks);
         let event = self.run_translated_inner(max_cycles, &mut blocks);
         self.tcache.blocks = blocks;
@@ -698,8 +777,8 @@ impl Machine {
             if !self.pending_irqs.is_empty() {
                 // An IRQ is latched but masked: `Sti` anywhere makes it
                 // deliverable at the very next boundary, which a block
-                // cannot honour mid-run. Take the interpreter's careful
-                // per-step loop until the set drains.
+                // cannot honour mid-run. Step one instruction at a time
+                // until the set drains.
                 loop {
                     if let Err(fault) = self.step() {
                         self.stats.faults += 1;
@@ -738,6 +817,14 @@ impl Machine {
                 }
             }
         }
+    }
+}
+
+/// Records a taken edge in the control-flow monitor, if one is attached.
+#[inline]
+fn record_edge(m: &mut Machine, from: u32, to: u32) {
+    if let Some(monitor) = &mut m.cf_monitor {
+        monitor.record(from, to);
     }
 }
 
@@ -803,6 +890,9 @@ fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fa
                 let Ok(OpExit::Cont(next, taken)) = (op.run)(m, op) else {
                     unreachable!("lean ops retire normally");
                 };
+                if taken {
+                    record_edge(m, op.pc, next);
+                }
                 clock += if taken {
                     op.cost_taken
                 } else {
@@ -854,6 +944,9 @@ fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fa
                         if let Err(fault) = apply_pre(m, op, pre, next) {
                             break 'run Err(fault);
                         }
+                        if taken {
+                            record_edge(m, op.pc, next);
+                        }
                         clock += cost;
                         retired += 1;
                         eip = next;
@@ -878,7 +971,7 @@ fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fa
 }
 
 /// The fully instrumented block loop: per-op clock/stat updates, class
-/// counters, and observer callbacks, exactly as the interpreters do
+/// counters, and observer callbacks, exactly as [`Machine::step`] does
 /// them. Chosen whenever a tracer or cycle observer is attached.
 fn exec_block_observed(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fault> {
     for op in &block.ops {
@@ -893,6 +986,9 @@ fn exec_block_observed(m: &mut Machine, block: &TBlock, step_limit: u64) -> Resu
                     (op.pre_ft, op.cost_not_taken)
                 };
                 apply_pre(m, op, pre, next)?;
+                if taken {
+                    record_edge(m, op.pc, next);
+                }
                 m.clock += cost;
                 m.stats.instructions += 1;
                 if let Some(t) = &m.trace {
@@ -1118,4 +1214,100 @@ fn op_sti(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
 fn op_cli(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
     m.eflags &= !sp32::EFLAGS_IF;
     Ok(OpExit::Cont(op.fallthrough, false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MachineConfig;
+    use sp32::asm::assemble;
+    use std::sync::Arc;
+    use tytan_trace::{RingRecorder, Tracer};
+
+    fn translated(source: &str) -> (Machine, Tracer) {
+        let mut m = Machine::new(MachineConfig {
+            engine: EngineKind::Translated,
+            ..MachineConfig::default()
+        });
+        let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
+        m.attach_tracer(tracer.clone());
+        let program = assemble(source, 0x1000).expect("assemble");
+        m.load_image(0x1000, &program.bytes).expect("load");
+        m.set_eip(0x1000);
+        (m, tracer)
+    }
+
+    #[test]
+    fn data_stores_beside_code_queue_no_invalidation() {
+        // The loop stores to a data word 0x40 bytes past its own code,
+        // inside the same 512-byte page, as task data and stacks do.
+        let (mut m, tracer) = translated(
+            "main:\n movi r1, 0x1040\n movi r2, 0\n\
+             loop:\n addi r2, 1\n stw [r1], r2\n cmpi r2, 1000\n jnz loop\n hlt\n",
+        );
+        m.run(100_000);
+        assert!(m.is_halted());
+        assert_eq!(m.read_word(0x1040), Ok(1000));
+        m.write_word(0x1040, 0).expect("host write");
+        assert!(m.tcache.dirty.is_empty(), "a data write was queued as SMC");
+        // Blocks at `main`, `loop` and the `hlt`, each compiled once: no
+        // store split a block or dropped one.
+        let c = tracer.counters();
+        assert_eq!(c.get("emu_block_compile"), Some(3));
+        assert_eq!(c.get("emu_block_invalidate_smc"), Some(0));
+    }
+
+    #[test]
+    fn rewritten_code_is_interpreted_not_recompiled() {
+        // Every iteration stores `target`'s own encoding back over it.
+        let (mut m, tracer) = translated(
+            "main:\n movi r1, target\n ldw r2, [r1]\n movi r3, 0\n\
+             loop:\ntarget:\n addi r4, 1\n stw [r1], r2\n addi r3, 1\n cmpi r3, 1000\n jnz loop\n hlt\n",
+        );
+        m.run(1_000_000);
+        assert!(m.is_halted());
+        assert_eq!(m.reg(Reg::R4), 1000);
+        // The first store drops the block holding `target`; from then on
+        // the rewritten word runs through `step` and no block covers it.
+        let c = tracer.counters();
+        assert_eq!(c.get("emu_block_invalidate_smc"), Some(1));
+        assert!(
+            c.get("emu_block_compile").unwrap() < 10,
+            "recompiled per rewrite"
+        );
+    }
+
+    #[test]
+    fn zero_length_writes_queue_no_smc_range() {
+        let (mut m, _) = translated("main:\n movi r0, 1\n jmp main\n");
+        m.run(1_000);
+        // `len - 1` of an empty write used to underflow into a
+        // whole-address-space range.
+        m.write_bytes(0x1000, &[]).expect("empty write");
+        m.tcache.note_code_write(u32::MAX, 0);
+        assert!(m.tcache.dirty.is_empty());
+        // The code really is tracked: a one-byte write into it queues.
+        m.write_byte(0x1000, 0).expect("write");
+        assert_eq!(m.tcache.dirty, vec![(0x1000, 0x1001)]);
+    }
+
+    #[test]
+    fn dropping_a_block_keeps_overlapping_survivors_tracked() {
+        // The block at `main` spans the block at `loop`; dropping the
+        // first unmarks their shared words, which must be marked again
+        // for the survivor.
+        let (mut m, _) = translated("main:\n movi r0, 1\nloop:\n addi r2, 1\n jmp loop\n");
+        m.run(1_000);
+        let word = m.read_word(0x1000).expect("read");
+        m.write_word(0x1000, word).expect("rewrite main");
+        let mut blocks = std::mem::take(&mut m.tcache.blocks);
+        m.drain_dirty(&mut blocks);
+        assert!(!blocks.contains_key(&0x1000), "overwritten block survived");
+        let loop_entry = 0x1008;
+        assert!(blocks.contains_key(&loop_entry));
+        m.tcache.blocks = blocks;
+        let word = m.read_word(loop_entry).expect("read");
+        m.write_word(loop_entry, word).expect("rewrite loop");
+        assert_eq!(m.tcache.dirty, vec![(loop_entry, loop_entry + 4)]);
+    }
 }

@@ -1,14 +1,14 @@
-//! Differential tests: the execution engines (fast interpreter and block
-//! translator) must be invisible to the model.
+//! Differential tests: the block translator must be invisible to the
+//! model.
 //!
-//! Each lockstep test builds three identically-configured machines — one
-//! per [`EngineKind`], with `Legacy` (the verbatim per-instruction loop)
-//! as the reference — runs them through the same budget slices, and
-//! asserts bit-identical observable state after every slice: clock,
-//! `EIP`, registers, `EFLAGS`, halt state, and statistics.
+//! Each lockstep test builds identically-configured machines — the
+//! `Legacy` reference (the verbatim per-instruction loop) and the
+//! block translator both bare and traced — runs them through the same
+//! budget slices, and asserts bit-identical observable state after every
+//! slice: clock, `EIP`, registers, `EFLAGS`, halt state, and statistics.
 //!
 //! The remaining tests pin the cache-invalidation edges: a guest store
-//! into its own cached code line, a guest overwriting a hot loop the
+//! into its own compiled code, a guest overwriting a hot loop the
 //! translator has compiled, a loader-style `write_bytes` rewriting
 //! cached text, breakpoint (firmware trap) add/remove mid-run, EA-MPU
 //! rule mutation between two identical accesses, and an EA-MPU window
@@ -18,11 +18,11 @@ use eampu::{Perms, Region, Rule};
 use sp32::asm::assemble;
 use sp32::Reg;
 use sp_emu::devices::{Sensor, Timer};
-use sp_emu::{EngineKind, Event, Fault, Machine, MachineConfig, MachineStats};
+use sp_emu::{EngineKind, Event, Fault, Machine, MachineConfig, MachineStats, OUT_OF_REGION};
 use std::sync::Arc;
 use tytan_trace::{RingRecorder, Tracer};
 
-const ALL_ENGINES: [EngineKind; 3] = [EngineKind::Legacy, EngineKind::Fast, EngineKind::Translated];
+const ALL_ENGINES: [EngineKind; 2] = [EngineKind::Legacy, EngineKind::Translated];
 
 fn config(engine: EngineKind) -> MachineConfig {
     MachineConfig {
@@ -44,25 +44,30 @@ fn snapshot(m: &Machine) -> Snapshot {
     )
 }
 
-/// Runs the same setup on one machine per engine, then executes `chunks`
-/// budget slices of `budget` cycles each, asserting identical events and
-/// machine state after every slice (legacy is the reference).
+/// Names a lockstep participant for failure messages.
+fn label(m: &Machine) -> String {
+    let traced = if m.tracer().is_some() {
+        " (traced)"
+    } else {
+        ""
+    };
+    format!("{:?}{traced}", m.engine())
+}
+
+/// Runs the same setup on the legacy reference and on two translated
+/// machines, then executes `chunks` budget slices of `budget` cycles
+/// each, asserting identical events and machine state after every slice.
 ///
-/// The fast and translated machines additionally run with an event
-/// recorder attached (the legacy machine stays untraced), so every
-/// lockstep test doubles as a cycle-neutrality proof for the tracing
-/// layer: if recording an event or bumping a counter ever touched the
-/// model, these snapshots would diverge.
+/// One translated machine runs bare (the lean block loop), the other
+/// with an event recorder attached (the instrumented block loop), so
+/// every lockstep test also proves the tracing layer cycle-neutral: if
+/// recording an event or bumping a counter ever touched the model, these
+/// snapshots would diverge.
 fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
     let mut legacy = Machine::new(config(EngineKind::Legacy));
-    let mut others: Vec<Machine> = [EngineKind::Fast, EngineKind::Translated]
-        .into_iter()
-        .map(|engine| {
-            let mut m = Machine::new(config(engine));
-            m.attach_tracer(Tracer::new(Arc::new(RingRecorder::new(4096))));
-            m
-        })
-        .collect();
+    let mut traced = Machine::new(config(EngineKind::Translated));
+    traced.attach_tracer(Tracer::new(Arc::new(RingRecorder::new(4096))));
+    let mut others = vec![Machine::new(config(EngineKind::Translated)), traced];
     setup(&mut legacy);
     for m in &mut others {
         setup(m);
@@ -71,12 +76,12 @@ fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
         let el = legacy.run(budget);
         for m in &mut others {
             let e = m.run(budget);
-            let engine = m.engine();
-            assert_eq!(e, el, "{engine:?}: event diverged at slice {i}");
+            let engine = label(m);
+            assert_eq!(e, el, "{engine}: event diverged at slice {i}");
             assert_eq!(
                 snapshot(m),
                 snapshot(&legacy),
-                "{engine:?}: state diverged at slice {i}"
+                "{engine}: state diverged at slice {i}"
             );
         }
     }
@@ -176,8 +181,7 @@ fn lockstep_mpu_enforced_loop() {
 #[test]
 fn lockstep_self_modifying_code() {
     // The loop patches its own `addi r4, 1` to `addi r4, 2` on the first
-    // iteration; the predecode cache and the translation cache must both
-    // observe the store.
+    // iteration; the translation cache must observe the store.
     let patched = assemble("addi r4, 2\n", 0).unwrap();
     let word = u32::from_le_bytes(patched.bytes[0..4].try_into().unwrap());
     let source = format!(
@@ -215,7 +219,7 @@ fn lockstep_self_modifying_code() {
 fn hot_loop_overwrite_invalidates_translated_block() {
     // A hot spin loop runs long enough for the translator to compile and
     // repeatedly hit its block, then the guest overwrites the loop's own
-    // branch with `hlt`. All three engines must observe the rewrite at
+    // branch with `hlt`. Both engines must observe the rewrite at
     // the same cycle, and the translated engine must account for it as
     // an SMC invalidation.
     let hlt = assemble("hlt\n", 0).unwrap();
@@ -262,7 +266,7 @@ fn mpu_reconfiguration_invalidates_translated_block() {
     // task's rule (slot 0), and the probe's own rule (slot 1) initially
     // grants it. Between the two executions the probe's data window moves
     // away, so the identical access by the identical block must now
-    // fault. Cycle-identical across all three engines, and the translated
+    // fault. Cycle-identical across both engines, and the translated
     // engine must drop its compiled blocks at the reconfiguration
     // (counted as an MPU invalidation) rather than replay the stale
     // decision.
@@ -297,7 +301,7 @@ fn mpu_reconfiguration_invalidates_translated_block() {
 
     let mut machines: Vec<Machine> = ALL_ENGINES.into_iter().map(build).collect();
     let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
-    machines[2].attach_tracer(tracer.clone());
+    machines[1].attach_tracer(tracer.clone());
 
     let mut reference: Option<(Event, Snapshot, Event, Snapshot)> = None;
     for m in &mut machines {
@@ -345,9 +349,8 @@ fn mpu_reconfiguration_invalidates_translated_block() {
 #[test]
 fn write_bytes_rewrite_invalidates_cached_text() {
     // The loader's relocation pass rewrites already-copied text with
-    // `write_bytes`; a cached copy of the old bytes must not survive, in
-    // either the predecode cache or the translation cache.
-    for engine in [EngineKind::Fast, EngineKind::Translated] {
+    // `write_bytes`; a compiled copy of the old bytes must not survive.
+    for engine in ALL_ENGINES {
         let mut m = Machine::new(config(engine));
         let before = assemble("main:\n movi r0, 1\n jmp main\n", 0x1000).unwrap();
         m.load_image(0x1000, &before.bytes).unwrap();
@@ -369,9 +372,9 @@ fn write_bytes_rewrite_invalidates_cached_text() {
 #[test]
 fn breakpoint_add_remove_mid_run_matches_legacy() {
     // A debugger-style firmware trap set and cleared between run slices
-    // must fire identically on all engines (the fast loop's trap bitset
-    // and sorted array are updated in place; the translator stops blocks
-    // before trap addresses and recompiles when the trap set changes).
+    // must fire identically on both engines (the trap bitset and sorted
+    // array are updated in place; the translator stops blocks before
+    // trap addresses and recompiles when the trap set changes).
     let build = |engine: EngineKind| {
         let mut m = Machine::new(config(engine));
         let program = assemble(
@@ -499,59 +502,95 @@ fn cf_monitor_chains_are_engine_invariant() {
     // The control-flow attestation chain is part of the observable
     // model: the same guest under every engine must record the same
     // taken edges in the same order and fold them to a byte-identical
-    // chain head. A calls/returns/branches mix exercises every edge
-    // kind the monitor records.
+    // chain head. The guest mixes calls, returns and branches, a tight
+    // single-block self-loop, and a call out of the monitored region
+    // and back (recorded as OUT_OF_REGION sentinel edges).
     let source = "main:\n movi r2, 0\n\
-                  loop:\n call work\n addi r2, 1\n cmpi r2, 50\n jnz loop\n hlt\n\
+                  loop:\n call work\n addi r2, 1\n cmpi r2, 50\n jnz loop\n\
+                  movi r4, 0\n\
+                  spin:\n addi r4, 1\n cmpi r4, 200\n jnz spin\n\
+                  call 0x2000\n hlt\n\
                   work:\n addi r3, 1\n ret\n";
+    let outside = "addi r5, 1\n ret\n";
     let build = |engine: EngineKind| {
         let mut m = Machine::new(config(engine));
         let program = assemble(source, 0x1000).unwrap();
+        assert!(program.bytes.len() <= 0x100, "guest outgrew the region");
         m.load_image(0x1000, &program.bytes).unwrap();
+        m.load_image(0x2000, &assemble(outside, 0x2000).unwrap().bytes)
+            .unwrap();
         m.set_eip(0x1000);
         m.set_reg(Reg::R7, 0x8000);
         m.attach_cf_monitor(Region::new(0x1000, 0x100));
         m
     };
-    let mut machines: Vec<Machine> = ALL_ENGINES.into_iter().map(build).collect();
+    // Legacy reference, then the translator bare (lean block loop) and
+    // traced (instrumented block loop).
+    let mut machines: Vec<Machine> = [
+        EngineKind::Legacy,
+        EngineKind::Translated,
+        EngineKind::Translated,
+    ]
+    .into_iter()
+    .map(build)
+    .collect();
+    let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
+    machines[2].attach_tracer(tracer.clone());
     for m in &mut machines {
         // Uneven slices so the translated engine crosses run boundaries
         // mid-loop: the monitor must not care how the run is sliced.
         for budget in [37, 211, 100_000] {
             m.run(budget);
         }
-        assert!(m.is_halted(), "{:?}: guest never finished", m.engine());
+        assert!(m.is_halted(), "{}: guest never finished", label(m));
+        assert_eq!(m.reg(Reg::R5), 1, "{}: outside call skipped", label(m));
     }
+    // The translator retired the monitored run through compiled blocks.
+    assert!(
+        tracer.counters().get("emu_block_hit").unwrap_or(0) > 0,
+        "monitored run bypassed the block cache"
+    );
     let reference = machines[0].cf_monitor().expect("monitor armed");
     assert!(
         !reference.runs().is_empty(),
         "the call/return loop must record edges"
     );
     assert!(!reference.truncated());
+    assert!(
+        reference
+            .runs()
+            .iter()
+            .any(|&(_, to, _)| to == OUT_OF_REGION)
+            && reference
+                .runs()
+                .iter()
+                .any(|&(from, _, _)| from == OUT_OF_REGION),
+        "the outside call must record exit and re-entry sentinels"
+    );
     for m in &machines[1..] {
         let monitor = m.cf_monitor().expect("monitor armed");
-        let engine = m.engine();
+        let engine = label(m);
         assert_eq!(
             monitor.runs(),
             reference.runs(),
-            "{engine:?}: run-encoded edge log diverged"
+            "{engine}: run-encoded edge log diverged"
         );
         // The exact raw edge streams must agree too — the expansion
         // iterator is the oracle-facing view of the compressed log.
         assert!(
             monitor.expanded().eq(reference.expanded()),
-            "{engine:?}: expanded edge stream diverged"
+            "{engine}: expanded edge stream diverged"
         );
         assert_eq!(
             monitor.chain_head(),
             reference.chain_head(),
-            "{engine:?}: chain head diverged"
+            "{engine}: chain head diverged"
         );
     }
     // And the machines themselves stayed in lockstep with the monitor
     // attached — monitoring is not allowed to perturb execution.
     let s0 = snapshot(&machines[0]);
     for m in &machines[1..] {
-        assert_eq!(snapshot(m), s0, "{:?}: state diverged", m.engine());
+        assert_eq!(snapshot(m), s0, "{}: state diverged", label(m));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! One machine per [`EngineKind`] is built bit-identically from a
 //! [`CaseSetup`] — same program, registers, IDT, EA-MPU rules, devices,
-//! pending IRQs — differing in exactly one bit: the engine. Each
-//! engine's contract is total invisibility (predecode cache, EA-MPU
-//! decision cache, event-driven run loop, block translation cache — all
+//! pending IRQs — differing in exactly one bit: the engine. The block
+//! translator's contract is total invisibility (EA-MPU decision cache,
+//! event-driven run loop, block translation cache — all
 //! guest-transparent), so *any* observable difference from the legacy
 //! reference is a bug:
 //!
@@ -37,7 +37,7 @@ pub const TIMER_BASE: u32 = 0xf000_0000;
 
 /// The lockstep participants, reference first: every comparison is
 /// against `ENGINES[0]` (legacy).
-pub const ENGINES: [EngineKind; 3] = [EngineKind::Legacy, EngineKind::Fast, EngineKind::Translated];
+pub const ENGINES: [EngineKind; 2] = [EngineKind::Legacy, EngineKind::Translated];
 
 /// Builds one machine of a differential set.
 pub fn build_machine(setup: &CaseSetup, engine: EngineKind) -> Machine {
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn self_modifying_code_stays_coherent_across_the_set() {
         // A program that overwrites its own next instruction: the
-        // predecode cache and the translation cache must see the write.
+        // translation cache must see the write.
         // `movi r0, <addr of target>; movi r1, <hlt word>; stw [r0], r1;
         // target: jmp target` becomes `... hlt`.
         let origin = 0x1000u32;

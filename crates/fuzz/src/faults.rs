@@ -6,10 +6,10 @@
 //! assert the two properties the rest of the stack depends on:
 //!
 //! 1. **Fault injection is differential too.** A bit flip, IRQ burst,
-//!    or timer reprogramming applied identically to the fast-path and
-//!    legacy machines must leave them identical — the fast path's
-//!    predecode and decision caches must observe external mutation
-//!    exactly like the legacy core does.
+//!    or timer reprogramming applied identically to the translated and
+//!    legacy machines must leave them identical — the translator's
+//!    block and decision caches must observe external mutation exactly
+//!    like the legacy core does.
 //! 2. **Host paths degrade to typed errors.** A mutated or truncated
 //!    TTIF image driven through parse → lint → load, or a garbage
 //!    attestation report through `from_bytes`, may be *rejected* but
@@ -78,8 +78,8 @@ fn run_diff_with_injection(
     Ok(())
 }
 
-/// RAM bit flips between run chunks: the predecode and translation
-/// caches must observe every host-side write, including flips landing
+/// RAM bit flips between run chunks: the translation cache must
+/// observe every host-side write, including flips landing
 /// in the program's own text.
 pub fn bitflip_diff(rng: &mut FuzzRng) -> Result<(), String> {
     let setup = gen_setup(rng);

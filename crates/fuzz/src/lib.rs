@@ -1,15 +1,15 @@
 //! Deterministic differential fuzzing and fault-injection plane.
 //!
 //! TyTAN's trust argument leans on components agreeing with each other:
-//! the fast-path interpreter must be cycle- and state-identical to the
-//! legacy one, the static linter's verdict must match what execution
+//! the block translator must be cycle- and state-identical to the
+//! legacy interpreter, the static linter's verdict must match what execution
 //! actually does, and the loader/attestation paths must degrade to
 //! typed errors — never panics — under arbitrary corruption. Each of
 //! those cross-component contracts is an *oracle* this crate drives
 //! with seed-derived random inputs:
 //!
 //! - [`diff`] — the differential oracle: every generated program +
-//!   platform state runs on a fast-path and a legacy machine in
+//!   platform state runs on a translated and a legacy machine in
 //!   lockstep; any divergence in events, registers, cycles, EA-MPU
 //!   decisions, or RAM is a failure.
 //! - [`faults`] — platform fault injection: RAM bit flips between

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation (Tables 1, 4, 7) is an exercise in knowing where
 //! guest cycles go — interrupt entry, EA-MPU checks, IPC traps, attestation
-//! — and the PR 1 fast-path caches added host-side state (predecode cache,
-//! EA-MPU decision cache) whose effectiveness was previously invisible.
+//! — and the host-side caches (translated blocks, EA-MPU decision cache)
+//! hold state whose effectiveness would otherwise be invisible.
 //! This crate is the shared observation plane all layers report into:
 //!
 //! - [`TraceEvent`]: a cycle-stamped event tagged with the [`Layer`] that
@@ -32,7 +32,7 @@
 //! Instrumentation observes the platform from the host side only: recording
 //! an event or bumping a counter never calls `Machine::tick` and never
 //! changes a decision. The differential identity suites
-//! (`crates/emu/tests/fast_path_identity.rs`,
+//! (`crates/emu/tests/engine_identity.rs`,
 //! `crates/bench/tests/cycle_identity.rs`) run with a recorder attached and
 //! assert guest cycle counts stay bit-identical.
 //!
