@@ -48,7 +48,7 @@ use crate::storage::{SecureStorage, StorageError};
 use crate::toolchain::{mailbox, TaskSource};
 use eampu::{Perms, Region, Rule};
 use rtos::kernel::SyscallOutcome;
-use rtos::stubs::{build_stub_block_with_table, StubBlock, StubKind, StubSpec};
+use rtos::stubs::{shared_stub_block, StubBlock, StubKind, StubSpec};
 use rtos::{layout, Kernel, KernelConfig, KernelError, TaskHandle};
 use sp32::Reg;
 use sp_emu::devices::{Actuator, Sensor, Timer, Uart};
@@ -248,7 +248,7 @@ pub struct FaultRecord {
 pub struct Platform<D: Digest = Sha1> {
     machine: Machine,
     kernel: Kernel,
-    stubs: StubBlock,
+    stubs: Arc<StubBlock>,
     actors: TrustedActors,
     allocator: Allocator,
     rtm: Rtm,
@@ -377,7 +377,9 @@ impl<D: Digest> Platform<D> {
                 kind: tick_kind,
             });
         }
-        let stubs = build_stub_block_with_table(
+        // The stub image is fixed firmware: assembled once per process,
+        // then copied into this machine's RAM and measured below.
+        let stubs = shared_stub_block(
             layout::TRUSTED_BASE,
             layout::KERNEL_TRAP,
             &specs,
@@ -970,9 +972,9 @@ impl<D: Digest> Platform<D> {
     /// calls seal everything recorded since this arm.
     ///
     /// The monitor is a host-side observer: it never ticks the machine
-    /// and never changes a guest-visible outcome (the translated engine
-    /// bypasses its block cache while a monitor is attached, which only
-    /// changes host speed).
+    /// and never changes a guest-visible outcome. Monitored runs still
+    /// execute compiled blocks: each block's terminator is its only
+    /// taken edge, recorded as it retires.
     ///
     /// # Errors
     ///
@@ -1616,6 +1618,70 @@ mod tests {
             Err(PlatformError::SecureBootMeasurementMismatch) => {}
             other => panic!("expected secure-boot failure, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn tampered_boot_leaves_the_shared_stub_block_pristine() {
+        let before = boot();
+        let tampered = PlatformConfig {
+            corrupt_trusted_byte: Some(17),
+            ..Default::default()
+        };
+        assert!(matches!(
+            Platform::<Sha1>::boot(tampered),
+            Err(PlatformError::SecureBootMeasurementMismatch)
+        ));
+        let after = boot();
+        assert_eq!(after.boot_measurement(), before.boot_measurement());
+    }
+
+    #[test]
+    fn default_boots_share_one_stub_block() {
+        let a = boot();
+        let b = boot();
+        assert!(Arc::ptr_eq(&a.stubs, &b.stubs));
+    }
+
+    #[test]
+    fn each_stub_configuration_gets_its_own_block() {
+        let spec = |vector, kind| StubSpec { vector, kind };
+        let direct = |specs: &[StubSpec]| {
+            rtos::stubs::build_stub_block_with_table(
+                layout::TRUSTED_BASE,
+                layout::KERNEL_TRAP,
+                specs,
+                Some(layout::INT_DISPATCH_TABLE),
+            )
+            .unwrap()
+        };
+        let default = boot();
+        let hw = Platform::<Sha1>::boot(PlatformConfig {
+            hardware_context_save: true,
+            ..Default::default()
+        })
+        .unwrap();
+        let irq = Platform::<Sha1>::boot(PlatformConfig {
+            device_irq_vectors: vec![40],
+            ..Default::default()
+        })
+        .unwrap();
+        assert!(!Arc::ptr_eq(&default.stubs, &hw.stubs));
+        assert!(!Arc::ptr_eq(&default.stubs, &irq.stubs));
+        assert!(!Arc::ptr_eq(&hw.stubs, &irq.stubs));
+
+        let hw_specs = [
+            spec(layout::TICK_VECTOR, StubKind::HwAssisted),
+            spec(layout::SYSCALL_VECTOR, StubKind::Syscall),
+            spec(layout::IPC_VECTOR, StubKind::HwAssisted),
+        ];
+        assert_eq!(hw.stubs.program.bytes, direct(&hw_specs).program.bytes);
+        let irq_specs = [
+            spec(layout::TICK_VECTOR, StubKind::IntMux),
+            spec(layout::SYSCALL_VECTOR, StubKind::Syscall),
+            spec(layout::IPC_VECTOR, StubKind::IntMux),
+            spec(40, StubKind::IntMux),
+        ];
+        assert_eq!(irq.stubs.program.bytes, direct(&irq_specs).program.bytes);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! All devices run the same task image, so one [`reference_digest`] boot
 //! provisions the expected measurement for the whole fleet.
 
+use std::sync::OnceLock;
 use tytan::attest::{AttestationReport, CfaReport, DeviceId, ATTEST_PURPOSE};
 use tytan::platform::{Platform, PlatformConfig, PlatformError};
 use tytan::toolchain::{SecureTaskBuilder, TaskSource};
@@ -40,7 +41,15 @@ pub fn device_attestation_key(master: &[u8; 20], device: DeviceId) -> SymmetricK
 
 /// The task image every fleet device runs: a counter loop, the same
 /// shape the paper's use case keeps resident.
-pub fn fleet_task_source() -> TaskSource {
+///
+/// Built once per process, as a toolchain builds a binary once for the
+/// whole production run; every device still loads and measures it.
+pub fn fleet_task_source() -> &'static TaskSource {
+    static SOURCE: OnceLock<TaskSource> = OnceLock::new();
+    SOURCE.get_or_init(build_fleet_task)
+}
+
+fn build_fleet_task() -> TaskSource {
     SecureTaskBuilder::new(
         "fleet-task",
         "main:\n movi r1, counter\n\
@@ -105,7 +114,7 @@ impl DeviceSim {
             ..PlatformConfig::default()
         };
         let mut platform = Platform::boot(config)?;
-        let token = platform.begin_load(&fleet_task_source(), 2);
+        let token = platform.begin_load(fleet_task_source(), 2);
         let (_, task) = platform.wait_load(token, LOAD_BUDGET)?;
         Ok(DeviceSim {
             device,
@@ -221,6 +230,30 @@ mod tests {
             "the looping task must record taken edges"
         );
         assert_eq!(session.submit_cfa(&report, &edges), Ok(()));
+    }
+
+    #[test]
+    fn cached_fleet_task_matches_a_fresh_build() {
+        let cached = fleet_task_source();
+        let fresh = build_fleet_task();
+        assert_eq!(cached.image, fresh.image);
+        assert_eq!(cached.program, fresh.program);
+        assert_eq!(cached.mailbox_offset, fresh.mailbox_offset);
+        assert!(std::ptr::eq(cached, fleet_task_source()));
+    }
+
+    #[test]
+    fn reprovisioning_a_device_is_bit_identical() {
+        let master = [9u8; 20];
+        let device = DeviceId::from_u64(77);
+        let mut a = DeviceSim::provision(device, &master).expect("boots");
+        let mut b = DeviceSim::provision(device, &master).expect("boots");
+        assert_eq!(a.platform.machine().cycles(), b.platform.machine().cycles());
+        let nonce = [0x5a; 16];
+        let ra = a.respond(&nonce).expect("attests");
+        let rb = b.respond(&nonce).expect("attests");
+        assert_eq!(ra.to_bytes(), rb.to_bytes());
+        assert_eq!(a.platform.machine().cycles(), b.platform.machine().cycles());
     }
 
     #[test]

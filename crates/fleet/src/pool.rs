@@ -32,11 +32,29 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Locks a pool mutex, recovering the guard if a holder panicked.
+///
+/// Jobs run under `catch_unwind` outside every pool lock, so only a bug
+/// in the pool itself could poison one. Even then the data stays valid:
+/// the deques are only changed by single `push_back`/`pop_*` calls and
+/// the other locks guard `()`.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sleeps on `cv` for at most `timeout`, under the same poison policy
+/// as [`lock`]; callers re-check their condition either way.
+fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, ()>, timeout: Duration) -> MutexGuard<'a, ()> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
 
 struct Shared {
     /// One deque per worker. Owners pop the back (LIFO), thieves pop the
@@ -59,13 +77,13 @@ impl Shared {
     /// Pops a job for worker `who`: own queue LIFO first, then steal
     /// FIFO from the others.
     fn find_job(&self, who: usize) -> Option<Job> {
-        if let Some(job) = self.queues[who].lock().expect("pool queue").pop_back() {
+        if let Some(job) = lock(&self.queues[who]).pop_back() {
             return Some(job);
         }
         let n = self.queues.len();
         for offset in 1..n {
             let victim = (who + offset) % n;
-            if let Some(job) = self.queues[victim].lock().expect("pool queue").pop_front() {
+            if let Some(job) = lock(&self.queues[victim]).pop_front() {
                 return Some(job);
             }
         }
@@ -74,7 +92,7 @@ impl Shared {
 
     fn finish_one(&self) {
         if self.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.idle_lock.lock().expect("pool idle lock");
+            let _guard = lock(&self.idle_lock);
             self.idle_cv.notify_all();
         }
     }
@@ -98,12 +116,9 @@ fn worker_loop(shared: Arc<Shared>, who: usize) {
         // and a hot-spinning sibling would starve the verifier thread on
         // small machines. Spawns notify under `work_lock`, so the timeout
         // only bounds the rare lost-wakeup window.
-        let guard = shared.work_lock.lock().expect("pool work lock");
+        let guard = lock(&shared.work_lock);
         if !shared.shutdown.load(Ordering::Acquire) {
-            let _ = shared
-                .work_cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("pool work cv");
+            drop(wait(&shared.work_cv, guard, Duration::from_millis(1)));
         }
     }
 }
@@ -161,11 +176,8 @@ impl WorkStealingPool {
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.shared.inflight.fetch_add(1, Ordering::AcqRel);
         let slot = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.workers.len();
-        self.shared.queues[slot]
-            .lock()
-            .expect("pool queue")
-            .push_back(Box::new(job));
-        let _guard = self.shared.work_lock.lock().expect("pool work lock");
+        lock(&self.shared.queues[slot]).push_back(Box::new(job));
+        let _guard = lock(&self.shared.work_lock);
         self.shared.work_cv.notify_all();
     }
 
@@ -176,14 +188,9 @@ impl WorkStealingPool {
 
     /// Blocks until every spawned job has finished.
     pub fn wait_idle(&self) {
-        let mut guard = self.shared.idle_lock.lock().expect("pool idle lock");
+        let mut guard = lock(&self.shared.idle_lock);
         while self.shared.inflight.load(Ordering::Acquire) > 0 {
-            let (next, _) = self
-                .shared
-                .idle_cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("pool idle cv");
-            guard = next;
+            guard = wait(&self.shared.idle_cv, guard, Duration::from_millis(1));
         }
     }
 }
@@ -192,7 +199,7 @@ impl Drop for WorkStealingPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _guard = self.shared.work_lock.lock().expect("pool work lock");
+            let _guard = lock(&self.shared.work_lock);
             self.shared.work_cv.notify_all();
         }
         for handle in self.workers.drain(..) {

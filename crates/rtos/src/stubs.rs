@@ -14,9 +14,14 @@
 //!
 //! Each stub ends by loading its vector into `r0` and jumping to the
 //! kernel trap address, where the host-side kernel takes over.
+//!
+//! [`shared_stub_block`] memoises the assembled block per process: like
+//! the firmware every device ships with, it is built once and then only
+//! copied into each machine's RAM.
 
 use sp32::asm::{assemble, AssembleError, Program};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which interrupt-save behaviour a stub implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +182,53 @@ pub fn build_stub_block_with_table(
     })
 }
 
+/// Everything [`build_stub_block_with_table`] reads: the memo key.
+type StubKey = (u32, u32, Vec<StubSpec>, Option<u32>);
+
+/// Blocks built so far, one per distinct key. A process sees a handful
+/// of platform configurations, so a linear scan is enough.
+static STUB_BLOCKS: Mutex<Vec<(StubKey, Arc<StubBlock>)>> = Mutex::new(Vec::new());
+
+/// [`build_stub_block_with_table`] memoised per process: the first call
+/// for a given `(base, trap, specs, dispatch_table)` builds the block,
+/// later calls with the same inputs share it.
+///
+/// The block is a pure function of those inputs and the handle is
+/// read-only, so sharing it cannot change what a caller sees. Callers
+/// that load it into guest memory still copy and measure their own copy.
+///
+/// # Errors
+///
+/// Returns the assembler error if generation produced invalid source
+/// (nothing is memoised then).
+pub fn shared_stub_block(
+    base: u32,
+    trap: u32,
+    specs: &[StubSpec],
+    dispatch_table: Option<u32>,
+) -> Result<Arc<StubBlock>, AssembleError> {
+    // Entries are only ever pushed whole, so a guard recovered from a
+    // panicking holder still sees a valid list.
+    let mut blocks = STUB_BLOCKS.lock().unwrap_or_else(PoisonError::into_inner);
+    let hit = blocks.iter().find(|((b, t, s, d), _)| {
+        *b == base && *t == trap && s.as_slice() == specs && *d == dispatch_table
+    });
+    if let Some((_, block)) = hit {
+        return Ok(Arc::clone(block));
+    }
+    let block = Arc::new(build_stub_block_with_table(
+        base,
+        trap,
+        specs,
+        dispatch_table,
+    )?);
+    blocks.push((
+        (base, trap, specs.to_vec(), dispatch_table),
+        Arc::clone(&block),
+    ));
+    Ok(block)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +307,22 @@ mod tests {
         // Only r4..r6 wiped: 3 xors.
         let wipe_len = block.branch_starts[&0x21] - block.wipe_starts[&0x21];
         assert_eq!(wipe_len, 3 * 4);
+    }
+
+    #[test]
+    fn shared_block_is_memoised_per_full_input() {
+        let a = shared_stub_block(0x400, 0x7fc, &specs(), None).unwrap();
+        let b = shared_stub_block(0x400, 0x7fc, &specs(), None).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let moved = shared_stub_block(0x800, 0x7fc, &specs(), None).unwrap();
+        let tabled = shared_stub_block(0x400, 0x7fc, &specs(), Some(0x100)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &moved) && !Arc::ptr_eq(&a, &tabled));
+        let direct = build_stub_block_with_table(0x800, 0x7fc, &specs(), None).unwrap();
+        assert_eq!(moved.program, direct.program);
+        assert_eq!(
+            a.program,
+            build_stub_block(0x400, 0x7fc, &specs()).unwrap().program
+        );
     }
 
     #[test]
