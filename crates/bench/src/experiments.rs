@@ -1194,7 +1194,7 @@ pub fn chrome_trace_use_case() -> String {
 const FLEET_SEED: u64 = 20260809;
 
 /// Fleet-scale attestation service: boots fleets of fully simulated
-/// devices on the work-stealing farm, streams their framed attestation
+/// devices on the scoped-thread farm, streams their framed attestation
 /// reports into the batched verifier, and reports verified attestations
 /// per host second plus per-report verify-latency quantiles at 1k and 10k
 /// devices. The 1k run injects replays (every 10th device) and MAC

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates one device; real deployments attest thousands.
 //! This crate closes that gap host-side: a **device farm** boots
-//! thousands of independent [`tytan::platform::Platform`] instances on a
-//! work-stealing thread pool ([`pool`]), each device streams
+//! thousands of independent [`tytan::platform::Platform`] instances
+//! ([`farm`]) on a few scoped worker threads, each device streams
 //! MAC-authenticated attestation reports over a framed, versioned wire
 //! protocol ([`proto`]), and one **verifier service** ([`verifier`])
 //! ingests every connection, batches HMAC verification across devices
@@ -33,12 +33,12 @@
 //! ```
 
 pub mod farm;
-pub mod pool;
 pub mod proto;
 pub mod recorder;
 pub mod verifier;
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -53,7 +53,6 @@ use tytan_trace::metrics::{self, DeltaWindow};
 use tytan_trace::Tracer;
 
 use farm::DeviceSim;
-use pool::WorkStealingPool;
 use proto::{encode, FrameDecoder, Message, PROTOCOL_VERSION};
 use verifier::FleetVerifier;
 
@@ -209,7 +208,7 @@ pub struct FleetOutcome {
     pub injected_corrupt: u64,
     /// Detoured copies the run injected (expected `rejected_inadmissible`).
     pub injected_detours: u64,
-    /// Device jobs that failed to boot, load or converse.
+    /// Device jobs that failed to boot, load or converse, or panicked.
     pub device_errors: u64,
     /// Wall-clock time for the whole run (boots included).
     pub elapsed: Duration,
@@ -266,10 +265,16 @@ enum Inbound {
     Data { device: DeviceId, bytes: Vec<u8> },
 }
 
-/// Sends one frame, fragmented into `chunk`-byte pieces (whole if 0).
+/// The transport's one fragmentation policy, used in both directions:
+/// `frame` in `chunk`-byte pieces, or whole when `chunk` is 0.
+fn fragments(frame: &[u8], chunk: usize) -> std::slice::Chunks<'_, u8> {
+    let size = if chunk == 0 { frame.len() } else { chunk };
+    frame.chunks(size.max(1))
+}
+
+/// Sends one frame to the verifier, fragmented by [`fragments`].
 fn send_chunked(tx: &Sender<Inbound>, device: DeviceId, frame: &[u8], chunk: usize) {
-    let chunk = if chunk == 0 { frame.len() } else { chunk };
-    for piece in frame.chunks(chunk.max(1)) {
+    for piece in fragments(frame, chunk) {
         // A send failure means the verifier is gone; the job just ends.
         if tx
             .send(Inbound::Data {
@@ -289,7 +294,7 @@ fn device_conversation(
     device: DeviceId,
     config: &FleetConfig,
     master: &[u8; 20],
-    inbound: Sender<Inbound>,
+    inbound: &Sender<Inbound>,
 ) -> Result<(), String> {
     let mut sim =
         DeviceSim::provision(device, master).map_err(|e| format!("{device}: boot: {e:?}"))?;
@@ -313,7 +318,7 @@ fn device_conversation(
         },
         PROTOCOL_VERSION,
     );
-    send_chunked(&inbound, device, &hello, config.chunk);
+    send_chunked(inbound, device, &hello, config.chunk);
 
     let mut decoder = FrameDecoder::new();
     let next_message = |decoder: &mut FrameDecoder| -> Result<Message, String> {
@@ -378,7 +383,7 @@ fn device_conversation(
                     },
                     PROTOCOL_VERSION,
                 );
-                send_chunked(&inbound, device, &frame, config.chunk);
+                send_chunked(inbound, device, &frame, config.chunk);
             }
             let frame = encode(
                 &Message::CfaReport {
@@ -388,9 +393,9 @@ fn device_conversation(
                 },
                 PROTOCOL_VERSION,
             );
-            send_chunked(&inbound, device, &frame, config.chunk);
+            send_chunked(inbound, device, &frame, config.chunk);
             if config.replay_hit(device.as_u64()) {
-                send_chunked(&inbound, device, &frame, config.chunk);
+                send_chunked(inbound, device, &frame, config.chunk);
             }
             continue;
         }
@@ -405,10 +410,10 @@ fn device_conversation(
             },
             PROTOCOL_VERSION,
         );
-        send_chunked(&inbound, device, &frame, config.chunk);
+        send_chunked(inbound, device, &frame, config.chunk);
         if config.replay_hit(device.as_u64()) {
             // The identical bytes again: a verbatim replay.
-            send_chunked(&inbound, device, &frame, config.chunk);
+            send_chunked(inbound, device, &frame, config.chunk);
         }
         if config.corrupt_hit(device.as_u64()) {
             let mut forged = report;
@@ -421,17 +426,18 @@ fn device_conversation(
                 },
                 PROTOCOL_VERSION,
             );
-            send_chunked(&inbound, device, &frame, config.chunk);
+            send_chunked(inbound, device, &frame, config.chunk);
         }
     }
     Ok(())
 }
 
 /// Runs a whole fleet round: boots `config.devices` platforms on the
-/// farm pool, streams their reports through the wire protocol into one
+/// device farm, streams their reports through the wire protocol into one
 /// [`FleetVerifier`], and returns the aggregate outcome.
 ///
-/// The verifier runs on the calling thread; device jobs run on the pool.
+/// The verifier runs on the calling thread; device conversations run on
+/// the farm's worker threads.
 /// Determinism: keys, digests, nonces and injections depend only on
 /// `config` (throughput and latency numbers are wall-clock, of course).
 ///
@@ -464,24 +470,14 @@ pub fn run_fleet_with_tracer(
     }
 
     let began = Instant::now();
-    let pool = WorkStealingPool::new(config.worker_count());
-    let device_errors = Arc::new(AtomicU64::new(0));
     let (inbound_tx, inbound_rx) = std::sync::mpsc::channel::<Inbound>();
-    for d in 0..config.devices {
-        let config = config.clone();
-        let inbound = inbound_tx.clone();
-        let device_errors = device_errors.clone();
-        pool.spawn(move || {
-            if device_conversation(DeviceId::from_u64(d), &config, &master, inbound).is_err() {
-                device_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-    // The verifier's recv loop ends when every job has dropped its clone.
-    drop(inbound_tx);
-
-    serve(&mut verifier, inbound_rx, config, &event_log);
-    pool.wait_idle();
+    let device_errors = run_farm(
+        config.devices,
+        config.worker_count(),
+        inbound_tx,
+        |d, inbound| device_conversation(DeviceId::from_u64(d), config, &master, inbound),
+        || serve(&mut verifier, inbound_rx, config, &event_log),
+    );
     let elapsed = began.elapsed();
 
     if let Some(dir) = &config.bundle_dir {
@@ -522,7 +518,7 @@ pub fn run_fleet_with_tracer(
         injected_replays: config.injected_replays(),
         injected_corrupt: config.injected_corrupt(),
         injected_detours: config.injected_detours(),
-        device_errors: device_errors.load(Ordering::Relaxed),
+        device_errors,
         elapsed,
         throughput: accepted as f64 / elapsed.as_secs_f64().max(f64::EPSILON),
         verify_p50_ns: verify.map_or(0, |s| s.p50),
@@ -535,6 +531,68 @@ pub fn run_fleet_with_tracer(
         events_dropped: event_log.dropped(),
         trace_dropped: verifier.tracer().sink_dropped(),
     })
+}
+
+/// The device farm: runs `job(d, inbound)` once for every device index
+/// `d` in `0..devices` on `workers` (at least one) scoped threads named
+/// `fleet-worker-{n}`, while `serve` runs on the calling thread; returns
+/// once both are done.
+///
+/// The jobs are identical, all known up front and spawn no further
+/// jobs, so one shared counter shares them out: each worker takes the
+/// next index until it passes `devices`. Each worker owns one clone of
+/// `inbound` and drops it on exit, so a `serve` that reads until the
+/// channel closes ends once every device has finished.
+///
+/// Returns the number of device errors: a job that returns `Err` or
+/// panics counts once, and neither stops the other jobs.
+fn run_farm(
+    devices: u64,
+    workers: usize,
+    inbound: Sender<Inbound>,
+    job: impl Fn(u64, &Sender<Inbound>) -> Result<(), String> + Sync,
+    serve: impl FnOnce(),
+) -> u64 {
+    let next = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1))
+            .map(|n| {
+                let inbound = inbound.clone();
+                let (next, job) = (&next, &job);
+                std::thread::Builder::new()
+                    .name(format!("fleet-worker-{n}"))
+                    .spawn_scoped(scope, move || {
+                        claim_devices(next, devices, |d| job(d, &inbound))
+                    })
+                    .expect("spawn fleet worker")
+            })
+            .collect();
+        drop(inbound);
+        serve();
+        // Join each worker rather than leave it to the scope: the scope
+        // waits only for the closure, `join` for the thread's exit, so
+        // the next run's workers reuse its malloc arena instead of making
+        // more and growing peak RSS run over run. Jobs cannot unwind a
+        // worker, so `join` always returns its count.
+        handles.into_iter().map(|h| h.join().unwrap_or(0)).sum()
+    })
+}
+
+/// One farm worker: takes the next device index from `next` until it
+/// passes `devices`, runs `job` on each, and returns how many failed.
+fn claim_devices(next: &AtomicU64, devices: u64, job: impl Fn(u64) -> Result<(), String>) -> u64 {
+    let mut errors = 0;
+    loop {
+        let device = next.fetch_add(1, Ordering::Relaxed);
+        if device >= devices {
+            return errors;
+        }
+        // A panicking device is a device error like a failing one:
+        // catching it keeps this worker claiming indices and its count.
+        if !matches!(catch_unwind(AssertUnwindSafe(|| job(device))), Ok(Ok(()))) {
+            errors += 1;
+        }
+    }
 }
 
 /// Writes `content` to `path`, reporting failures to stderr instead of
@@ -597,12 +655,7 @@ fn serve(
         |replies: &HashMap<DeviceId, Sender<Vec<u8>>>, device: DeviceId, frame: Vec<u8>| {
             if let Some(tx) = replies.get(&device) {
                 // Chunk replies too: the device-side decoder reassembles.
-                let chunk = if config.chunk == 0 {
-                    frame.len().max(1)
-                } else {
-                    config.chunk
-                };
-                for piece in frame.chunks(chunk) {
+                for piece in fragments(&frame, config.chunk) {
                     if tx.send(piece.to_vec()).is_err() {
                         break;
                     }
@@ -664,6 +717,115 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Runs the farm with a test `job`; each device it runs reports its
+    /// index to `serve`, which reads until the channel closes. Returns
+    /// how often each index ran, the indices `serve` saw, and the error
+    /// count.
+    fn farm_with(
+        devices: u64,
+        workers: usize,
+        job: impl Fn(u64) -> Result<(), String> + Sync,
+    ) -> (Vec<u64>, Vec<u64>, u64) {
+        let runs: Vec<AtomicU64> = (0..devices).map(|_| AtomicU64::new(0)).collect();
+        let seen = Mutex::new(Vec::new());
+        let (tx, rx) = std::sync::mpsc::channel::<Inbound>();
+        let errors = run_farm(
+            devices,
+            workers,
+            tx,
+            |d, inbound| {
+                let name = std::thread::current().name().map(str::to_owned);
+                assert!(name.is_some_and(|n| n.starts_with("fleet-worker-")));
+                runs[d as usize].fetch_add(1, Ordering::Relaxed);
+                let device = DeviceId::from_u64(d);
+                let _ = inbound.send(Inbound::Data {
+                    device,
+                    bytes: Vec::new(),
+                });
+                job(d)
+            },
+            || {
+                for event in rx {
+                    if let Inbound::Data { device, .. } = event {
+                        seen.lock().unwrap().push(device.as_u64());
+                    }
+                }
+            },
+        );
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        let runs = runs.into_iter().map(AtomicU64::into_inner).collect();
+        (runs, seen, errors)
+    }
+
+    #[test]
+    fn farm_runs_every_device_once_on_a_single_worker() {
+        let (runs, seen, errors) = farm_with(50, 1, |_| Ok(()));
+        assert!(runs.iter().all(|&r| r == 1), "runs: {runs:?}");
+        assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        assert_eq!(errors, 0);
+    }
+
+    #[test]
+    fn farm_runs_every_device_once_with_more_workers_than_devices() {
+        let (runs, seen, errors) = farm_with(3, 8, |_| Ok(()));
+        assert_eq!(runs, vec![1, 1, 1]);
+        assert_eq!(seen, vec![0, 1, 2]);
+        assert_eq!(errors, 0);
+    }
+
+    #[test]
+    fn farm_with_no_devices_returns_at_once() {
+        let began = Instant::now();
+        let (runs, seen, errors) = farm_with(0, 4, |_| Ok(()));
+        assert!(runs.is_empty() && seen.is_empty());
+        assert_eq!(errors, 0);
+        assert!(began.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn farm_counts_a_panicking_device_once_and_runs_the_rest() {
+        let (runs, seen, errors) = farm_with(40, 3, |d| {
+            if d == 17 {
+                panic!("synthetic device fault");
+            }
+            Ok(())
+        });
+        assert!(runs.iter().all(|&r| r == 1), "runs: {runs:?}");
+        assert_eq!(seen, (0..40).collect::<Vec<_>>());
+        assert_eq!(errors, 1);
+    }
+
+    #[test]
+    fn farm_counts_failing_devices() {
+        let (runs, _, errors) = farm_with(30, 2, |d| match d % 10 {
+            0 => Err(format!("device {d} failed")),
+            _ => Ok(()),
+        });
+        assert!(runs.iter().all(|&r| r == 1), "runs: {runs:?}");
+        assert_eq!(errors, 3);
+    }
+
+    #[test]
+    fn one_fragmentation_policy_both_ways() {
+        let frame: Vec<u8> = (0..30).collect();
+        let sizes = |chunk| {
+            fragments(&frame, chunk)
+                .map(<[u8]>::len)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sizes(13), vec![13, 13, 4]);
+        assert_eq!(sizes(0), vec![30], "0 means whole frames");
+        assert_eq!(sizes(64), vec![30]);
+        assert_eq!(fragments(&[], 0).count(), 0);
+        assert_eq!(fragments(&[], 13).count(), 0);
+        assert_eq!(
+            fragments(&frame, 7).flatten().copied().collect::<Vec<_>>(),
+            frame
+        );
+    }
 
     #[test]
     fn honest_fleet_is_clean() {
