@@ -1195,7 +1195,7 @@ const FLEET_SEED: u64 = 20260809;
 
 /// Fleet-scale attestation service: boots fleets of fully simulated
 /// devices on the scoped-thread farm, streams their framed attestation
-/// reports into the batched verifier, and reports verified attestations
+/// reports into each worker's verifier, and reports verified attestations
 /// per host second plus per-report verify-latency quantiles at 1k and 10k
 /// devices. The 1k run injects replays (every 10th device) and MAC
 /// forgeries (every 25th) to prove the rejection books balance under

@@ -92,6 +92,26 @@ impl Sha1 {
         }
     }
 
+    /// Pads, compresses the last block and returns the 20-byte digest
+    /// (what [`Digest::finalize`] returns, as a fixed-size array).
+    pub fn finalize_array(mut self) -> [u8; 20] {
+        let bit_len = self.total_len * 8;
+        self.update(&[0x80]);
+        while self.buffer_len != 56 {
+            self.update(&[0x00]);
+        }
+        // Appending the length fills the block exactly; bypass total_len
+        // bookkeeping by compressing directly.
+        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buffer;
+        self.compress(&block);
+        let mut out = [0u8; 20];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
     /// Number of compression-function invocations so far (full blocks).
     ///
     /// Exposed so the RTM can charge cycle costs per block processed.
@@ -145,18 +165,8 @@ impl Digest for Sha1 {
         self.buffer_len = rest.len();
     }
 
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len * 8;
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        // Appending the length fills the block exactly; bypass total_len
-        // bookkeeping by compressing directly.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        self.h.iter().flat_map(|w| w.to_be_bytes()).collect()
+    fn finalize(self) -> Vec<u8> {
+        self.finalize_array().to_vec()
     }
 }
 

@@ -30,7 +30,7 @@ pub fn device_platform_key(master: &[u8; 20], device: DeviceId) -> [u8; 20] {
     let mut h = Sha1::new();
     h.update(master);
     h.update(&device.to_bytes());
-    h.finalize().try_into().expect("SHA-1 is 20 bytes")
+    h.finalize_array()
 }
 
 /// Derives the per-device attestation key `K_a(d)` the verifier shares
@@ -128,11 +128,6 @@ impl DeviceSim {
         self.device
     }
 
-    /// The measured identity of the fleet task on this device.
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-
     /// Answers a challenge: a MAC-authenticated report over the fleet
     /// task's measurement for `nonce`, produced by the platform's own
     /// Remote Attest task.
@@ -174,12 +169,6 @@ impl DeviceSim {
     /// never called or the log overflowed.
     pub fn respond_cfa(&mut self, nonce: &[u8]) -> Result<CfaReport, PlatformError> {
         self.platform.remote_attest_cfa(self.task, nonce)
-    }
-
-    /// The underlying platform (tests use this to tamper with task RAM
-    /// and demonstrate detour detection).
-    pub fn platform_mut(&mut self) -> &mut Platform {
-        &mut self.platform
     }
 }
 

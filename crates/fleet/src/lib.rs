@@ -5,18 +5,18 @@
 //! thousands of independent [`tytan::platform::Platform`] instances
 //! ([`farm`]) on a few scoped worker threads, each device streams
 //! MAC-authenticated attestation reports over a framed, versioned wire
-//! protocol ([`proto`]), and one **verifier service** ([`verifier`])
-//! ingests every connection, batches HMAC verification across devices
-//! (precomputed key schedules via [`tytan_crypto::batch_verify`]) and
-//! enforces per-device nonce freshness so replays are rejected *typed*,
-//! not silently.
+//! protocol ([`proto`]), and a **verifier service** ([`verifier`])
+//! ingests each connection, batches HMAC verification (precomputed key
+//! schedules via [`tytan_crypto::batch_verify`]) and enforces per-device
+//! nonce freshness so replays are rejected *typed*, not silently.
 //!
-//! [`run_fleet`] wires the three together over in-memory channels that
-//! deliberately fragment frames at odd boundaries (the decoder earns its
-//! keep), drives the whole fleet to completion, and returns a
-//! [`FleetOutcome`] with totals, rejection classes, throughput and
-//! verify-latency quantiles — the numbers behind the
-//! `fleet_throughput` benchmark table.
+//! [`run_fleet`] wires the three together: each farm worker owns a
+//! verifier and holds its devices' conversations with it by direct
+//! calls ([`endpoint`]), through a transport that deliberately fragments
+//! frames at odd boundaries (the decoders earn their keep). It drives
+//! the whole fleet to completion and returns a [`FleetOutcome`] with
+//! totals, rejection classes, throughput and verify-latency quantiles —
+//! the numbers behind the `fleet_throughput` benchmark table.
 //!
 //! # Examples
 //!
@@ -32,17 +32,16 @@
 //! assert!(outcome.clean());
 //! ```
 
+pub mod endpoint;
 pub mod farm;
 pub mod proto;
 pub mod recorder;
 pub mod verifier;
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tytan::attest::DeviceId;
@@ -52,8 +51,7 @@ use tytan_trace::events::{EventLog, LogFields, Severity};
 use tytan_trace::metrics::{self, DeltaWindow};
 use tytan_trace::Tracer;
 
-use farm::DeviceSim;
-use proto::{encode, FrameDecoder, Message, PROTOCOL_VERSION};
+use endpoint::{converse, ConversationError, DeviceEndpoint};
 use verifier::FleetVerifier;
 
 /// Parameters for one fleet run.
@@ -126,7 +124,7 @@ impl FleetConfig {
         let mut h = Sha1::new();
         h.update(b"tytan-fleet-master-v1");
         h.update(&self.seed.to_be_bytes());
-        h.finalize().try_into().expect("SHA-1 is 20 bytes")
+        h.finalize_array()
     }
 
     fn worker_count(&self) -> usize {
@@ -254,190 +252,10 @@ impl FleetOutcome {
     }
 }
 
-/// Transport events from device jobs to the verifier thread.
-enum Inbound {
-    /// A device connected; `reply` carries verifier → device bytes.
-    Connect {
-        device: DeviceId,
-        reply: Sender<Vec<u8>>,
-    },
-    /// Bytes from a device's connection, fragmented arbitrarily.
-    Data { device: DeviceId, bytes: Vec<u8> },
-}
-
-/// The transport's one fragmentation policy, used in both directions:
-/// `frame` in `chunk`-byte pieces, or whole when `chunk` is 0.
-fn fragments(frame: &[u8], chunk: usize) -> std::slice::Chunks<'_, u8> {
-    let size = if chunk == 0 { frame.len() } else { chunk };
-    frame.chunks(size.max(1))
-}
-
-/// Sends one frame to the verifier, fragmented by [`fragments`].
-fn send_chunked(tx: &Sender<Inbound>, device: DeviceId, frame: &[u8], chunk: usize) {
-    for piece in fragments(frame, chunk) {
-        // A send failure means the verifier is gone; the job just ends.
-        if tx
-            .send(Inbound::Data {
-                device,
-                bytes: piece.to_vec(),
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// One device's whole conversation: connect, hello, then `rounds` of
-/// challenge → report (plus any injected replay/corrupt copies).
-fn device_conversation(
-    device: DeviceId,
-    config: &FleetConfig,
-    master: &[u8; 20],
-    inbound: &Sender<Inbound>,
-) -> Result<(), String> {
-    let mut sim =
-        DeviceSim::provision(device, master).map_err(|e| format!("{device}: boot: {e:?}"))?;
-    if config.cfa {
-        sim.arm_cfa().map_err(|e| format!("{device}: arm: {e:?}"))?;
-        sim.run(config.monitored_cycles)
-            .map_err(|e| format!("{device}: monitored run: {e:?}"))?;
-    }
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Vec<u8>>();
-    inbound
-        .send(Inbound::Connect {
-            device,
-            reply: reply_tx,
-        })
-        .map_err(|_| "verifier gone".to_string())?;
-
-    let hello = encode(
-        &Message::Hello {
-            device,
-            max_version: PROTOCOL_VERSION,
-        },
-        PROTOCOL_VERSION,
-    );
-    send_chunked(inbound, device, &hello, config.chunk);
-
-    let mut decoder = FrameDecoder::new();
-    let next_message = |decoder: &mut FrameDecoder| -> Result<Message, String> {
-        loop {
-            match decoder.next_message() {
-                Ok(Some(message)) => return Ok(message),
-                Ok(None) => {
-                    let bytes = reply_rx
-                        .recv()
-                        .map_err(|_| format!("{device}: verifier hung up"))?;
-                    decoder.push(&bytes);
-                }
-                Err(e) => return Err(format!("{device}: reply stream: {e}")),
-            }
-        }
-    };
-
-    match next_message(&mut decoder)? {
-        Message::Welcome { version } if version == PROTOCOL_VERSION => {}
-        other => return Err(format!("{device}: expected welcome, got {other:?}")),
-    }
-
-    for round in 0..config.rounds {
-        // Verdict frames for earlier rounds interleave with the next
-        // challenge; skip them (the verifier is the source of truth).
-        let (corr, nonce) = loop {
-            match next_message(&mut decoder)? {
-                Message::Challenge { corr, nonce, .. } => break (corr, nonce),
-                Message::Verdict { .. } => continue,
-                other => {
-                    return Err(format!(
-                        "{device}: round {round}: expected challenge, got {other:?}"
-                    ))
-                }
-            }
-        };
-        if config.cfa {
-            let report = sim
-                .respond_cfa(&nonce)
-                .map_err(|e| format!("{device}: cfa attest: {e:?}"))?;
-            if config.detour_hit(device.as_u64()) {
-                // One edge bent off the static CFG, sent *before* the
-                // honest report so the freshness check cannot mask the
-                // typed `InadmissibleEdge` rejection. The MAC covers
-                // the chain head, not the raw log, so it still passes —
-                // only edge replay catches this.
-                let mut detoured = report.clone();
-                match detoured.log.first_mut() {
-                    // Knocking the destination off 4-byte alignment
-                    // makes it inadmissible at every site kind.
-                    Some(edge) => edge.1 ^= 2,
-                    // An empty log means the monitored run was too
-                    // short to gather evidence — surface it as a
-                    // device error instead of panicking the worker.
-                    None => return Err(format!("{device}: no edges to detour")),
-                }
-                let frame = encode(
-                    &Message::CfaReport {
-                        device,
-                        corr,
-                        report: detoured,
-                    },
-                    PROTOCOL_VERSION,
-                );
-                send_chunked(inbound, device, &frame, config.chunk);
-            }
-            let frame = encode(
-                &Message::CfaReport {
-                    device,
-                    corr,
-                    report,
-                },
-                PROTOCOL_VERSION,
-            );
-            send_chunked(inbound, device, &frame, config.chunk);
-            if config.replay_hit(device.as_u64()) {
-                send_chunked(inbound, device, &frame, config.chunk);
-            }
-            continue;
-        }
-        let report = sim
-            .respond(&nonce)
-            .map_err(|e| format!("{device}: attest: {e:?}"))?;
-        let frame = encode(
-            &Message::Report {
-                device,
-                corr,
-                report: report.clone(),
-            },
-            PROTOCOL_VERSION,
-        );
-        send_chunked(inbound, device, &frame, config.chunk);
-        if config.replay_hit(device.as_u64()) {
-            // The identical bytes again: a verbatim replay.
-            send_chunked(inbound, device, &frame, config.chunk);
-        }
-        if config.corrupt_hit(device.as_u64()) {
-            let mut forged = report;
-            forged.mac[0] ^= 0x80;
-            let frame = encode(
-                &Message::Report {
-                    device,
-                    corr,
-                    report: forged,
-                },
-                PROTOCOL_VERSION,
-            );
-            send_chunked(inbound, device, &frame, config.chunk);
-        }
-    }
-    Ok(())
-}
-
 /// Runs a whole fleet round: boots `config.devices` platforms on the
-/// device farm, streams their reports through the wire protocol into one
-/// [`FleetVerifier`], and returns the aggregate outcome.
+/// device farm, streams their reports through the wire protocol into the
+/// farm workers' [`FleetVerifier`]s, and returns the aggregate outcome.
 ///
-/// The verifier runs on the calling thread; device conversations run on
-/// the farm's worker threads.
 /// Determinism: keys, digests, nonces and injections depend only on
 /// `config` (throughput and latency numbers are wall-clock, of course).
 ///
@@ -452,49 +270,90 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
 
 /// [`run_fleet`] reporting into a caller-supplied tracer (counters,
 /// histograms and span events land in its registries).
+///
+/// Each farm worker owns a verifier sharing `tracer` and one event log;
+/// it provisions each device it claims and holds the conversation with
+/// [`converse`]. Forensic bundles are concatenated after the run.
 pub fn run_fleet_with_tracer(
     config: &FleetConfig,
     tracer: Tracer,
 ) -> Result<FleetOutcome, PlatformError> {
     let master = config.master();
     let (_, expected_digest) = farm::reference_digest()?;
-
-    let mut verifier = FleetVerifier::new(master, expected_digest, config.seed, tracer);
+    let edges = config.cfa.then(|| Arc::new(farm::fleet_admissible_edges()));
     let event_log = Arc::new(EventLog::new(1 << 16));
-    verifier.attach_event_log(event_log.clone());
-    if config.cfa {
-        verifier.provision_edge_set(farm::fleet_admissible_edges());
-    }
-    for d in 0..config.devices {
-        verifier.provision(DeviceId::from_u64(d));
-    }
+    let workers = config.worker_count();
+    // Windowed metric deltas: each time the workers' verifiers pass
+    // another WINDOW_BATCHES flushes between them, the counters' movement
+    // since the previous window lands in the event stream as rates.
+    const WINDOW_BATCHES: u64 = 32;
+    let flushes = AtomicU64::new(0);
+    let window = Mutex::new(DeltaWindow::new(tracer.counters()));
+    let tick_window = |n: u64| {
+        let before = flushes.fetch_add(n, Ordering::Relaxed);
+        if (before + n) / WINDOW_BATCHES > before / WINDOW_BATCHES {
+            // A tick leaves the window valid at every step, so a lock
+            // poisoned by a panicking device is safe to take over.
+            let mut window = window.lock().unwrap_or_else(PoisonError::into_inner);
+            let detail = window.tick(tracer.counters()).compact();
+            let fields = LogFields {
+                detail,
+                ..LogFields::default()
+            };
+            event_log.emit(Severity::Info, "fleet.farm", "metrics.window", fields);
+        }
+    };
 
     let began = Instant::now();
-    let (inbound_tx, inbound_rx) = std::sync::mpsc::channel::<Inbound>();
-    let device_errors = run_farm(
+    let verifiers = run_farm(
         config.devices,
-        config.worker_count(),
-        inbound_tx,
-        |d, inbound| device_conversation(DeviceId::from_u64(d), config, &master, inbound),
-        || serve(&mut verifier, inbound_rx, config, &event_log),
+        workers,
+        |n| {
+            let mut verifier =
+                FleetVerifier::new(master, expected_digest.clone(), config.seed, tracer.clone());
+            verifier.attach_event_log(event_log.clone());
+            verifier.stride_corr_ids(n as u64 + 1, workers as u64);
+            if let Some(edges) = &edges {
+                verifier.provision_edge_set(edges.clone());
+            }
+            verifier
+        },
+        |verifier, d| {
+            let device = DeviceId::from_u64(d);
+            let mut endpoint = DeviceEndpoint::provision(device, config, &master)?;
+            verifier.provision(device);
+            let flushes = converse(&mut endpoint, verifier);
+            // A worker's verifier holds one device at a time, and keeps
+            // bundles only if the run writes them out.
+            verifier.retire(device);
+            if config.bundle_dir.is_none() {
+                verifier.take_bundles();
+            }
+            tick_window(flushes?);
+            Ok::<_, ConversationError>(())
+        },
     );
     let elapsed = began.elapsed();
 
+    let device_errors = verifiers.iter().map(|(_, errors)| errors).sum();
     if let Some(dir) = &config.bundle_dir {
-        write_bundles(dir, &verifier.take_bundles());
+        let bundles: Vec<_> = verifiers
+            .into_iter()
+            .flat_map(|(mut verifier, _)| verifier.take_bundles())
+            .collect();
+        write_bundles(dir, &bundles);
     }
     if let Some(path) = &config.metrics_out {
-        let text =
-            metrics::prometheus_text(verifier.tracer().counters(), verifier.tracer().histograms());
+        let text = metrics::prometheus_text(tracer.counters(), tracer.histograms());
         write_best_effort(path, &text);
     }
     if let Some(path) = &config.events_out {
         write_best_effort(path, &event_log.to_jsonl());
     }
 
-    let counters = verifier.tracer().counters();
+    let counters = tracer.counters();
     let get = |name: &str| counters.get(name).unwrap_or(0);
-    let hists = verifier.tracer().histograms();
+    let hists = tracer.histograms();
     let verify = hists.get("lat_fleet_verify").map(|h| h.summary());
     let batch = hists.get("lat_fleet_batch").map(|h| h.summary());
     let accepted = get("fleet_accepted");
@@ -529,70 +388,70 @@ pub fn run_fleet_with_tracer(
         bundles: get("fleet_bundles"),
         events: event_log.emitted(),
         events_dropped: event_log.dropped(),
-        trace_dropped: verifier.tracer().sink_dropped(),
+        trace_dropped: tracer.sink_dropped(),
     })
 }
 
-/// The device farm: runs `job(d, inbound)` once for every device index
-/// `d` in `0..devices` on `workers` (at least one) scoped threads named
-/// `fleet-worker-{n}`, while `serve` runs on the calling thread; returns
-/// once both are done.
+/// The device farm: runs `job(&mut state, d)` once for every device
+/// index `d` in `0..devices` on `workers` (at least one) scoped threads
+/// named `fleet-worker-{n}`, and returns each worker's `state` (made by
+/// `init(n)` on its own thread) with its error count.
 ///
-/// The jobs are identical, all known up front and spawn no further
-/// jobs, so one shared counter shares them out: each worker takes the
-/// next index until it passes `devices`. Each worker owns one clone of
-/// `inbound` and drops it on exit, so a `serve` that reads until the
-/// channel closes ends once every device has finished.
+/// One shared counter shares the identical jobs out. A worker that
+/// cannot be spawned leaves its share to the others; if none can be,
+/// the calling thread runs worker 0 itself.
 ///
-/// Returns the number of device errors: a job that returns `Err` or
-/// panics counts once, and neither stops the other jobs.
-fn run_farm(
+/// A job that returns `Err` or panics counts once as an error, and
+/// neither stops the other jobs.
+fn run_farm<S: Send, E>(
     devices: u64,
     workers: usize,
-    inbound: Sender<Inbound>,
-    job: impl Fn(u64, &Sender<Inbound>) -> Result<(), String> + Sync,
-    serve: impl FnOnce(),
-) -> u64 {
+    init: impl Fn(usize) -> S + Sync,
+    job: impl Fn(&mut S, u64) -> Result<(), E> + Sync,
+) -> Vec<(S, u64)> {
     let next = AtomicU64::new(0);
+    let worker = |n: usize| {
+        let (mut state, mut errors) = (init(n), 0);
+        loop {
+            let d = next.fetch_add(1, Ordering::Relaxed);
+            if d >= devices {
+                return (state, errors);
+            }
+            // A panicking device is a device error like a failing one:
+            // catching it keeps this worker claiming indices and its count.
+            if !matches!(
+                catch_unwind(AssertUnwindSafe(|| job(&mut state, d))),
+                Ok(Ok(()))
+            ) {
+                errors += 1;
+            }
+        }
+    };
+    let worker = &worker;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.max(1))
-            .map(|n| {
-                let inbound = inbound.clone();
-                let (next, job) = (&next, &job);
+            .filter_map(|n| {
                 std::thread::Builder::new()
                     .name(format!("fleet-worker-{n}"))
-                    .spawn_scoped(scope, move || {
-                        claim_devices(next, devices, |d| job(d, &inbound))
-                    })
-                    .expect("spawn fleet worker")
+                    .spawn_scoped(scope, move || worker(n))
+                    .map_err(|e| eprintln!("fleet: could not spawn worker {n}: {e}"))
+                    .ok()
             })
             .collect();
-        drop(inbound);
-        serve();
+        if handles.is_empty() {
+            return vec![worker(0)];
+        }
         // Join each worker rather than leave it to the scope: the scope
         // waits only for the closure, `join` for the thread's exit, so
         // the next run's workers reuse its malloc arena instead of making
         // more and growing peak RSS run over run. Jobs cannot unwind a
-        // worker, so `join` always returns its count.
-        handles.into_iter().map(|h| h.join().unwrap_or(0)).sum()
+        // worker, so a worker that does (its `init` panicked) passes its
+        // panic on to the caller.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
     })
-}
-
-/// One farm worker: takes the next device index from `next` until it
-/// passes `devices`, runs `job` on each, and returns how many failed.
-fn claim_devices(next: &AtomicU64, devices: u64, job: impl Fn(u64) -> Result<(), String>) -> u64 {
-    let mut errors = 0;
-    loop {
-        let device = next.fetch_add(1, Ordering::Relaxed);
-        if device >= devices {
-            return errors;
-        }
-        // A panicking device is a device error like a failing one:
-        // catching it keeps this worker claiming indices and its count.
-        if !matches!(catch_unwind(AssertUnwindSafe(|| job(device))), Ok(Ok(()))) {
-            errors += 1;
-        }
-    }
 }
 
 /// Writes `content` to `path`, reporting failures to stderr instead of
@@ -616,170 +475,62 @@ fn write_bundles(dir: &Path, bundles: &[recorder::ForensicBundle]) {
     }
 }
 
-/// The verifier event loop: ingest until the inbound channel would
-/// block, then flush the pending batch and dispatch verdicts plus the
-/// next round's challenges. Adaptive batching — the batch is however
-/// many reports arrived while the previous one verified — means the
-/// loop never stalls a device that is waiting for its next challenge.
-fn serve(
-    verifier: &mut FleetVerifier,
-    inbound: Receiver<Inbound>,
-    config: &FleetConfig,
-    event_log: &EventLog,
-) {
-    let mut replies: HashMap<DeviceId, Sender<Vec<u8>>> = HashMap::new();
-    let mut rounds_done: HashMap<DeviceId, u64> = HashMap::new();
-    // Windowed metric deltas: every WINDOW_BATCHES flushes, the movement
-    // since the previous window lands in the event stream as rates.
-    const WINDOW_BATCHES: u64 = 32;
-    let mut window = DeltaWindow::new(verifier.tracer().counters());
-    let mut batches_since_window = 0u64;
-    let mut tick_window = |verifier: &FleetVerifier, batches: &mut u64| {
-        *batches += 1;
-        if *batches >= WINDOW_BATCHES {
-            *batches = 0;
-            let snapshot = window.tick(verifier.tracer().counters());
-            event_log.emit(
-                Severity::Info,
-                "fleet.serve",
-                "metrics.window",
-                LogFields {
-                    detail: snapshot.compact(),
-                    ..LogFields::default()
-                },
-            );
-        }
-    };
-
-    let send_to =
-        |replies: &HashMap<DeviceId, Sender<Vec<u8>>>, device: DeviceId, frame: Vec<u8>| {
-            if let Some(tx) = replies.get(&device) {
-                // Chunk replies too: the device-side decoder reassembles.
-                for piece in fragments(&frame, config.chunk) {
-                    if tx.send(piece.to_vec()).is_err() {
-                        break;
-                    }
-                }
-            }
-        };
-
-    let handle = |verifier: &mut FleetVerifier,
-                  replies: &mut HashMap<DeviceId, Sender<Vec<u8>>>,
-                  event: Inbound| match event {
-        Inbound::Connect { device, reply } => {
-            replies.insert(device, reply);
-        }
-        Inbound::Data { device, bytes } => {
-            for frame in verifier.ingest(device, &bytes) {
-                send_to(replies, device, frame);
-            }
-        }
-    };
-
-    loop {
-        match inbound.recv() {
-            Ok(event) => {
-                handle(verifier, &mut replies, event);
-                // Drain the burst without blocking.
-                while let Ok(event) = inbound.try_recv() {
-                    handle(verifier, &mut replies, event);
-                }
-            }
-            Err(_) => {
-                // Every device finished; verify whatever is still queued.
-                for entry in verifier.flush() {
-                    send_to(&replies, entry.device, entry.to_frame(PROTOCOL_VERSION));
-                }
-                return;
-            }
-        }
-        let entries = verifier.flush();
-        if !entries.is_empty() {
-            tick_window(verifier, &mut batches_since_window);
-        }
-        for entry in entries {
-            let device = entry.device;
-            let accepted = entry.result.is_ok();
-            send_to(&replies, device, entry.to_frame(PROTOCOL_VERSION));
-            if accepted {
-                let done = rounds_done.entry(device).or_insert(0);
-                *done += 1;
-                if *done < config.rounds {
-                    if let Some(frame) = verifier.challenge_frame(device, PROTOCOL_VERSION) {
-                        send_to(&replies, device, frame);
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use endpoint::fragments;
 
-    /// Runs the farm with a test `job`; each device it runs reports its
-    /// index to `serve`, which reads until the channel closes. Returns
-    /// how often each index ran, the indices `serve` saw, and the error
-    /// count.
+    /// Runs the farm with a test `job`; each worker's state is the list of
+    /// indices it ran. Returns how often each index ran, every index the
+    /// workers report having run (sorted), the number of workers, and the
+    /// error count.
     fn farm_with(
         devices: u64,
         workers: usize,
         job: impl Fn(u64) -> Result<(), String> + Sync,
-    ) -> (Vec<u64>, Vec<u64>, u64) {
+    ) -> (Vec<u64>, Vec<u64>, usize, u64) {
         let runs: Vec<AtomicU64> = (0..devices).map(|_| AtomicU64::new(0)).collect();
-        let seen = Mutex::new(Vec::new());
-        let (tx, rx) = std::sync::mpsc::channel::<Inbound>();
-        let errors = run_farm(
+        let states = run_farm(
             devices,
             workers,
-            tx,
-            |d, inbound| {
+            |_| Vec::new(),
+            |ran: &mut Vec<u64>, d| {
                 let name = std::thread::current().name().map(str::to_owned);
                 assert!(name.is_some_and(|n| n.starts_with("fleet-worker-")));
                 runs[d as usize].fetch_add(1, Ordering::Relaxed);
-                let device = DeviceId::from_u64(d);
-                let _ = inbound.send(Inbound::Data {
-                    device,
-                    bytes: Vec::new(),
-                });
+                ran.push(d);
                 job(d)
             },
-            || {
-                for event in rx {
-                    if let Inbound::Data { device, .. } = event {
-                        seen.lock().unwrap().push(device.as_u64());
-                    }
-                }
-            },
         );
-        let mut seen = seen.into_inner().unwrap();
+        let errors = states.iter().map(|(_, e)| e).sum();
+        let mut seen: Vec<u64> = states.iter().flat_map(|(ran, _)| ran).copied().collect();
         seen.sort_unstable();
         let runs = runs.into_iter().map(AtomicU64::into_inner).collect();
-        (runs, seen, errors)
+        (runs, seen, states.len(), errors)
     }
 
     #[test]
     fn farm_runs_every_device_once_on_a_single_worker() {
-        let (runs, seen, errors) = farm_with(50, 1, |_| Ok(()));
+        let (runs, seen, workers, errors) = farm_with(50, 1, |_| Ok(()));
         assert!(runs.iter().all(|&r| r == 1), "runs: {runs:?}");
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        assert_eq!(workers, 1);
         assert_eq!(errors, 0);
     }
 
     #[test]
     fn farm_runs_every_device_once_with_more_workers_than_devices() {
-        let (runs, seen, errors) = farm_with(3, 8, |_| Ok(()));
+        let (runs, seen, workers, errors) = farm_with(3, 8, |_| Ok(()));
         assert_eq!(runs, vec![1, 1, 1]);
         assert_eq!(seen, vec![0, 1, 2]);
+        assert_eq!(workers, 8);
         assert_eq!(errors, 0);
     }
 
     #[test]
     fn farm_with_no_devices_returns_at_once() {
         let began = Instant::now();
-        let (runs, seen, errors) = farm_with(0, 4, |_| Ok(()));
+        let (runs, seen, _, errors) = farm_with(0, 4, |_| Ok(()));
         assert!(runs.is_empty() && seen.is_empty());
         assert_eq!(errors, 0);
         assert!(began.elapsed() < Duration::from_secs(5));
@@ -787,7 +538,7 @@ mod tests {
 
     #[test]
     fn farm_counts_a_panicking_device_once_and_runs_the_rest() {
-        let (runs, seen, errors) = farm_with(40, 3, |d| {
+        let (runs, seen, _, errors) = farm_with(40, 3, |d| {
             if d == 17 {
                 panic!("synthetic device fault");
             }
@@ -800,7 +551,7 @@ mod tests {
 
     #[test]
     fn farm_counts_failing_devices() {
-        let (runs, _, errors) = farm_with(30, 2, |d| match d % 10 {
+        let (runs, _, _, errors) = farm_with(30, 2, |d| match d % 10 {
             0 => Err(format!("device {d} failed")),
             _ => Ok(()),
         });

@@ -528,11 +528,6 @@ impl FrameDecoder {
         self.poisoned
     }
 
-    /// Bytes buffered but not yet decoded.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Decodes the next complete message, `Ok(None)` if more bytes are
     /// needed.
     ///

@@ -135,6 +135,11 @@ impl FlightRecorder {
             .unwrap_or_default()
     }
 
+    /// Drops `device`'s tapes.
+    pub fn forget(&mut self, device: DeviceId) {
+        self.tapes.remove(&device);
+    }
+
     /// Records shed across every tape (bounded tapes drop oldest).
     pub fn dropped(&self) -> u64 {
         self.tapes.values().map(|t| t.dropped).sum()
@@ -143,12 +148,6 @@ impl FlightRecorder {
     /// Adds a finished bundle.
     pub fn push_bundle(&mut self, bundle: ForensicBundle) {
         self.bundles.push(bundle);
-    }
-
-    /// Bundles produced so far (not consumed; see
-    /// [`FlightRecorder::take_bundles`]).
-    pub fn bundles(&self) -> &[ForensicBundle] {
-        &self.bundles
     }
 
     /// Takes ownership of every bundle produced so far.

@@ -12,6 +12,9 @@
 //! once per report), then each verdict completes through the session's
 //! stateful nonce check.
 //!
+//! All verifier state is per device, so a fleet may split its devices
+//! across verifiers sharing one tracer and event log.
+//!
 //! Everything observable lands in the shared `tytan-trace` registries:
 //! `fleet_*` counters for totals and each rejection class, the
 //! `lat_fleet_verify` / `lat_fleet_batch` histograms (nanoseconds) for
@@ -107,24 +110,25 @@ struct FleetCounters {
 }
 
 /// One decoded report awaiting the batched flush — either kind shares
-/// the MAC-then-session pipeline.
+/// the MAC-then-session pipeline. A control-flow report carries the edge
+/// set it was admitted against, so its flush cannot lack one.
 enum PendingReport {
     Plain(AttestationReport),
-    Cfa(CfaReport),
+    Cfa(CfaReport, Arc<AdmissibleEdgeSet>),
 }
 
 impl PendingReport {
     fn mac_input(&self) -> Vec<u8> {
         match self {
             PendingReport::Plain(r) => r.mac_input(),
-            PendingReport::Cfa(r) => r.mac_input(),
+            PendingReport::Cfa(r, _) => r.mac_input(),
         }
     }
 
     fn mac(&self) -> &[u8] {
         match self {
             PendingReport::Plain(r) => &r.mac,
-            PendingReport::Cfa(r) => &r.mac,
+            PendingReport::Cfa(r, _) => &r.mac,
         }
     }
 }
@@ -137,7 +141,7 @@ pub struct FleetVerifier {
     sessions: HashMap<DeviceId, VerifierSession>,
     decoders: HashMap<DeviceId, FrameDecoder>,
     pending: Vec<(DeviceId, u64, PendingReport)>,
-    edge_set: Option<AdmissibleEdgeSet>,
+    edge_set: Option<Arc<AdmissibleEdgeSet>>,
     tracer: Tracer,
     counters: FleetCounters,
     h_verify: HistId,
@@ -147,8 +151,10 @@ pub struct FleetVerifier {
     h_stage_freshness: HistId,
     h_stage_edge: HistId,
     h_stage_refold: HistId,
-    /// Monotonic correlation-id mint; `0` is reserved for "none".
+    /// The next correlation id to mint; `0` is reserved for "none".
     next_corr: u64,
+    /// Step between minted correlation ids (see [`Self::stride_corr_ids`]).
+    corr_stride: u64,
     /// Per-device Hello count — the session number in structured events.
     hello_counts: HashMap<DeviceId, u64>,
     recorder: FlightRecorder,
@@ -215,7 +221,8 @@ impl FleetVerifier {
             h_stage_freshness,
             h_stage_edge,
             h_stage_refold,
-            next_corr: 0,
+            next_corr: 1,
+            corr_stride: 1,
             hello_counts: HashMap::new(),
             recorder: FlightRecorder::new(),
             event_log: None,
@@ -226,11 +233,6 @@ impl FleetVerifier {
     /// and bundles are narrated into it with their correlation ids.
     pub fn attach_event_log(&mut self, log: Arc<EventLog>) {
         self.event_log = Some(log);
-    }
-
-    /// The flight recorder's forensic tapes.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 
     /// Takes every forensic bundle produced since the last call.
@@ -262,6 +264,13 @@ impl FleetVerifier {
         }
     }
 
+    /// Mints correlation ids `first`, `first + stride`, … (0 counts as 1):
+    /// verifiers given distinct `first`s in `1..=stride` never collide.
+    pub fn stride_corr_ids(&mut self, first: u64, stride: u64) {
+        self.next_corr = first.max(1);
+        self.corr_stride = stride.max(1);
+    }
+
     /// Provisions a session for `device` (derives its shared `K_a` from
     /// the fleet master). Connections from unprovisioned devices are
     /// counted and ignored — the roster is explicit.
@@ -282,28 +291,23 @@ impl FleetVerifier {
     /// report arriving while no edge set is registered is counted
     /// (`fleet_cfa_unconfigured`) and dropped without a verdict — the
     /// service refuses to judge evidence it has no reference for.
-    pub fn provision_edge_set(&mut self, edges: AdmissibleEdgeSet) {
-        self.edge_set = Some(edges);
+    /// Verifiers of one fleet can share one set behind an [`Arc`].
+    pub fn provision_edge_set(&mut self, edges: impl Into<Arc<AdmissibleEdgeSet>>) {
+        self.edge_set = Some(edges.into());
     }
 
-    /// The registered admissible edge set, if any.
-    pub fn edge_set(&self) -> Option<&AdmissibleEdgeSet> {
-        self.edge_set.as_ref()
-    }
-
-    /// Number of provisioned sessions.
-    pub fn provisioned(&self) -> usize {
-        self.sessions.len()
+    /// Drops all state held for `device` except its finished bundles;
+    /// later frames from it count as from an unprovisioned device.
+    pub fn retire(&mut self, device: DeviceId) {
+        self.sessions.remove(&device);
+        self.decoders.remove(&device);
+        self.hello_counts.remove(&device);
+        self.recorder.forget(device);
     }
 
     /// Reports decoded but not yet verified.
     pub fn pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The session for `device`, if provisioned.
-    pub fn session(&self, device: DeviceId) -> Option<&VerifierSession> {
-        self.sessions.get(&device)
     }
 
     /// Issues a fresh challenge for `device` and returns it as an
@@ -313,8 +317,8 @@ impl FleetVerifier {
     pub fn challenge_frame(&mut self, device: DeviceId, version: u8) -> Option<Vec<u8>> {
         let session = self.sessions.get_mut(&device)?;
         let nonce = session.challenge();
-        self.next_corr += 1;
         let corr = self.next_corr;
+        self.next_corr += self.corr_stride;
         self.log_event(
             Severity::Info,
             "challenge",
@@ -456,7 +460,7 @@ impl FleetVerifier {
                 self.tracer.counters().add(self.counters.reports, 1);
                 self.tracer.counters().add(self.counters.cfa_reports, 1);
                 self.recorder.note_frame(device, corr, frame);
-                if self.edge_set.is_none() {
+                let Some(edges) = self.edge_set.clone() else {
                     self.tracer
                         .counters()
                         .add(self.counters.cfa_unconfigured, 1);
@@ -468,7 +472,7 @@ impl FleetVerifier {
                         "cfa report dropped: no edge set registered".to_string(),
                     );
                     return;
-                }
+                };
                 // Two counters, two semantics: `cfa_edges` stays on the
                 // raw expanded-edge count (replay work admitted, and
                 // the long-lived bench baseline), `cfa_runs` counts
@@ -492,7 +496,7 @@ impl FleetVerifier {
                     ),
                 );
                 self.pending
-                    .push((device, corr, PendingReport::Cfa(report)));
+                    .push((device, corr, PendingReport::Cfa(report, edges)));
             }
             // Welcome / Challenge / Verdict are verifier → device;
             // receiving one here is a protocol misuse we just count.
@@ -511,7 +515,6 @@ impl FleetVerifier {
         session: &VerifierSession,
         master: [u8; 20],
         expected_digest: &[u8],
-        edge_set: Option<&AdmissibleEdgeSet>,
         recorder: &FlightRecorder,
         device: DeviceId,
         corr: u64,
@@ -531,7 +534,7 @@ impl FleetVerifier {
                 Vec::new(),
                 None,
             ),
-            PendingReport::Cfa(r) => (
+            PendingReport::Cfa(r, edges) => (
                 encode(
                     &Message::CfaReport {
                         device,
@@ -541,7 +544,7 @@ impl FleetVerifier {
                     PROTOCOL_VERSION,
                 ),
                 r.log[r.log.len().saturating_sub(EDGE_TAIL_CAP)..].to_vec(),
-                edge_set.map(AdmissibleEdgeSet::to_json),
+                Some(edges.to_json()),
             ),
         };
         ForensicBundle {
@@ -596,7 +599,7 @@ impl FleetVerifier {
         let hmac_began = Instant::now();
         let outcome = batch_verify(items);
         let hmac_elapsed = hmac_began.elapsed().as_nanos() as u64;
-        let batched = inputs.iter().filter(|i| i.is_some()).count() as u64;
+        let batched = outcome.ok.len() as u64;
         // The batch shares one timestamp pair; each report is charged
         // its mean share of the HMAC pass.
         if let Some(share) = hmac_elapsed.checked_div(batched) {
@@ -613,33 +616,32 @@ impl FleetVerifier {
         let mut entries = Vec::with_capacity(pending.len());
         let mut bundles = Vec::new();
         for ((device, corr, report), input) in pending.iter().zip(&inputs) {
+            // `batch_verify` returns one verdict per batched item, in
+            // order; a report left without one is rejected below.
+            let mac = input.as_ref().and_then(|_| verdicts.next());
             let mut stages = VerifyStageNanos::default();
             let mut mac_ok_known = false;
-            let result = match self.sessions.get_mut(device) {
-                Some(session) if input.is_some() => {
-                    let mac_ok = verdicts.next().expect("one verdict per batched item");
+            let result = match (self.sessions.get_mut(device), mac) {
+                (Some(session), Some(mac_ok)) => {
                     mac_ok_known = mac_ok;
                     let result = match report {
                         PendingReport::Plain(report) => {
                             session.submit_with_mac_verdict_timed(report, mac_ok, Some(&mut stages))
                         }
-                        PendingReport::Cfa(report) => {
-                            let edges = self.edge_set.as_ref().expect("checked at ingest");
-                            session.submit_cfa_with_mac_verdict_timed(
+                        PendingReport::Cfa(report, edges) => session
+                            .submit_cfa_with_mac_verdict_timed(
                                 report,
                                 mac_ok,
                                 edges,
                                 Some(&mut refolder),
                                 Some(&mut stages),
-                            )
-                        }
+                            ),
                     };
                     if result.is_err() {
                         bundles.push(Self::build_bundle(
                             session,
                             self.master,
                             &self.expected_digest,
-                            self.edge_set.as_ref(),
                             &self.recorder,
                             *device,
                             *corr,
@@ -662,7 +664,7 @@ impl FleetVerifier {
                 self.tracer
                     .histograms()
                     .record(self.h_stage_freshness, stages.freshness);
-                if matches!(report, PendingReport::Cfa(_)) {
+                if matches!(report, PendingReport::Cfa(..)) {
                     let reached_edges = matches!(
                         &result,
                         Ok(())
@@ -742,11 +744,6 @@ impl FleetVerifier {
     /// Sum of reports accepted across every session.
     pub fn accepted_total(&self) -> u64 {
         self.sessions.values().map(VerifierSession::accepted).sum()
-    }
-
-    /// Sum of reports rejected across every session.
-    pub fn rejected_total(&self) -> u64 {
-        self.sessions.values().map(VerifierSession::rejected).sum()
     }
 
     /// The tracer whose counters and histograms this verifier reports
@@ -837,7 +834,7 @@ mod tests {
         );
         // No Welcome, no Challenge, no correlation id minted.
         assert!(v.ingest(device, &hello).is_empty());
-        assert_eq!(v.next_corr, 0);
+        assert_eq!(v.next_corr, 1);
         assert_eq!(v.tracer().counters().get("fleet_decode_errors"), Some(1));
         let events = log.events();
         assert_eq!(events.len(), 1);
@@ -927,7 +924,7 @@ mod tests {
         assert_eq!(v.tracer().counters().get("fleet_unknown_device"), Some(1));
         // No bundle: the verifier has no key material for ghosts, so a
         // replay could not reproduce the roster decision.
-        assert!(v.recorder().bundles().is_empty());
+        assert!(v.take_bundles().is_empty());
     }
 
     #[test]

@@ -136,3 +136,89 @@ fn injected_detours_produce_bundles_that_reverify_offline() {
     assert_eq!(outcome.bundles, 2);
     assert_eq!(replay_all_bundles(&bundles, "inadmissible_edge"), 2);
 }
+
+/// Runs `config` with the event stream written under `scratch` as `name`
+/// and returns the parsed events.
+fn events_of(scratch: &Scratch, name: &str, config: FleetConfig) -> Vec<LogEvent> {
+    let path = scratch.path(name);
+    let outcome = run_fleet(&FleetConfig {
+        events_out: Some(path.clone()),
+        ..config
+    })
+    .expect("fleet runs");
+    assert!(outcome.clean(), "{outcome:?}");
+    assert_eq!(outcome.events_dropped, 0, "the whole stream is retained");
+    fs::read_to_string(&path)
+        .expect("events written")
+        .lines()
+        .map(|line| LogEvent::from_json(line).expect("canonical event line"))
+        .collect()
+}
+
+#[test]
+fn correlation_ids_stay_unique_across_worker_verifiers() {
+    let scratch = Scratch::new("corr");
+    let events = events_of(
+        &scratch,
+        "events.jsonl",
+        FleetConfig {
+            devices: 24,
+            rounds: 3,
+            workers: 3,
+            replay_every: Some(4),
+            corrupt_every: Some(5),
+            ..FleetConfig::default()
+        },
+    );
+    let mut challenges = std::collections::HashMap::new();
+    for event in events.iter().filter(|e| e.event == "challenge") {
+        let corr = event.fields.corr.expect("a challenge carries its corr");
+        let device = event.fields.device.expect("a challenge names its device");
+        assert!(
+            challenges.insert(corr, device).is_none(),
+            "corr {corr} minted twice"
+        );
+    }
+    assert_eq!(challenges.len(), 24 * 3);
+    let mut verdicts = 0;
+    for event in events.iter().filter(|e| e.event == "verdict") {
+        let corr = event.fields.corr.expect("a verdict carries its corr");
+        assert_eq!(
+            challenges.get(&corr).copied(),
+            event.fields.device,
+            "verdict corr {corr} does not name its device's challenge"
+        );
+        verdicts += 1;
+    }
+    // Genuine reports, 6 devices' replays and 5 devices' forgeries, per round.
+    assert_eq!(verdicts, (24 + 6 + 5) * 3);
+}
+
+#[test]
+fn single_worker_event_stream_is_identical_run_to_run() {
+    let scratch = Scratch::new("determinism");
+    let config = FleetConfig {
+        devices: 40,
+        rounds: 2,
+        workers: 1,
+        replay_every: Some(3),
+        corrupt_every: Some(4),
+        ..FleetConfig::default()
+    };
+    // Window details carry wall-clock rates; everything else must match.
+    let comparable = |events: Vec<LogEvent>| -> Vec<String> {
+        events
+            .into_iter()
+            .map(|mut e| {
+                if e.event == "metrics.window" {
+                    e.fields.detail.clear();
+                }
+                e.to_json()
+            })
+            .collect()
+    };
+    let a = comparable(events_of(&scratch, "a.jsonl", config.clone()));
+    let b = comparable(events_of(&scratch, "b.jsonl", config));
+    assert!(a.iter().any(|line| line.contains("metrics.window")));
+    assert_eq!(a, b);
+}
