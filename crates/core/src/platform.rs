@@ -414,10 +414,7 @@ impl<D: Digest> Platform<D> {
 
         // Secure boot: measure the trusted components and verify against
         // the manufacturer's reference (the pristine image digest).
-        let mut loaded = vec![0u8; stubs.program.bytes.len()];
-        for (i, byte) in loaded.iter_mut().enumerate() {
-            *byte = machine.read_byte(layout::TRUSTED_BASE + i as u32)?;
-        }
+        let loaded = machine.read_bytes(layout::TRUSTED_BASE, stubs.program.bytes.len() as u32)?;
         let boot_measurement = D::digest(&loaded);
         let reference = D::digest(&stubs.program.bytes);
         if boot_measurement != reference {

@@ -49,6 +49,7 @@ mod device;
 pub mod devices;
 mod engine;
 mod machine;
+mod ram;
 
 pub use cfa::{CfMonitor, CF_LOG_CAP, OUT_OF_REGION};
 pub use cycles::{CycleModel, FirmwareCosts};

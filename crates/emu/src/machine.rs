@@ -2,6 +2,7 @@
 
 use crate::cycles::{CycleModel, FirmwareCosts};
 use crate::device::Device;
+use crate::ram::Ram;
 use eampu::{AccessKind, EaMpu, TransferDecision};
 use sp32::{decode, Instr, Reg, EFLAGS_CF, EFLAGS_IF, EFLAGS_SF, EFLAGS_ZF};
 use std::collections::BTreeSet;
@@ -62,7 +63,9 @@ pub struct DispatchStamp {
 /// Construction parameters for a [`Machine`].
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Size of flat RAM starting at address 0.
+    /// Size of flat RAM starting at address 0. RAM is held as 4 KiB
+    /// pages allocated on first write, so untouched pages cost no host
+    /// memory: a large `ram_size` is cheap until the guest fills it.
     pub ram_size: u32,
     /// Number of EA-MPU rule slots (the paper's platform has 18).
     pub mpu_slots: usize,
@@ -279,7 +282,7 @@ pub struct Machine {
     eip: u32,
     eflags: u32,
     halted: bool,
-    ram: Vec<u8>,
+    ram: Ram,
     devices: Vec<Box<dyn Device>>,
     mpu: EaMpu,
     mpu_enabled: bool,
@@ -395,7 +398,7 @@ impl Machine {
             eip: 0,
             eflags: 0,
             halted: false,
-            ram: vec![0; config.ram_size as usize],
+            ram: Ram::new(config.ram_size),
             devices: Vec::new(),
             mpu,
             mpu_enabled: true,
@@ -607,12 +610,7 @@ impl Machine {
     /// contents produce equal digests, and a single flipped bit changes
     /// the digest with overwhelming probability. Not cryptographic.
     pub fn ram_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &byte in &self.ram {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        self.ram.digest()
     }
 
     // ----- registers -----
@@ -688,11 +686,8 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] outside RAM and devices.
     pub fn read_word(&mut self, addr: u32) -> Result<u32, Fault> {
-        if (addr as usize) + 4 <= self.ram.len() {
-            let i = addr as usize;
-            return Ok(u32::from_le_bytes(
-                self.ram[i..i + 4].try_into().expect("4 bytes"),
-            ));
+        if let Some(word) = self.ram.read_word(addr) {
+            return Ok(word);
         }
         if let Some(dev) = self.device_index_at(addr) {
             let base = self.devices[dev].range().start();
@@ -713,9 +708,7 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] outside RAM and devices.
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
-        if (addr as usize) + 4 <= self.ram.len() {
-            let i = addr as usize;
-            self.ram[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        if self.ram.write_word(addr, value) {
             self.tcache.note_code_write(addr, 4);
             return Ok(());
         }
@@ -739,10 +732,7 @@ impl Machine {
     /// Returns [`Fault::Bus`] outside RAM (byte access to MMIO is not
     /// supported by the bus).
     pub fn read_byte(&mut self, addr: u32) -> Result<u8, Fault> {
-        self.ram
-            .get(addr as usize)
-            .copied()
-            .ok_or(Fault::Bus { addr })
+        self.ram.read_byte(addr).ok_or(Fault::Bus { addr })
     }
 
     /// Writes one byte, bypassing the EA-MPU.
@@ -751,14 +741,11 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] outside RAM.
     pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), Fault> {
-        match self.ram.get_mut(addr as usize) {
-            Some(slot) => {
-                *slot = value;
-                self.tcache.note_code_write(addr, 1);
-                Ok(())
-            }
-            None => Err(Fault::Bus { addr }),
+        if !self.ram.write_byte(addr, value) {
+            return Err(Fault::Bus { addr });
         }
+        self.tcache.note_code_write(addr, 1);
+        Ok(())
     }
 
     /// Copies `len` bytes out of RAM.
@@ -767,11 +754,8 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] if the range leaves RAM.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Fault> {
-        let start = addr as usize;
-        let end = start.checked_add(len as usize).ok_or(Fault::Bus { addr })?;
         self.ram
-            .get(start..end)
-            .map(|s| s.to_vec())
+            .read_bytes(addr, len as usize)
             .ok_or(Fault::Bus { addr })
     }
 
@@ -781,16 +765,11 @@ impl Machine {
     ///
     /// Returns [`Fault::Bus`] if the range leaves RAM.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        let start = addr as usize;
-        let end = start.checked_add(bytes.len()).ok_or(Fault::Bus { addr })?;
-        match self.ram.get_mut(start..end) {
-            Some(slice) => {
-                slice.copy_from_slice(bytes);
-                self.tcache.note_code_write(addr, bytes.len());
-                Ok(())
-            }
-            None => Err(Fault::Bus { addr }),
+        if !self.ram.write_bytes(addr, bytes) {
+            return Err(Fault::Bus { addr });
         }
+        self.tcache.note_code_write(addr, bytes.len());
+        Ok(())
     }
 
     /// Alias of [`Machine::write_bytes`] conveying loader intent.
@@ -805,6 +784,12 @@ impl Machine {
     /// RAM size in bytes.
     pub fn ram_size(&self) -> u32 {
         self.ram.len() as u32
+    }
+
+    /// Number of 4 KiB RAM pages the host holds: those written at least
+    /// once. Untouched pages read as zero and cost no host memory.
+    pub fn resident_pages(&self) -> usize {
+        self.ram.resident_pages()
     }
 
     // ----- MPU-checked access on behalf of a software component -----
@@ -2213,5 +2198,126 @@ mod tests {
         a.raise_irq(9);
         assert_eq!(a.snapshot().pending_irqs, vec![9]);
         assert_ne!(a.snapshot(), b.snapshot());
+    }
+
+    /// FNV-1a byte by byte: the reference [`Machine::ram_digest`] must match.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn ram_digest_of_untouched_pages_matches_a_byte_by_byte_hash() {
+        let fresh = Machine::new(MachineConfig::default());
+        assert_eq!(fresh.ram_digest(), 0xa967_7706_9d62_2325);
+        assert_eq!(fresh.ram_digest(), fnv1a(&vec![0; 1 << 20]));
+        // A partial last page and a mix of resident and untouched pages.
+        let size = 3 * 4096 + 100;
+        let mut m = Machine::new(MachineConfig {
+            ram_size: size,
+            ..MachineConfig::default()
+        });
+        m.write_word(0x1FFE, 0xDEAD_BEEF).expect("write");
+        m.write_byte(size - 1, 7).expect("write");
+        let all = m.read_bytes(0, size).expect("read");
+        assert_eq!(m.ram_digest(), fnv1a(&all));
+        assert_eq!(m.resident_pages(), 3);
+    }
+
+    #[test]
+    fn never_written_memory_reads_as_zero_and_stays_unallocated() {
+        let mut m = Machine::new(MachineConfig::default());
+        let top = m.ram_size();
+        assert_eq!(m.read_word(0x8_0000), Ok(0));
+        assert_eq!(m.read_word(0x0FFE), Ok(0));
+        assert_eq!(m.read_byte(top - 1), Ok(0));
+        assert_eq!(m.read_bytes(0x1_0FF0, 0x3000), Ok(vec![0; 0x3000]));
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn unaligned_word_straddles_a_page_boundary() {
+        let mut m = Machine::new(MachineConfig::default());
+        m.write_word(0x0FFE, 0xAABB_CCDD).expect("write");
+        assert_eq!(m.read_word(0x0FFE), Ok(0xAABB_CCDD));
+        assert_eq!(m.read_bytes(0x0FFE, 4), Ok(vec![0xDD, 0xCC, 0xBB, 0xAA]));
+        assert_eq!(m.read_word(0x0FFC), Ok(0xCCDD_0000));
+        assert_eq!(m.read_word(0x1000), Ok(0x0000_AABB));
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn byte_ranges_span_three_pages() {
+        let mut m = Machine::new(MachineConfig::default());
+        let bytes: Vec<u8> = (0..0x1020u32).map(|i| (i * 7 + 1) as u8).collect();
+        m.write_bytes(0x0FF0, &bytes).expect("write");
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.read_bytes(0x0FF0, 0x1020), Ok(bytes.clone()));
+        assert_eq!(m.read_byte(0x0FEF), Ok(0));
+        assert_eq!(m.read_byte(0x0FF0), Ok(bytes[0]));
+        assert_eq!(m.read_byte(0x200F), Ok(bytes[0x101F]));
+        assert_eq!(m.read_byte(0x2010), Ok(0));
+        let mid = 0x1800 - 0x0FF0;
+        let word = u32::from_le_bytes(bytes[mid..mid + 4].try_into().unwrap());
+        assert_eq!(m.read_word(0x1800), Ok(word));
+    }
+
+    #[test]
+    fn accesses_past_the_end_of_ram_fault_at_their_own_address() {
+        let mut m = Machine::new(MachineConfig::default());
+        let top = m.ram_size();
+        assert_eq!(m.read_word(top - 4), Ok(0));
+        assert_eq!(m.read_word(top - 3), Err(Fault::Bus { addr: top - 3 }));
+        assert_eq!(m.write_word(top - 3, 1), Err(Fault::Bus { addr: top - 3 }));
+        assert_eq!(m.read_byte(top), Err(Fault::Bus { addr: top }));
+        assert_eq!(m.write_byte(top, 1), Err(Fault::Bus { addr: top }));
+        assert_eq!(
+            m.write_bytes(top - 2, &[1, 2, 3]),
+            Err(Fault::Bus { addr: top - 2 })
+        );
+        assert_eq!(m.read_bytes(top - 2, 3), Err(Fault::Bus { addr: top - 2 }));
+        assert_eq!(
+            m.read_bytes(u32::MAX, 2),
+            Err(Fault::Bus { addr: u32::MAX })
+        );
+        // A faulting write leaves RAM as it was.
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn two_word_instruction_straddling_a_page_retires_identically_on_both_engines() {
+        use std::sync::Arc;
+        use tytan_trace::RingRecorder;
+
+        // The `movi` at 0x1FFC has its immediate word at 0x2000, on the
+        // next page; the loop makes the translator reuse its block.
+        let src = "main:
+ movi r1, 0x12345678
+ addi r2, 1
+ cmpi r2, 10
+ jnz main
+ hlt
+";
+        let program = assemble(src, 0x1FFC).expect("assemble");
+        assert_eq!(program.bytes.len() % 4, 0);
+        let outcomes = ALL_ENGINES.map(|engine| {
+            let mut m = Machine::new(MachineConfig {
+                engine,
+                ..MachineConfig::default()
+            });
+            let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
+            m.attach_tracer(tracer.clone());
+            m.load_image(0x1FFC, &program.bytes).expect("load");
+            m.set_eip(0x1FFC);
+            m.run(10_000);
+            assert!(m.is_halted());
+            assert_eq!(m.reg(Reg::R1), 0x1234_5678);
+            assert_eq!(m.reg(Reg::R2), 10);
+            let hits = tracer.counters().get("emu_block_hit").unwrap_or(0);
+            assert_eq!(hits > 0, engine == EngineKind::Translated);
+            (m.snapshot(), m.ram_digest())
+        });
+        assert_eq!(outcomes[0], outcomes[1]);
     }
 }

@@ -60,7 +60,7 @@
 
 use super::{instr_class, EngineKind, Event, Fault, Machine};
 use eampu::{AccessDecision, AccessKind, TransferDecision};
-use sp32::cfg::{ends_block, fetch};
+use sp32::cfg::ends_block;
 use sp32::{Cond, Instr, Reg};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -459,7 +459,7 @@ impl Machine {
             if pc != entry && self.trap_hit(pc) {
                 break;
             }
-            let Ok(fetched) = fetch(&self.ram, pc) else {
+            let Ok(fetched) = self.ram.fetch(pc) else {
                 // Unfetchable or undecodable: end the block here; if
                 // execution actually reaches this pc the step fallback
                 // raises the identical fault.

@@ -57,6 +57,8 @@ fn build_fleet_task() -> TaskSource {
     )
     .data("counter:\n .word 0\n")
     .build()
+    // INVARIANT: the source above is a constant, so it assembles in every
+    // run or in none; `cached_fleet_task_matches_a_fresh_build` builds it.
     .expect("fleet task assembles")
 }
 
@@ -229,6 +231,22 @@ mod tests {
         assert_eq!(cached.program, fresh.program);
         assert_eq!(cached.mailbox_offset, fresh.mailbox_offset);
         assert!(std::ptr::eq(cached, fleet_task_source()));
+    }
+
+    #[test]
+    fn a_provisioned_device_holds_4_of_256_ram_pages() {
+        // Paged RAM allocates a page on its first write, so a device costs
+        // the host the pages boot, load and the task touch, not 1 MiB.
+        let master = [5u8; 20];
+        let mut sim = DeviceSim::provision(DeviceId::from_u64(21), &master).expect("boots");
+        let resident = |sim: &DeviceSim| sim.platform.machine().resident_pages();
+        assert_eq!(sim.platform.machine().ram_size(), 256 * 4096);
+        assert_eq!(resident(&sim), 4);
+        sim.respond(&[0x11; 16]).expect("attests");
+        assert_eq!(resident(&sim), 4);
+        sim.arm_cfa().expect("task is measured");
+        sim.run(500_000).expect("monitored run");
+        assert_eq!(resident(&sim), 4);
     }
 
     #[test]
