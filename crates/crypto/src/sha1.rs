@@ -3,6 +3,11 @@
 //! The paper's RTM uses SHA-1 for task measurement (§4, footnote 8). The
 //! implementation is block-resumable so the RTM task can be preempted
 //! between blocks — the property Table 7 depends on.
+//!
+//! The compression function has two bodies. The portable one below is
+//! the reference and runs everywhere; on x86-64 CPUs with the SHA
+//! extensions (and SSE4.1) a `sha1rnds4`-based body computes the same
+//! function, chosen per call by runtime feature detection.
 
 use crate::Digest;
 
@@ -20,7 +25,23 @@ pub(crate) const H0: [u32; 5] = [
 /// padding never changes, so it formats one reusable block and calls the
 /// compression function directly instead of round-tripping the streaming
 /// [`Digest`] state machine per fold.
+///
+/// Runs on the CPU's SHA extensions when it has them, and the portable
+/// [`compress_block_portable`] otherwise; both compute the same function.
 pub(crate) fn compress_block(h: &mut [u32; 5], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        // SAFETY: `available` detected every feature
+        // `sha_ni::compress_block` is compiled for on this CPU.
+        unsafe { sha_ni::compress_block(h, block) };
+        return;
+    }
+    compress_block_portable(h, block);
+}
+
+/// The portable compression function: the reference every other body is
+/// tested against, and the only one on CPUs without SHA extensions.
+fn compress_block_portable(h: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 80];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk of 4"));
@@ -55,6 +76,82 @@ pub(crate) fn compress_block(h: &mut [u32; 5], block: &[u8; 64]) {
     h[2] = h[2].wrapping_add(c);
     h[3] = h[3].wrapping_add(d);
     h[4] = h[4].wrapping_add(e);
+}
+
+/// The compression function on the x86 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
+        _mm_setzero_si128, _mm_sha1msg1_epu32, _mm_sha1msg2_epu32, _mm_sha1nexte_epu32,
+        _mm_sha1rnds4_epu32, _mm_xor_si128,
+    };
+
+    /// Whether this CPU has the features [`compress_block`] needs.
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("sha") && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Four message words `w[4g..4g + 4]` in one vector, `w[4g]` in the
+    /// top lane as the SHA instructions expect. Each big-endian 8-byte
+    /// load is two adjacent words, high word first.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load_quad(block: &[u8; 64], g: usize) -> __m128i {
+        let half = |at: usize| {
+            let bytes: [u8; 8] = block[at..at + 8].try_into().expect("8 bytes");
+            i64::from_be_bytes(bytes)
+        };
+        _mm_set_epi64x(half(16 * g), half(16 * g + 8))
+    }
+
+    /// Runs one `sha1rnds4` group of four rounds per quad in `w`, with
+    /// round function `F`. `before` is the ABCD one group back: four
+    /// rounds after it, E is its A rotated left by 30, which
+    /// `sha1nexte` adds to the group's message words.
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn groups<const F: i32>(abcd: &mut __m128i, before: &mut __m128i, w: &[__m128i]) {
+        for &quad in w {
+            let e_plus_w = _mm_sha1nexte_epu32(*before, quad);
+            *before = *abcd;
+            *abcd = _mm_sha1rnds4_epu32::<F>(*abcd, e_plus_w);
+        }
+    }
+
+    /// One SHA-1 compression of `block` into `h`: the 80-word message
+    /// schedule as 20 four-word vectors, then 20 `sha1rnds4` groups of
+    /// four rounds, five per round function.
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress_block(h: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [_mm_setzero_si128(); 20];
+        for (g, quad) in w.iter_mut().take(4).enumerate() {
+            *quad = load_quad(block, g);
+        }
+        // W[t] = rotl1(W[t-3] ^ W[t-8] ^ W[t-14] ^ W[t-16]), four at once.
+        for g in 4..20 {
+            let x = _mm_xor_si128(_mm_sha1msg1_epu32(w[g - 4], w[g - 3]), w[g - 2]);
+            w[g] = _mm_sha1msg2_epu32(x, w[g - 1]);
+        }
+
+        let abcd0 = _mm_set_epi32(h[0] as i32, h[1] as i32, h[2] as i32, h[3] as i32);
+        let e0 = _mm_set_epi32(h[4] as i32, 0, 0, 0);
+        // The first group takes E straight from the state.
+        let mut before = abcd0;
+        let mut abcd = _mm_sha1rnds4_epu32::<0>(abcd0, _mm_add_epi32(e0, w[0]));
+        groups::<0>(&mut abcd, &mut before, &w[1..5]);
+        groups::<1>(&mut abcd, &mut before, &w[5..10]);
+        groups::<2>(&mut abcd, &mut before, &w[10..15]);
+        groups::<3>(&mut abcd, &mut before, &w[15..20]);
+        let abcd = _mm_add_epi32(abcd, abcd0);
+        let e = _mm_sha1nexte_epu32(before, e0);
+
+        h[0] = _mm_extract_epi32::<3>(abcd) as u32;
+        h[1] = _mm_extract_epi32::<2>(abcd) as u32;
+        h[2] = _mm_extract_epi32::<1>(abcd) as u32;
+        h[3] = _mm_extract_epi32::<0>(abcd) as u32;
+        h[4] = _mm_extract_epi32::<3>(e) as u32;
+    }
 }
 
 /// SHA-1 hash state.
@@ -96,15 +193,17 @@ impl Sha1 {
     /// (what [`Digest::finalize`] returns, as a fixed-size array).
     pub fn finalize_array(mut self) -> [u8; 20] {
         let bit_len = self.total_len * 8;
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // The buffer always has room for the 0x80 marker; the 8-byte
+        // length needs a second block when 56 or more bytes are buffered.
+        let len = self.buffer_len;
+        self.buffer[len] = 0x80;
+        self.buffer[len + 1..].fill(0);
+        if len >= 56 {
+            compress_block(&mut self.h, &self.buffer);
+            self.buffer[..56].fill(0);
         }
-        // Appending the length fills the block exactly; bypass total_len
-        // bookkeeping by compressing directly.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_block(&mut self.h, &self.buffer);
         let mut out = [0u8; 20];
         for (bytes, word) in out.chunks_exact_mut(4).zip(self.h) {
             bytes.copy_from_slice(&word.to_be_bytes());
@@ -243,6 +342,79 @@ mod tests {
         assert_eq!(h.blocks_processed(), 1);
         h.update(&[0u8; 128]);
         assert_eq!(h.blocks_processed(), 3);
+    }
+
+    /// SplitMix64: a fixed pseudo-random stream for the differential tests.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn fill(&mut self, bytes: &mut [u8]) {
+            for chunk in bytes.chunks_mut(8) {
+                chunk.copy_from_slice(&self.next().to_le_bytes()[..chunk.len()]);
+            }
+        }
+    }
+
+    /// SHA-1 from the portable compression function alone, padding done
+    /// by hand: independent of both `finalize_array` and the hardware path.
+    fn reference_digest(msg: &[u8]) -> [u8; 20] {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut h = H0;
+        for block in padded.chunks_exact(64) {
+            compress_block_portable(&mut h, block.try_into().expect("64 bytes"));
+        }
+        let mut out = [0u8; 20];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn hardware_compression_matches_the_portable_reference() {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            let mut rng = SplitMix(0x5a1);
+            let mut state = [0u32; 5];
+            for word in &mut state {
+                *word = rng.next() as u32;
+            }
+            let mut block = [0u8; 64];
+            for i in 0..10_000 {
+                rng.fill(&mut block);
+                let mut reference = state;
+                compress_block_portable(&mut reference, &block);
+                // With the extensions detected, this is the hardware body.
+                compress_block(&mut state, &block);
+                assert_eq!(state, reference, "pair {i}");
+            }
+            return;
+        }
+        eprintln!("no SHA extensions on this CPU: hardware leg skipped");
+    }
+
+    #[test]
+    fn digest_matches_the_reference_at_every_padding_edge() {
+        let mut rng = SplitMix(130);
+        let mut data = [0u8; 130];
+        rng.fill(&mut data);
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            assert_eq!(Sha1::digest(msg), reference_digest(msg), "length {len}");
+        }
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //!   boundaries it executes blocks, checking the batch-break conditions
 //!   after every retired op. Blocks end at every control transfer and
 //!   stop before firmware-trap addresses, so a boundary can never be
-//!   crossed mid-block.
+//!   crossed mid-block. A halted core crosses its idle stretch in one
+//!   move, to the first 8-cycle idle step at or past the earlier of the
+//!   device deadline and the budget: the clock value, poll and return
+//!   the legacy loop's one-step-per-turn idle reaches, with the same
+//!   [`CycleObserver::idle`] total.
 //! - **Pre-resolution soundness.** EA-MPU work is specialised at
 //!   compile time: a statically-resolvable check compiles to either
 //!   nothing (allowed and unobserved) or a [`EaMpu::replay_transfer`] /
@@ -57,6 +61,7 @@
 //! shared semantic core of both engines.
 //!
 //! [`Device::next_event`]: crate::Device::next_event
+//! [`CycleObserver::idle`]: crate::CycleObserver::idle
 
 use super::{instr_class, EngineKind, Event, Fault, Machine};
 use eampu::{AccessDecision, AccessKind, TransferDecision};
@@ -759,9 +764,19 @@ impl Machine {
             }
 
             if self.halted {
-                self.clock += 8;
+                // Only a device poll or the budget can end a halt (the
+                // delivery check above already failed), so cross the
+                // idle stretch in one move: to the first 8-cycle step at
+                // or past the earlier of the two, and always at least one
+                // step — the clock value the legacy loop's `+= 8` turns
+                // reach first. Saturating only matters for a core that
+                // can never wake under an unbounded budget.
+                let target = deadline.min(self.device_deadline);
+                let steps = target.saturating_sub(self.clock).div_ceil(8).max(1);
+                let idle = steps.saturating_mul(8).min(u64::MAX - self.clock);
+                self.clock += idle;
                 if let Some(o) = &self.observer {
-                    o.idle(8);
+                    o.idle(idle);
                 }
                 if self.clock >= deadline {
                     return Event::IdleBudgetExhausted;

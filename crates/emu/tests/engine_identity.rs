@@ -18,7 +18,10 @@ use eampu::{Perms, Region, Rule};
 use sp32::asm::assemble;
 use sp32::Reg;
 use sp_emu::devices::{Sensor, Timer};
-use sp_emu::{EngineKind, Event, Fault, Machine, MachineConfig, MachineStats, OUT_OF_REGION};
+use sp_emu::{
+    CycleObserver, EngineKind, Event, Fault, Machine, MachineConfig, MachineStats, OUT_OF_REGION,
+};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use tytan_trace::{RingRecorder, Tracer};
 
@@ -64,6 +67,37 @@ fn label(m: &Machine) -> String {
 /// recording an event or bumping a counter ever touched the model, these
 /// snapshots would diverge.
 fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
+    lockstep_with(setup, chunks, budget, false);
+}
+
+/// Sums the cycle-observer callbacks: idle cycles apart, all classes
+/// together.
+#[derive(Default)]
+struct Tally {
+    idle: AtomicU64,
+    total: AtomicU64,
+}
+
+impl CycleObserver for Tally {
+    fn instruction(&self, _eip: u32, cycles: u64) {
+        self.total.fetch_add(cycles, Relaxed);
+    }
+    fn dispatch(&self, _vector: u8, cycles: u64) {
+        self.total.fetch_add(cycles, Relaxed);
+    }
+    fn firmware(&self, _eip: u32, cycles: u64) {
+        self.total.fetch_add(cycles, Relaxed);
+    }
+    fn idle(&self, cycles: u64) {
+        self.idle.fetch_add(cycles, Relaxed);
+        self.total.fetch_add(cycles, Relaxed);
+    }
+}
+
+/// [`lockstep`], and with `observe` a [`Tally`] on every machine: after
+/// each slice the idle tallies must also agree, and every machine's
+/// tally must account for its whole clock.
+fn lockstep_with(setup: impl Fn(&mut Machine), chunks: usize, budget: u64, observe: bool) {
     let mut legacy = Machine::new(config(EngineKind::Legacy));
     let mut traced = Machine::new(config(EngineKind::Translated));
     traced.attach_tracer(Tracer::new(Arc::new(RingRecorder::new(4096))));
@@ -72,6 +106,18 @@ fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
     for m in &mut others {
         setup(m);
     }
+    let tallies: Vec<Arc<Tally>> = if observe {
+        std::iter::once(&mut legacy)
+            .chain(&mut others)
+            .map(|m| {
+                let tally = Arc::new(Tally::default());
+                m.attach_cycle_observer(tally.clone());
+                tally
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
     for i in 0..chunks {
         let el = legacy.run(budget);
         for m in &mut others {
@@ -83,6 +129,19 @@ fn lockstep(setup: impl Fn(&mut Machine), chunks: usize, budget: u64) {
                 snapshot(&legacy),
                 "{engine}: state diverged at slice {i}"
             );
+        }
+        if let Some((reference, rest)) = tallies.split_first() {
+            let idle = reference.idle.load(Relaxed);
+            assert_eq!(reference.total.load(Relaxed), legacy.cycles());
+            for (tally, m) in rest.iter().zip(&others) {
+                let engine = label(m);
+                assert_eq!(
+                    tally.idle.load(Relaxed),
+                    idle,
+                    "{engine}: idle tally diverged at slice {i}"
+                );
+                assert_eq!(tally.total.load(Relaxed), m.cycles(), "{engine}");
+            }
         }
     }
 }
@@ -153,6 +212,68 @@ fn lockstep_sensor_threshold_and_halt() {
         24,
         1_009,
     );
+}
+
+/// A core that halts between timer IRQs: the idle loop the fleet's
+/// provisioned devices sit in. The period (1,001) is not a multiple of
+/// the 8-cycle idle step, so each wake-up lands mid-step, and the odd
+/// budgets end slices both inside one step (7) and across several
+/// wake-ups (1,003).
+fn halting_between_timer_irqs(m: &mut Machine) {
+    let program = assemble(
+        "main:\n sti\nidle:\n hlt\n jmp idle\n\
+         handler:\n addi r3, 1\n iret\n",
+        0x1000,
+    )
+    .unwrap();
+    let handler = program.symbol("handler").unwrap();
+    m.load_image(0x1000, &program.bytes).unwrap();
+    m.set_eip(0x1000);
+    m.set_reg(Reg::R7, 0x8000);
+    m.set_idt_base(0x40);
+    m.set_idt_entry(32, handler).unwrap();
+    let timer = m.add_device(Box::new(Timer::new(0xf000_0000, 32)));
+    m.device_mut::<Timer>(timer).unwrap().configure(1_001, true);
+}
+
+/// A core that halts with IF clear: the timer keeps latching its IRQ,
+/// but nothing is ever delivered, so the core never wakes.
+fn halting_with_interrupts_masked(m: &mut Machine) {
+    let program = assemble("main:\n cli\n hlt\n", 0x1000).unwrap();
+    m.load_image(0x1000, &program.bytes).unwrap();
+    m.set_eip(0x1000);
+    let timer = m.add_device(Box::new(Timer::new(0xf000_0000, 32)));
+    m.device_mut::<Timer>(timer).unwrap().configure(197, true);
+}
+
+#[test]
+fn lockstep_halt_between_timer_interrupts() {
+    for observe in [false, true] {
+        lockstep_with(halting_between_timer_irqs, 700, 7, observe);
+        lockstep_with(halting_between_timer_irqs, 48, 1_003, observe);
+    }
+    let mut m = Machine::new(config(EngineKind::Translated));
+    halting_between_timer_irqs(&mut m);
+    m.run(48 * 1_003);
+    assert!(m.is_halted());
+    assert_eq!(m.reg(Reg::R3), 48, "one wake-up per timer period");
+}
+
+#[test]
+fn lockstep_halt_with_interrupts_masked_never_wakes() {
+    for observe in [false, true] {
+        lockstep_with(halting_with_interrupts_masked, 300, 7, observe);
+        lockstep_with(halting_with_interrupts_masked, 24, 1_003, observe);
+    }
+    for engine in ALL_ENGINES {
+        let mut m = Machine::new(config(engine));
+        halting_with_interrupts_masked(&mut m);
+        for _ in 0..10 {
+            assert_eq!(m.run(1_003), Event::IdleBudgetExhausted, "{engine:?}");
+        }
+        assert!(m.is_halted(), "{engine:?}");
+        assert_eq!(m.stats().interrupts, 0, "{engine:?}");
+    }
 }
 
 #[test]

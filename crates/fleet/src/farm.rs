@@ -250,6 +250,21 @@ mod tests {
     }
 
     #[test]
+    fn a_provisioned_device_idles_to_an_exact_clock() {
+        // Provisioning ends with the core halted in the idle loop, waiting
+        // for the next tick. The translator crosses each halt in one move;
+        // a move that overshoots by one 8-cycle step changes this clock.
+        let sim = DeviceSim::provision(DeviceId::from_u64(21), &[5u8; 20]).expect("boots");
+        let machine = sim.platform.machine();
+        let stats = machine.stats();
+        assert_eq!(machine.cycles(), 49_631);
+        assert_eq!(stats.instructions, 26);
+        assert_eq!(stats.interrupts, 1);
+        assert_eq!(stats.faults, 0);
+        assert!(machine.is_halted());
+    }
+
+    #[test]
     fn reprovisioning_a_device_is_bit_identical() {
         let master = [9u8; 20];
         let device = DeviceId::from_u64(77);
