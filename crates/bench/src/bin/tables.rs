@@ -5,10 +5,10 @@
 //! Flags (combinable):
 //!
 //! - `--json`: additionally emits the same data as JSON — paper value,
-//!   measured value, and unit per row, the host-side simulation rate
-//!   (`host_guest_ips`), the host-cache counters, and the latency
-//!   histogram summaries of the observed workload — and writes it to
-//!   `BENCH_tables.json` in the current directory.
+//!   measured value, and unit per row, the host-cache counters, and the
+//!   latency histogram summaries of the observed workload — and writes it
+//!   to `BENCH_tables.json` in the current directory, exiting nonzero when
+//!   the file cannot be written.
 //! - `--check`: validates the JSON document against the checked-in schema
 //!   (`crates/bench/schema/bench_tables.schema.json`) and exits nonzero on
 //!   any violation. Implies computing the document; combine with `--json`
@@ -26,8 +26,9 @@
 //!   symbolization coverage to stderr.
 //! - `--engine-floor <x>`: asserts the block translator's speedup over the
 //!   legacy reference loop (the `translator speedup` row of the
-//!   `engine_throughput` table) is at least `<x>`, exiting nonzero
-//!   otherwise. Implies computing the document.
+//!   `engine_throughput` table, a median over alternating pairs) is at
+//!   least `<x>`, exiting nonzero otherwise. Implies computing the
+//!   document.
 
 use tytan_bench::{baseline, experiments, render, render_json, schema};
 
@@ -99,7 +100,7 @@ fn main() {
         let tables = experiments::all();
         let counters = experiments::fast_path_counters();
         let latency = experiments::latency_snapshot();
-        let json = render_json(&tables, experiments::host_guest_ips(), &counters, &latency);
+        let json = render_json(&tables, &counters, &latency);
         if check_mode {
             if let Err(errors) = schema::check_bench_tables(&json) {
                 eprintln!("BENCH_tables.json violates its schema:");
@@ -112,7 +113,8 @@ fn main() {
         }
         if json_mode {
             if let Err(err) = std::fs::write("BENCH_tables.json", &json) {
-                eprintln!("warning: could not write BENCH_tables.json: {err}");
+                eprintln!("error: could not write BENCH_tables.json: {err}");
+                std::process::exit(1);
             }
             print!("{json}");
         }

@@ -13,7 +13,6 @@ use tytan::rtm::{MeasureJob, MeasureProgress, Rtm};
 use tytan::toolchain::{build_normal_task, SecureTaskBuilder, TaskSource};
 use tytan::usecase::{engine_control_source, radar_monitor_source, CruiseControl};
 use tytan_crypto::{Sha1, TaskId};
-use tytan_fleet::{run_fleet, run_fleet_with_tracer, FleetConfig};
 use tytan_image::TaskImage;
 use tytan_lint::{LintPolicy, Linter, Severity};
 use tytan_profile::{CycleProfiler, Report};
@@ -925,16 +924,11 @@ pub fn ipc_latency() -> Table {
 
 // --------------------------------------------------------- host throughput
 
-/// Measures the host-side simulation rate: guest instructions retired per
-/// host wall-clock second on the standard busy loop (MPU enforcement on,
-/// engine at its default). This is the substrate health metric the
-/// `sim_throughput` bench tracks, exported into `BENCH_tables.json`.
-pub fn host_guest_ips() -> f64 {
-    host_guest_ips_with(MachineConfig::default().engine)
-}
-
-/// Like [`host_guest_ips`], pinned to one execution engine.
-pub fn host_guest_ips_with(engine: EngineKind) -> f64 {
+/// Measures the host-side simulation rate of one execution engine: guest
+/// instructions retired per host wall-clock second on the standard busy
+/// loop (MPU enforcement on). This is the substrate health metric the
+/// `sim_throughput` bench tracks.
+pub fn host_guest_ips(engine: EngineKind) -> f64 {
     let mut machine = Machine::new(MachineConfig {
         engine,
         ..MachineConfig::default()
@@ -965,24 +959,47 @@ pub fn host_guest_ips_with(engine: EngineKind) -> f64 {
     (machine.stats().instructions - start_instr) as f64 / elapsed.max(1e-9)
 }
 
+/// Legacy/translator measurement pairs behind each `engine_throughput`
+/// row; every row reports the median over the pairs.
+const ENGINE_PAIRS: usize = 5;
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Compares execution-engine throughput on the mpu_on busy loop: the
-/// legacy reference loop and the block translator, plus the derived
-/// `translator speedup` (translator over legacy) — the row the
-/// `--engine-floor` gate in `tables` asserts stays above a floor.
+/// legacy reference loop and the block translator, measured in
+/// [`ENGINE_PAIRS`] alternating pairs, plus the derived `translator
+/// speedup` (median of the per-pair translator-over-legacy ratios) — the
+/// row the `--engine-floor` gate in `tables` asserts stays above a floor.
 pub fn engine_throughput() -> Table {
-    let legacy = host_guest_ips_with(EngineKind::Legacy);
-    let translated = host_guest_ips_with(EngineKind::Translated);
+    let pairs: Vec<(f64, f64)> = (0..ENGINE_PAIRS)
+        .map(|_| {
+            let legacy = host_guest_ips(EngineKind::Legacy);
+            (legacy, host_guest_ips(EngineKind::Translated))
+        })
+        .collect();
     Table {
         id: "engine_throughput",
         title: "execution-engine throughput (mpu_on busy loop)",
-        note: "host-side wall-clock metric; speedup = block translator over \
+        note: "host-side wall-clock metric, median of 5 alternating legacy/translator \
+               pairs; speedup = median per-pair ratio of the block translator over \
                the legacy reference on the same workload",
         rows: vec![
-            Row::measured_only("legacy reference", legacy, "instr/s"),
-            Row::measured_only("block translator", translated, "instr/s"),
+            Row::measured_only(
+                "legacy reference",
+                median(pairs.iter().map(|p| p.0).collect()),
+                "instr/s",
+            ),
+            Row::measured_only(
+                "block translator",
+                median(pairs.iter().map(|p| p.1).collect()),
+                "instr/s",
+            ),
             Row::measured_only(
                 "translator speedup",
-                translated / legacy.max(1e-9),
+                median(pairs.iter().map(|(l, t)| t / l.max(1e-9)).collect()),
                 "speedup",
             ),
         ],
@@ -1187,284 +1204,6 @@ pub fn chrome_trace_use_case() -> String {
     chrome::chrome_trace_json(&ring.events())
 }
 
-// -------------------------------------------------------- fleet throughput
-
-/// Seed for the fleet benchmark runs: fixed so the count rows (accepted /
-/// rejected classes) are bit-for-bit reproducible and baseline-gated.
-const FLEET_SEED: u64 = 20260809;
-
-/// Fleet-scale attestation service: boots fleets of fully simulated
-/// devices on the scoped-thread farm, streams their framed attestation
-/// reports into each worker's verifier, and reports verified attestations
-/// per host second plus per-report verify-latency quantiles at 1k and 10k
-/// devices. The 1k run injects replays (every 10th device) and MAC
-/// forgeries (every 25th) to prove the rejection books balance under
-/// load; the 10k run is clean and sizes throughput.
-pub fn fleet_throughput() -> Table {
-    let small = run_fleet(&FleetConfig {
-        devices: 1_000,
-        rounds: 1,
-        seed: FLEET_SEED,
-        replay_every: Some(10),
-        corrupt_every: Some(25),
-        ..FleetConfig::default()
-    })
-    .expect("1k fleet runs");
-    assert!(small.clean(), "1k fleet run must be clean: {small:?}");
-
-    let large = run_fleet(&FleetConfig {
-        devices: 10_000,
-        rounds: 1,
-        seed: FLEET_SEED,
-        ..FleetConfig::default()
-    })
-    .expect("10k fleet runs");
-    assert!(large.clean(), "10k fleet run must be clean: {large:?}");
-
-    Table {
-        id: "fleet_throughput",
-        title: "fleet attestation service: throughput and verify latency",
-        note: "every device is a full simulated platform (secure boot, RTM measurement, \
-               attestation task); count rows are deterministic for the fixed seed and \
-               baseline-gated; atts/s and ns rows are host wall-clock and not gated. \
-               verify latency is the amortized per-report share of batched HMAC \
-               verification",
-        rows: vec![
-            Row::measured_only(
-                "reports accepted @1k devices",
-                small.accepted as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "replays rejected @1k devices",
-                small.rejected_replay as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "forgeries rejected @1k devices",
-                small.rejected_bad_mac as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "decode errors @1k devices",
-                small.decode_errors as f64,
-                "count",
-            ),
-            Row::measured_only("throughput @1k devices", small.throughput, "atts/s"),
-            Row::measured_only("throughput @10k devices", large.throughput, "atts/s"),
-            Row::measured_only("verify p50 @10k devices", large.verify_p50_ns as f64, "ns"),
-            Row::measured_only("verify p99 @10k devices", large.verify_p99_ns as f64, "ns"),
-        ],
-    }
-}
-
-// ------------------------------------------------- control-flow attestation
-
-/// Control-flow attestation at fleet scale: the same farm and wire path
-/// as [`fleet_throughput`], but every device arms the CF monitor, runs
-/// a monitored slice, and answers its challenge with a `CfaReport`
-/// frame whose edge log the verifier replays against the static CFG
-/// `tytan-lint` extracted from the fleet task. Every 10th device first
-/// sends a copy of its report with one edge bent off the CFG — the MAC
-/// still verifies (it covers the chain head, not the raw log), so only
-/// edge replay can reject it — and the run must balance exactly: every
-/// honest report accepted, every detour typed `InadmissibleEdge`, zero
-/// chain-mismatch or unproven-site rejections.
-pub fn cfa_throughput() -> Table {
-    let run = run_fleet(&FleetConfig {
-        devices: 1_000,
-        rounds: 1,
-        seed: FLEET_SEED,
-        cfa: true,
-        detour_every: Some(10),
-        ..FleetConfig::default()
-    })
-    .expect("1k CFA fleet runs");
-    assert!(run.clean(), "1k CFA fleet run must be clean: {run:?}");
-
-    Table {
-        id: "cfa_throughput",
-        title: "control-flow attestation plane: fleet verify throughput",
-        note: "every report carries a Tiny-CFA edge log replayed against the \
-               lint-extracted CFG (shadow-stack returns included) and refolded \
-               into the MAC'd chain head; count rows are deterministic for the \
-               fixed seed and baseline-gated; atts/s and ns rows are host \
-               wall-clock and not gated",
-        rows: vec![
-            Row::measured_only(
-                "cf reports accepted @1k devices",
-                run.accepted as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "detours injected @1k devices",
-                run.injected_detours as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "detours rejected inadmissible @1k devices",
-                run.rejected_inadmissible as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "chain mismatches @1k devices",
-                run.rejected_chain as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "unproven violations @1k devices",
-                run.rejected_unproven as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "cfa verify throughput @1k devices",
-                run.throughput,
-                "atts/s",
-            ),
-            Row::measured_only("cfa verify p50 @1k devices", run.verify_p50_ns as f64, "ns"),
-            Row::measured_only("cfa verify p99 @1k devices", run.verify_p99_ns as f64, "ns"),
-        ],
-    }
-}
-
-// ------------------------------------------------ verify cost attribution
-
-/// Per-stage verify-cost attribution: where a fleet verifier
-/// nanosecond actually goes, static attestation vs the control-flow
-/// plane. Two clean 1k-device runs at the fixed seed report into
-/// per-run tracers; the per-stage histograms the verifier populates
-/// (frame decode, batched HMAC share, freshness + digest, CFA edge
-/// replay, CFA chain refold) quantify the ROADMAP's ~10× CFA-vs-static
-/// claim as measured stage medians plus one headline ratio. Count rows
-/// (reports verified, edges replayed) are deterministic for the seed
-/// and baseline-gated; all ns and ratio rows are host wall-clock and
-/// not gated.
-pub fn verify_cost_breakdown() -> Table {
-    let static_tracer = Tracer::null();
-    let static_run = run_fleet_with_tracer(
-        &FleetConfig {
-            devices: 1_000,
-            rounds: 1,
-            seed: FLEET_SEED,
-            ..FleetConfig::default()
-        },
-        static_tracer.clone(),
-    )
-    .expect("1k static fleet runs");
-    assert!(
-        static_run.clean(),
-        "1k static run must be clean: {static_run:?}"
-    );
-
-    let cfa_tracer = Tracer::null();
-    let cfa_run = run_fleet_with_tracer(
-        &FleetConfig {
-            devices: 1_000,
-            rounds: 1,
-            seed: FLEET_SEED,
-            cfa: true,
-            ..FleetConfig::default()
-        },
-        cfa_tracer.clone(),
-    )
-    .expect("1k CFA fleet runs");
-    assert!(cfa_run.clean(), "1k CFA run must be clean: {cfa_run:?}");
-
-    let p50 = |tracer: &Tracer, name: &str| {
-        tracer
-            .histograms()
-            .get(name)
-            .map_or(0.0, |h| h.summary().p50 as f64)
-    };
-    let edges = cfa_tracer.counters().get("fleet_cfa_edges").unwrap_or(0);
-    let runs = cfa_tracer.counters().get("fleet_cfa_runs").unwrap_or(0);
-    let compression = if runs > 0 {
-        edges as f64 / runs as f64
-    } else {
-        0.0
-    };
-    let ratio = if static_run.verify_p50_ns > 0 {
-        cfa_run.verify_p50_ns as f64 / static_run.verify_p50_ns as f64
-    } else {
-        0.0
-    };
-
-    Table {
-        id: "verify_cost_breakdown",
-        title: "fleet verify cost attribution: static vs control-flow, by stage",
-        note: "per-stage medians from the verifier's stage histograms over two clean \
-               1k-device runs at the fixed seed; decode is per decoded message, hmac \
-               is the per-report share of the batched pass, freshness covers the \
-               nonce + digest checks, edge replay and chain refold exist only on the \
-               CFA path. edge logs ship run-length compressed: the edges row counts \
-               the raw expanded stream, the runs row counts shipped run triples, and \
-               the compression ratio is their quotient — all three deterministic for \
-               the fixed seed and baseline-gated along with the other count rows; ns \
-               and speedup rows are host wall-clock and not gated",
-        rows: vec![
-            Row::measured_only(
-                "reports verified @1k devices",
-                static_run.accepted as f64,
-                "count",
-            ),
-            Row::measured_only(
-                "cf reports verified @1k devices",
-                cfa_run.accepted as f64,
-                "count",
-            ),
-            Row::measured_only("cf edges replayed @1k devices", edges as f64, "count"),
-            Row::measured_only("cf runs replayed @1k devices", runs as f64, "count"),
-            Row::measured_only("cf log compression ratio @1k devices", compression, "x"),
-            Row::measured_only(
-                "static verify p50 @1k devices",
-                static_run.verify_p50_ns as f64,
-                "ns",
-            ),
-            Row::measured_only(
-                "cfa verify p50 @1k devices",
-                cfa_run.verify_p50_ns as f64,
-                "ns",
-            ),
-            Row::measured_only("cfa/static verify cost ratio @1k devices", ratio, "speedup"),
-            Row::measured_only(
-                "stage decode p50 (static)",
-                p50(&static_tracer, "lat_fleet_stage_decode"),
-                "ns",
-            ),
-            Row::measured_only(
-                "stage hmac p50 (static)",
-                p50(&static_tracer, "lat_fleet_stage_hmac"),
-                "ns",
-            ),
-            Row::measured_only(
-                "stage freshness p50 (static)",
-                p50(&static_tracer, "lat_fleet_stage_freshness"),
-                "ns",
-            ),
-            Row::measured_only(
-                "stage hmac p50 (cfa)",
-                p50(&cfa_tracer, "lat_fleet_stage_hmac"),
-                "ns",
-            ),
-            Row::measured_only(
-                "stage freshness p50 (cfa)",
-                p50(&cfa_tracer, "lat_fleet_stage_freshness"),
-                "ns",
-            ),
-            Row::measured_only(
-                "stage edge replay p50 (cfa)",
-                p50(&cfa_tracer, "lat_fleet_stage_edge_replay"),
-                "ns",
-            ),
-            Row::measured_only(
-                "stage chain refold p50 (cfa)",
-                p50(&cfa_tracer, "lat_fleet_stage_refold"),
-                "ns",
-            ),
-        ],
-    }
-}
-
 /// All experiments in paper order.
 pub fn all() -> Vec<Table> {
     vec![
@@ -1480,9 +1219,6 @@ pub fn all() -> Vec<Table> {
         ablation_hw_save(),
         lint_throughput(),
         engine_throughput(),
-        fleet_throughput(),
-        cfa_throughput(),
-        verify_cost_breakdown(),
     ]
 }
 

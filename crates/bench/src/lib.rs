@@ -125,23 +125,17 @@ pub fn render(table: &Table) -> String {
 /// (`tables --json` writes this to `BENCH_tables.json`; the document
 /// validates against `schema/bench_tables.schema.json`).
 ///
-/// `host_guest_ips` is the host-side simulation rate (guest instructions
-/// per host second) measured on the standard busy loop — the engine
-/// health metric tracked alongside the paper numbers. `counters` is the
-/// flat instrumentation snapshot (see
+/// `counters` is the flat instrumentation snapshot (see
 /// [`experiments::fast_path_counters`]): raw per-layer event counts plus
 /// the derived cache hit rates. `latency` is the histogram snapshot of
 /// the observed workload (see [`experiments::latency_snapshot`]): one
 /// count/p50/p90/p99/max record per measured distribution.
 pub fn render_json(
     tables: &[Table],
-    host_guest_ips: f64,
     counters: &[(String, f64)],
     latency: &[(String, Summary)],
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = write!(out, "  \"host_guest_ips\": {host_guest_ips:.0},");
-    out.push_str("\n  \"counters\": {");
+    let mut out = String::from("{\n  \"counters\": {");
     for (i, (name, value)) in counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -350,51 +344,7 @@ mod tests {
                 },
             ),
         ];
-        // The schema contract demands the fleet_throughput,
-        // cfa_throughput, and verify_cost_breakdown tables with their
-        // contractual rows; render all three alongside the demo table.
-        let fleet = Table {
-            id: "fleet_throughput",
-            title: "fleet attestation service",
-            note: "n",
-            rows: vec![
-                Row::measured_only("throughput @1k devices", 4500.0, "atts/s"),
-                Row::measured_only("throughput @10k devices", 5190.0, "atts/s"),
-                Row::measured_only("verify p50 @10k devices", 1856.0, "ns"),
-                Row::measured_only("verify p99 @10k devices", 4608.0, "ns"),
-            ],
-        };
-        let cfa = Table {
-            id: "cfa_throughput",
-            title: "control-flow attestation plane",
-            note: "n",
-            rows: vec![
-                Row::measured_only("cf reports accepted @1k devices", 1000.0, "count"),
-                Row::measured_only("detours rejected inadmissible @1k devices", 100.0, "count"),
-                Row::measured_only("cfa verify throughput @1k devices", 3800.0, "atts/s"),
-                Row::measured_only("cfa verify p99 @1k devices", 5120.0, "ns"),
-            ],
-        };
-        let cost = Table {
-            id: "verify_cost_breakdown",
-            title: "verify cost attribution",
-            note: "n",
-            rows: vec![
-                Row::measured_only("cf edges replayed @1k devices", 50_000.0, "count"),
-                Row::measured_only("cf log compression ratio @1k devices", 450.0, "x"),
-                Row::measured_only("cfa/static verify cost ratio @1k devices", 9.5, "speedup"),
-                Row::measured_only("stage hmac p50 (static)", 900.0, "ns"),
-                Row::measured_only("stage edge replay p50 (cfa)", 8_000.0, "ns"),
-                Row::measured_only("stage chain refold p50 (cfa)", 600.0, "ns"),
-            ],
-        };
-        let json = render_json(
-            &[table, fleet, cfa, cost],
-            12_345_678.9,
-            &counters,
-            &latency,
-        );
-        assert!(json.contains("\"host_guest_ips\": 12345679"));
+        let json = render_json(&[table], &counters, &latency);
         assert!(json.contains("\"block_hit_rate\": 0.97"));
         assert!(json.contains(
             "\"lat_irq_entry\": {\"count\": 15, \"p50\": 180, \"p90\": 220, \"p99\": 260, \"max\": 291}"
@@ -411,7 +361,7 @@ mod tests {
 
     #[test]
     fn json_rendering_with_empty_counters_is_still_valid_json() {
-        let json = render_json(&[], 0.0, &[], &[]);
+        let json = render_json(&[], &[], &[]);
         tytan_trace::json::parse(&json).expect("valid JSON");
     }
 }

@@ -16,7 +16,7 @@
 //! frames at odd boundaries (the decoders earn their keep). It drives
 //! the whole fleet to completion and returns a [`FleetOutcome`] with
 //! totals, rejection classes, throughput and verify-latency quantiles —
-//! the numbers behind the `fleet_throughput` benchmark table.
+//! the numbers the repository benchmark's fleet workloads report.
 //!
 //! # Examples
 //!
@@ -659,15 +659,26 @@ mod tests {
         .expect("fleet runs");
         assert!(outcome.clean(), "outcome: {outcome:?}");
         // The fleet task is a tight counter loop: its dominant back-edge
-        // collapses into long runs, so runs must be far fewer than raw
-        // edges.
-        assert!(outcome.cfa_edges > 0);
-        assert!(
-            outcome.cfa_runs * 10 <= outcome.cfa_edges,
-            "poor compression: {} runs for {} edges",
-            outcome.cfa_runs,
-            outcome.cfa_edges
-        );
+        // collapses into long runs. Each report covers exactly 2,165 raw
+        // edges in 4 shipped runs (541.25x); both counts are
+        // deterministic for the seed.
+        assert_eq!(outcome.cfa_edges, 8_660);
+        assert_eq!(outcome.cfa_runs, 16);
+    }
+
+    #[test]
+    fn injection_schedule_counts_are_exact() {
+        let config = FleetConfig {
+            devices: 1_000,
+            cfa: true,
+            replay_every: Some(10),
+            corrupt_every: Some(25),
+            detour_every: Some(10),
+            ..FleetConfig::default()
+        };
+        assert_eq!(config.injected_replays(), 100);
+        assert_eq!(config.injected_corrupt(), 40);
+        assert_eq!(config.injected_detours(), 100);
     }
 
     #[test]
