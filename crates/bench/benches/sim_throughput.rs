@@ -9,6 +9,10 @@
 //!   EA-MPU checking.
 //! - `mpu_on_legacy` — the same loop on the legacy per-instruction
 //!   reference loop; `mpu_on` vs. this is the translator speedup.
+//! - `mpu_rules` — the same loop under one rule covering its code and
+//!   data, the secure-task shape. `mpu_on` runs with an empty rule table,
+//!   whose accesses compile to no check at all; here every load and store
+//!   is a checked access.
 //! - `mmio_heavy` — every iteration reads a sensor register and writes a
 //!   UART register, so device routing dominates.
 //! - `irq_heavy` — a ~200-cycle timer interrupt storm through the IDT.
@@ -18,6 +22,7 @@
 //!   uncached reference).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use eampu::{Perms, Region, Rule};
 use sp32::asm::assemble;
 use sp_emu::devices::{Sensor, Timer, Uart};
 use sp_emu::{EngineKind, Machine, MachineConfig};
@@ -43,6 +48,20 @@ fn busy_machine(engine: EngineKind, mpu_enabled: bool) -> Machine {
         &mut machine,
         "main:\n movi r1, 0x9000\n movi r2, 0\n\
          loop:\n ldw r3, [r1]\n add r3, r2\n stw [r1], r3\n addi r2, 1\n jmp loop\n",
+    );
+    machine
+}
+
+fn secure_task_machine() -> Machine {
+    let mut machine = busy_machine(EngineKind::Translated, true);
+    machine.mpu_mut().set_rule(
+        0,
+        Rule::new(
+            Region::new(0x1000, 0x100),
+            0x1000,
+            Region::new(0x9000, 0x100),
+            Perms::RW,
+        ),
     );
     machine
 }
@@ -102,6 +121,7 @@ fn bench(c: &mut Criterion) {
         ("mpu_on", || busy_machine(EngineKind::Translated, true)),
         ("mpu_off", || busy_machine(EngineKind::Translated, false)),
         ("mpu_on_legacy", || busy_machine(EngineKind::Legacy, true)),
+        ("mpu_rules", secure_task_machine),
         ("mmio_heavy", mmio_machine),
         ("irq_heavy", irq_machine),
         ("smc_thrash", || smc_machine(EngineKind::Translated)),

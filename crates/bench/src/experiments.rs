@@ -970,7 +970,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 
 /// Compares execution-engine throughput on the mpu_on busy loop: the
 /// legacy reference loop and the block translator, measured in
-/// [`ENGINE_PAIRS`] alternating pairs, plus the derived `translator
+/// `ENGINE_PAIRS` (5) alternating pairs, plus the derived `translator
 /// speedup` (median of the per-pair translator-over-legacy ratios) — the
 /// row the `--engine-floor` gate in `tables` asserts stays above a floor.
 pub fn engine_throughput() -> Table {

@@ -41,6 +41,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tytan_trace::{CounterId, Counters, Tracer};
 
@@ -242,11 +243,14 @@ pub struct EaMpu {
     costs: MpuCosts,
     cache: RefCell<DecisionCache>,
     cache_enabled: bool,
-    /// Monotonic configuration epoch: bumped whenever anything that could
-    /// change a decision (or its observability) changes — rule-table
-    /// mutations, cache-mode switches, decision-log toggles. Consumers
-    /// that pre-resolve decisions (the block translation engine) snapshot
-    /// this and revalidate with a single compare.
+    /// Configuration epoch: replaced by a fresh value whenever anything
+    /// that could change a decision (or its observability) changes —
+    /// rule-table mutations, cache-mode switches, decision-log toggles.
+    /// Consumers that pre-resolve decisions (the block translation
+    /// engine) snapshot this and revalidate with a single compare. Values
+    /// come from one process-wide counter ([`fresh_generation`]), so an
+    /// EA-MPU swapped in whole never matches a snapshot of the one it
+    /// replaced; only a clone shares its original's epoch, and its rules.
     generation: Cell<u64>,
     /// L0 in front of the MRU cache: the most recent access entry per
     /// [`AccessKind`] (indexed `Read = 0`, `Write = 1`) and the most recent
@@ -334,6 +338,12 @@ const EMPTY_TRANSFER_LATCH: TransferCacheEntry = TransferCacheEntry {
     to_hi: 0,
     decision: TransferDecision::Allowed,
 };
+
+/// A configuration epoch no EA-MPU in this process has held before.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 fn latch_index(kind: AccessKind) -> usize {
     match kind {
@@ -459,7 +469,7 @@ impl EaMpu {
             costs,
             cache: RefCell::new(DecisionCache::default()),
             cache_enabled: true,
-            generation: Cell::new(0),
+            generation: Cell::new(fresh_generation()),
             access_latch: [Cell::new(EMPTY_ACCESS_LATCH), Cell::new(EMPTY_ACCESS_LATCH)],
             transfer_latch: Cell::new(EMPTY_TRANSFER_LATCH),
             trace: None,
@@ -479,7 +489,7 @@ impl EaMpu {
         // log toggle is a configuration change for them. Bump directly
         // (rather than via invalidate_decision_cache) so the toggle stays
         // invisible to the flush counter.
-        self.generation.set(self.generation.get() + 1);
+        self.generation.set(fresh_generation());
     }
 
     /// Whether decision recording is currently enabled.
@@ -502,7 +512,7 @@ impl EaMpu {
         self.trace = Some(MpuTrace::new(tracer.counters().clone(), self.slots.len()));
         // Pre-resolved decisions bake in whether a check is traced, so
         // attaching observability is a configuration change for them.
-        self.generation.set(self.generation.get() + 1);
+        self.generation.set(fresh_generation());
     }
 
     /// Whether host-side observability is attached.
@@ -572,7 +582,7 @@ impl EaMpu {
     /// mutation; exposed so owners can also invalidate on external state
     /// changes (the machine does this when MPU enforcement is toggled).
     pub fn invalidate_decision_cache(&self) {
-        self.generation.set(self.generation.get() + 1);
+        self.generation.set(fresh_generation());
         self.cache.borrow_mut().clear();
         self.access_latch[0].set(EMPTY_ACCESS_LATCH);
         self.access_latch[1].set(EMPTY_ACCESS_LATCH);
@@ -922,6 +932,25 @@ impl EaMpu {
         self.generation.get()
     }
 
+    /// The target addresses `[lo, hi]` over which the access latch for
+    /// `kind` holds an allow for code at `eip`, or `None` when it does
+    /// not (latch empty or covering other code, a denial, or the
+    /// decision cache off). Read-only: no latch, cache, trace or log
+    /// side effect.
+    ///
+    /// A latch holds a rectangle the rule scan provably decides
+    /// uniformly, so until the rule table next changes (see
+    /// [`EaMpu::generation`]) [`EaMpu::check_access`] allows every
+    /// `(eip, addr, kind)` with `addr` in the window. Right after a
+    /// check of `(eip, addr, kind)` returns an allow, the window
+    /// contains `addr`.
+    #[inline]
+    pub fn latched_allow(&self, eip: u32, kind: AccessKind) -> Option<(u32, u32)> {
+        let l = self.access_latch[latch_index(kind)].get();
+        (self.cache_enabled && l.eip_lo <= eip && eip <= l.eip_hi && l.decision.is_allowed())
+            .then_some((l.addr_lo, l.addr_hi))
+    }
+
     /// Whether any rule slot is occupied.
     pub fn has_rules(&self) -> bool {
         self.slots.iter().any(|s| s.is_some())
@@ -1269,6 +1298,66 @@ mod tests {
         let before = c.get("eampu_cache_flush").unwrap();
         mpu.set_rule(1, rule(0x2000, 0x9000));
         assert_eq!(c.get("eampu_cache_flush"), Some(before + 1));
+    }
+
+    #[test]
+    fn no_two_configurations_share_a_generation() {
+        let a = EaMpu::new(4);
+        let b = EaMpu::new(4);
+        assert_ne!(a.generation(), b.generation());
+        let mut c = a.clone();
+        assert_eq!(c.generation(), a.generation(), "same rules, same epoch");
+        c.set_rule(0, rule(0x1000, 0x8000));
+        for other in [&a, &b] {
+            assert_ne!(c.generation(), other.generation());
+        }
+    }
+
+    #[test]
+    fn latched_allow_is_the_window_of_the_last_allowed_check() {
+        let mut mpu = EaMpu::new(4);
+        mpu.set_rule(0, rule(0x1000, 0x8000));
+        mpu.set_rule(1, rule(0x2000, 0x8200));
+        assert_eq!(mpu.latched_allow(0x1004, AccessKind::Read), None);
+
+        // Own data: the window is the rule's data region, for this code
+        // and this kind only.
+        assert!(mpu
+            .check_access(0x1004, 0x8010, AccessKind::Read)
+            .is_allowed());
+        assert_eq!(
+            mpu.latched_allow(0x1080, AccessKind::Read),
+            Some((0x8000, 0x80ff))
+        );
+        assert_eq!(mpu.latched_allow(0x2004, AccessKind::Read), None);
+        assert_eq!(mpu.latched_allow(0x1004, AccessKind::Write), None);
+
+        // Open memory between the two data regions.
+        assert!(mpu
+            .check_access(0x1004, 0x8180, AccessKind::Read)
+            .is_allowed());
+        assert_eq!(
+            mpu.latched_allow(0x1004, AccessKind::Read),
+            Some((0x8100, 0x81ff))
+        );
+
+        // A denial latches no window.
+        assert!(!mpu
+            .check_access(0x1004, 0x8200, AccessKind::Read)
+            .is_allowed());
+        assert_eq!(mpu.latched_allow(0x1004, AccessKind::Read), None);
+
+        // A rule change or a disabled cache drops the window.
+        assert!(mpu
+            .check_access(0x1004, 0x8010, AccessKind::Write)
+            .is_allowed());
+        mpu.clear_slot(1);
+        assert_eq!(mpu.latched_allow(0x1004, AccessKind::Write), None);
+        mpu.set_decision_cache_enabled(false);
+        assert!(mpu
+            .check_access(0x1004, 0x8010, AccessKind::Write)
+            .is_allowed());
+        assert_eq!(mpu.latched_allow(0x1004, AccessKind::Write), None);
     }
 
     #[test]

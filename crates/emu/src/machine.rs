@@ -685,10 +685,19 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`Fault::Bus`] outside RAM and devices.
+    #[inline]
     pub fn read_word(&mut self, addr: u32) -> Result<u32, Fault> {
-        if let Some(word) = self.ram.read_word(addr) {
-            return Ok(word);
+        match self.ram.read_word(addr) {
+            Some(word) => Ok(word),
+            None => self.read_word_off_ram(addr),
         }
+    }
+
+    /// The device and bus-fault side of [`Machine::read_word`], kept out
+    /// of line so the RAM path inlines into the compiled memory ops.
+    #[cold]
+    #[inline(never)]
+    fn read_word_off_ram(&mut self, addr: u32) -> Result<u32, Fault> {
         if let Some(dev) = self.device_index_at(addr) {
             let base = self.devices[dev].range().start();
             let now = self.clock;
@@ -707,11 +716,19 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`Fault::Bus`] outside RAM and devices.
+    #[inline]
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
         if self.ram.write_word(addr, value) {
             self.tcache.note_code_write(addr, 4);
             return Ok(());
         }
+        self.write_word_off_ram(addr, value)
+    }
+
+    /// The device and bus-fault side of [`Machine::write_word`].
+    #[cold]
+    #[inline(never)]
+    fn write_word_off_ram(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
         if let Some(dev) = self.device_index_at(addr) {
             let base = self.devices[dev].range().start();
             let now = self.clock;

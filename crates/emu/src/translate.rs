@@ -38,6 +38,21 @@
 //!   MPU enable, firmware-trap set — is covered by a generation
 //!   snapshot revalidated on entry to `run_translated`; any mismatch
 //!   drops all blocks (counted as `emu_block_invalidate_mpu`).
+//!   A memory op under a non-empty rule table, compiled unobserved,
+//!   memoises an allowed window ([`AccessMode::Memo`]): after a live
+//!   check allows it, the op keeps the address range of the EA-MPU's
+//!   latched rectangle for its own `pc` and kind, over which the rule
+//!   scan provably allows, and skips the check for any address inside
+//!   it. Any other address runs the live check, which faults exactly as
+//!   the legacy loop does, then refreshes the window. A window lives in
+//!   its block, so the snapshot drops it with every rule-table change
+//!   between runs; and the rule table cannot change inside one
+//!   `run_translated`: it is reachable only through `&mut Machine`, no
+//!   handler or device touches it, and firmware reconfigures it at a
+//!   trap, after the run has returned. A skipped check does not refresh
+//!   the decision cache. Decisions never depend on the cache, only its
+//!   hit and miss counters do, and those are counted only in observed
+//!   compiles; quiet transfer edges skip the cache the same way.
 //! - **Self-modifying-code tracking.** RAM words covered by compiled
 //!   blocks are marked in a bitmap; every RAM write into a marked word
 //!   queues a dirty range ([`TransState::note_code_write`], hooked into
@@ -67,6 +82,7 @@ use super::{instr_class, EngineKind, Event, Fault, Machine};
 use eampu::{AccessDecision, AccessKind, TransferDecision};
 use sp32::cfg::ends_block;
 use sp32::{Cond, Instr, Reg};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -128,16 +144,31 @@ enum PreCheck {
 }
 
 /// The data-access check of a memory op, pre-resolved where possible.
-#[derive(Clone, Copy)]
 enum AccessMode {
     /// No check and no record: MPU disabled, or no rules and unobserved.
     Quiet,
     /// No rules but observed: replay the (always-allowed) record with
     /// the runtime address.
     Replay(AccessDecision),
-    /// Rules exist, the address is dynamic: live check.
+    /// Rules exist and decisions are observed: live check every access,
+    /// so every trace counter and decision-log record is the legacy
+    /// loop's.
     Checked,
+    /// Rules exist and nobody observes decisions: live check only for
+    /// addresses outside the window, which holds the addresses the
+    /// EA-MPU last proved this op may access ([`EaMpu::latched_allow`]
+    /// for the op's own `pc` and kind). A miss runs the full check,
+    /// faulting exactly as [`AccessMode::Checked`] would, then refreshes
+    /// the window.
+    ///
+    /// [`EaMpu::latched_allow`]: eampu::EaMpu::latched_allow
+    Memo(Cell<Window>),
 }
+
+/// An inclusive address range `(lo, hi)`; [`EMPTY_WINDOW`] holds none.
+type Window = (u32, u32);
+
+const EMPTY_WINDOW: Window = (1, 0);
 
 /// How an op hands control back to the block loop.
 enum OpExit {
@@ -250,6 +281,15 @@ impl GranuleMap {
         }
     }
 
+    /// Whether the granule holding byte `addr` is set.
+    #[inline]
+    fn contains(&self, addr: u32) -> bool {
+        let granule = (addr >> GRANULE_SHIFT) as usize;
+        self.bits
+            .get(granule / 64)
+            .is_some_and(|bits| bits >> (granule % 64) & 1 != 0)
+    }
+
     /// Whether any granule covering bytes `first..=last` is set.
     fn any(&self, first: u32, last: u32) -> bool {
         let first = (first >> GRANULE_SHIFT) as usize;
@@ -312,7 +352,21 @@ impl TransState {
     /// Notes a RAM write of `len` bytes at `addr` (called from the
     /// machine's write paths). Queues a dirty range when the write
     /// touches a granule covered by compiled code.
+    #[inline]
     pub(crate) fn note_code_write(&mut self, addr: u32, len: usize) {
+        if len == 4 && addr.is_multiple_of(4) {
+            // An aligned word is exactly one granule: one bit test.
+            if self.code.contains(addr) {
+                self.dirty.push((addr, addr.saturating_add(4)));
+            }
+            return;
+        }
+        self.note_range_write(addr, len);
+    }
+
+    /// [`TransState::note_code_write`] for any other size or alignment:
+    /// walks every granule the write covers.
+    fn note_range_write(&mut self, addr: u32, len: usize) {
         // A zero-length write touches no bytes; `len - 1` below would
         // underflow into a whole-address-space range.
         if len == 0 || self.code.is_empty() {
@@ -430,19 +484,14 @@ impl Machine {
 
     /// Resolves the data-access check of a memory op at compile time.
     /// Addresses are always dynamic, so static resolution only exists
-    /// under an empty rule table (every access `AllowedUnprotected`).
+    /// under an empty rule table (every access `AllowedUnprotected`);
+    /// under rules an unobserved op memoises its allowed window instead.
     fn resolve_access(&self, observed: bool) -> AccessMode {
-        if !self.mpu_enabled {
-            return AccessMode::Quiet;
-        }
-        if !self.mpu.has_rules() {
-            if observed {
-                AccessMode::Replay(AccessDecision::AllowedUnprotected)
-            } else {
-                AccessMode::Quiet
-            }
-        } else {
-            AccessMode::Checked
+        match (self.mpu_enabled, self.mpu.has_rules(), observed) {
+            (false, _, _) | (true, false, false) => AccessMode::Quiet,
+            (true, false, true) => AccessMode::Replay(AccessDecision::AllowedUnprotected),
+            (true, true, true) => AccessMode::Checked,
+            (true, true, false) => AccessMode::Memo(Cell::new(EMPTY_WINDOW)),
         }
     }
 
@@ -1025,15 +1074,40 @@ fn exec_block_observed(m: &mut Machine, block: &TBlock, step_limit: u64) -> Resu
     Ok(())
 }
 
+#[inline]
 fn access_check(m: &mut Machine, op: &TOp, addr: u32, kind: AccessKind) -> Result<(), Fault> {
-    match op.access {
+    match &op.access {
         AccessMode::Quiet => Ok(()),
         AccessMode::Replay(decision) => {
-            m.mpu.replay_access(op.pc, addr, kind, decision);
+            m.mpu.replay_access(op.pc, addr, kind, *decision);
             Ok(())
         }
         AccessMode::Checked => m.check(op.pc, addr, kind),
+        AccessMode::Memo(window) => {
+            let (lo, hi) = window.get();
+            if lo <= addr && addr <= hi {
+                return Ok(());
+            }
+            check_and_memoise(m, op.pc, window, addr, kind)
+        }
     }
+}
+
+/// The miss side of [`AccessMode::Memo`]: the live check, then the
+/// window the EA-MPU latched for it. A denial faults and leaves the
+/// window as it was; with the decision cache off the window stays empty
+/// and every access is checked.
+#[inline(never)]
+fn check_and_memoise(
+    m: &Machine,
+    pc: u32,
+    window: &Cell<Window>,
+    addr: u32,
+    kind: AccessKind,
+) -> Result<(), Fault> {
+    m.check(pc, addr, kind)?;
+    window.set(m.mpu.latched_allow(pc, kind).unwrap_or(EMPTY_WINDOW));
+    Ok(())
 }
 
 // ---------------------------------------------------------- op handlers
@@ -1239,17 +1313,90 @@ mod tests {
     use std::sync::Arc;
     use tytan_trace::{RingRecorder, Tracer};
 
-    fn translated(source: &str) -> (Machine, Tracer) {
+    fn bare(source: &str) -> Machine {
         let mut m = Machine::new(MachineConfig {
             engine: EngineKind::Translated,
             ..MachineConfig::default()
         });
-        let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
-        m.attach_tracer(tracer.clone());
         let program = assemble(source, 0x1000).expect("assemble");
         m.load_image(0x1000, &program.bytes).expect("load");
         m.set_eip(0x1000);
+        m
+    }
+
+    fn translated(source: &str) -> (Machine, Tracer) {
+        let mut m = bare(source);
+        let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
+        m.attach_tracer(tracer.clone());
         (m, tracer)
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_threaded_op_stays_96_bytes() {
+        // The memoised window lives inside `AccessMode`, not beside it.
+        assert_eq!(std::mem::size_of::<AccessMode>(), 16);
+        assert_eq!(std::mem::size_of::<TOp>(), 96);
+    }
+
+    /// The distinct access windows of memoising ops, by pc (the block at
+    /// `main` runs into `loop`, so both hold a copy of its ops).
+    fn windows(m: &Machine) -> Vec<(u32, Window)> {
+        let mut windows: Vec<_> = m
+            .tcache
+            .blocks
+            .values()
+            .flat_map(|b| &b.ops)
+            .filter_map(|op| match &op.access {
+                AccessMode::Memo(window) => Some((op.pc, window.get())),
+                _ => None,
+            })
+            .collect();
+        windows.sort_unstable();
+        windows.dedup();
+        windows
+    }
+
+    #[test]
+    fn unobserved_ops_under_rules_memoise_their_allowed_window() {
+        let secure_task = |traced: bool, cache: bool| {
+            let source = "main:\n movi r1, 0x9000\n\
+                          loop:\n ldw r3, [r1]\n addi r3, 1\n stw [r1], r3\n jmp loop\n";
+            let mut m = if traced {
+                translated(source).0
+            } else {
+                bare(source)
+            };
+            m.set_mpu_enabled(true);
+            m.mpu_mut().set_decision_cache_enabled(cache);
+            m.mpu_mut().set_rule(
+                0,
+                eampu::Rule::new(
+                    eampu::Region::new(0x1000, 0x100),
+                    0x1000,
+                    eampu::Region::new(0x9000, 0x100),
+                    eampu::Perms::RW,
+                ),
+            );
+            m.run(1_000);
+            m
+        };
+        // Bare: the load and the store each hold the rule's data region.
+        let mut m = secure_task(false, true);
+        assert_eq!(
+            windows(&m),
+            vec![(0x1008, (0x9000, 0x90ff)), (0x1010, (0x9000, 0x90ff))]
+        );
+        assert!(m.read_word(0x9000).unwrap() > 10, "loop did not run");
+        // Cache off: the same ops memoise nothing, so every access is
+        // checked.
+        let m = secure_task(false, false);
+        assert_eq!(
+            windows(&m),
+            vec![(0x1008, EMPTY_WINDOW), (0x1010, EMPTY_WINDOW)]
+        );
+        // Traced: checked, never memoised.
+        assert_eq!(windows(&secure_task(true, true)), vec![]);
     }
 
     #[test]
@@ -1304,6 +1451,26 @@ mod tests {
         // The code really is tracked: a one-byte write into it queues.
         m.write_byte(0x1000, 0).expect("write");
         assert_eq!(m.tcache.dirty, vec![(0x1000, 0x1001)]);
+    }
+
+    #[test]
+    fn word_writes_probe_exactly_the_words_they_cover() {
+        let (mut m, _) = translated("main:\n movi r0, 1\n jmp main\n");
+        m.run(1_000);
+        let end = m.tcache.blocks[&0x1000].end;
+        // Rewrite each word with its own value: only the code words count.
+        let mut rewrite = |addr: u32| {
+            let word = m.read_word(addr).expect("read");
+            m.write_word(addr, word).expect("write");
+            std::mem::take(&mut m.tcache.dirty)
+        };
+        assert_eq!(rewrite(0x0ffc), vec![], "word before the code");
+        assert_eq!(rewrite(end), vec![], "word after the code");
+        assert_eq!(rewrite(0x1000), vec![(0x1000, 0x1004)]);
+        assert_eq!(rewrite(end - 4), vec![(end - 4, end)]);
+        // Unaligned words take the range walk.
+        assert_eq!(rewrite(end - 2), vec![(end - 2, end + 2)]);
+        assert_eq!(rewrite(0x0ffe), vec![(0x0ffe, 0x1002)]);
     }
 
     #[test]

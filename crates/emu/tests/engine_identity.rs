@@ -14,7 +14,7 @@
 //! rule mutation between two identical accesses, and an EA-MPU window
 //! reconfiguration between two executions of the same translated block.
 
-use eampu::{Perms, Region, Rule};
+use eampu::{AccessKind, EaMpu, Perms, Region, Rule};
 use sp32::asm::assemble;
 use sp32::Reg;
 use sp_emu::devices::{Sensor, Timer};
@@ -299,6 +299,77 @@ fn lockstep_mpu_enforced_loop() {
     );
 }
 
+/// A task walking `r1` word by word from its own data (0x9000, granted
+/// by its rule in slot 0) through unprotected memory (0x9100) into data
+/// that another task's rule protects (0x9180): `body` is the loop's
+/// memory access, and the first access at 0x9180 must fault.
+fn pointer_walk_into_protected_data(m: &mut Machine, body: &str) {
+    let program = assemble(
+        &format!("main:\n movi r1, 0x9000\nloop:\n{body} addi r1, 4\n jmp loop\n"),
+        0x1000,
+    )
+    .unwrap();
+    m.load_image(0x1000, &program.bytes).unwrap();
+    m.set_eip(0x1000);
+    m.set_mpu_enabled(true);
+    m.mpu_mut().set_rule(
+        0,
+        Rule::new(
+            Region::new(0x1000, 0x100),
+            0x1000,
+            Region::new(0x9000, 0x100),
+            Perms::RW,
+        ),
+    );
+    m.mpu_mut().set_rule(
+        1,
+        Rule::new(
+            Region::new(0x2000, 0x100),
+            0x2000,
+            Region::new(0x9180, 0x80),
+            Perms::RW,
+        ),
+    );
+}
+
+#[test]
+fn lockstep_pointer_walk_into_protected_data() {
+    // Under a rule, compiled loads and stores are checked accesses: the
+    // untraced translator memoises each op's allowed window and re-checks
+    // only outside it, the traced one checks every access. Walking out
+    // of the task's own data, through open memory and into another
+    // task's data crosses both window edges; all three machines must
+    // fault at the same instruction and cycle.
+    let bodies = [
+        // Load first: the fault is a read by the `ldw`.
+        (
+            " ldw r3, [r1]\n addi r3, 1\n stw [r1], r3\n",
+            0x1008,
+            AccessKind::Read,
+        ),
+        // Store first: the fault is a write by the `stw`.
+        (" stw [r1], r1\n ldw r3, [r1]\n", 0x1008, AccessKind::Write),
+    ];
+    for (body, eip, kind) in bodies {
+        lockstep(|m| pointer_walk_into_protected_data(m, body), 24, 157);
+        let mut m = Machine::new(config(EngineKind::Translated));
+        pointer_walk_into_protected_data(&mut m, body);
+        assert_eq!(
+            m.run(100_000),
+            Event::Fault(Fault::MpuAccess {
+                eip,
+                addr: 0x9180,
+                kind
+            }),
+            "{body:?}"
+        );
+        // The fault lands inside the lockstep slices, after a write to
+        // the last open word.
+        assert!(m.cycles() < 24 * 157, "{body:?}: fault past the slices");
+        assert_ne!(m.read_word(0x917c), Ok(0), "{body:?}: walk stopped early");
+    }
+}
+
 #[test]
 fn lockstep_self_modifying_code() {
     // The loop patches its own `addi r4, 1` to `addi r4, 2` on the first
@@ -390,7 +461,9 @@ fn mpu_reconfiguration_invalidates_translated_block() {
     // fault. Cycle-identical across both engines, and the translated
     // engine must drop its compiled blocks at the reconfiguration
     // (counted as an MPU invalidation) rather than replay the stale
-    // decision.
+    // decision. The translator runs traced (every access checked) and
+    // bare: the bare machine's load memoised an allowed window over
+    // 0x9000 before the change, which must not allow it after.
     let source = "main:\n movi r1, 0x9000\n\
                   loop:\n ldw r3, [r1]\n addi r2, 1\n jmp loop\n";
     let build = |engine: EngineKind| {
@@ -420,16 +493,21 @@ fn mpu_reconfiguration_invalidates_translated_block() {
         m
     };
 
-    let mut machines: Vec<Machine> = ALL_ENGINES.into_iter().map(build).collect();
+    let engines = [
+        EngineKind::Legacy,
+        EngineKind::Translated,
+        EngineKind::Translated,
+    ];
+    let mut machines: Vec<Machine> = engines.into_iter().map(build).collect();
     let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
     machines[1].attach_tracer(tracer.clone());
 
     let mut reference: Option<(Event, Snapshot, Event, Snapshot)> = None;
     for m in &mut machines {
-        let engine = m.engine();
+        let engine = label(m);
         // First execution: the block's probe read is allowed.
         let e1 = m.run(1_000);
-        assert_eq!(e1, Event::BudgetExhausted, "{engine:?}: probe faulted");
+        assert_eq!(e1, Event::BudgetExhausted, "{engine}: probe faulted");
         let s1 = snapshot(m);
         // Move the probe's data window away from 0x9000 (which stays
         // protected by slot 0): the very same block must now fault on
@@ -446,14 +524,14 @@ fn mpu_reconfiguration_invalidates_translated_block() {
         let e2 = m.run(1_000);
         assert!(
             matches!(e2, Event::Fault(Fault::MpuAccess { addr: 0x9000, .. })),
-            "{engine:?}: stale MPU decision survived reconfiguration: {e2:?}"
+            "{engine}: stale MPU decision survived reconfiguration: {e2:?}"
         );
         let s2 = snapshot(m);
         match &reference {
             None => reference = Some((e1, s1, e2, s2)),
             Some((r1, rs1, r2, rs2)) => {
-                assert_eq!((&e1, &s1), (r1, rs1), "{engine:?}: diverged before");
-                assert_eq!((&e2, &s2), (r2, rs2), "{engine:?}: diverged after");
+                assert_eq!((&e1, &s1), (r1, rs1), "{engine}: diverged before");
+                assert_eq!((&e2, &s2), (r2, rs2), "{engine}: diverged after");
             }
         }
     }
@@ -465,6 +543,59 @@ fn mpu_reconfiguration_invalidates_translated_block() {
             > 0,
         "reconfiguration did not invalidate compiled blocks"
     );
+}
+
+#[test]
+fn replacing_the_mpu_drops_blocks_compiled_under_the_old_one() {
+    // The EA-MPU can be swapped whole through `mpu_mut`. The replacement
+    // protects the loop's data for another task, and is bumped until its
+    // generation is at least the old one's: were epochs counted per
+    // instance, the two would then match, and the compiled blocks, with
+    // the bare machine's memoised window over 0x9000, would survive.
+    for engine in ALL_ENGINES {
+        let mut m = Machine::new(config(engine));
+        let program = assemble(
+            "main:\n movi r1, 0x9000\nloop:\n ldw r3, [r1]\n jmp loop\n",
+            0x1000,
+        )
+        .unwrap();
+        m.load_image(0x1000, &program.bytes).unwrap();
+        m.set_eip(0x1000);
+        m.set_mpu_enabled(true);
+        m.mpu_mut().set_rule(
+            0,
+            Rule::new(
+                Region::new(0x1000, 0x100),
+                0x1000,
+                Region::new(0x9000, 0x100),
+                Perms::RW,
+            ),
+        );
+        assert_eq!(m.run(1_000), Event::BudgetExhausted, "{engine:?}");
+        let mut other = EaMpu::new(m.mpu().slot_count());
+        other.set_rule(
+            0,
+            Rule::new(
+                Region::new(0x2000, 0x100),
+                0x2000,
+                Region::new(0x9000, 0x100),
+                Perms::RW,
+            ),
+        );
+        while other.generation() < m.mpu().generation() {
+            other.invalidate_decision_cache();
+        }
+        *m.mpu_mut() = other;
+        assert_eq!(
+            m.run(1_000),
+            Event::Fault(Fault::MpuAccess {
+                eip: 0x1008,
+                addr: 0x9000,
+                kind: AccessKind::Read
+            }),
+            "{engine:?}: a block compiled under the replaced EA-MPU survived"
+        );
+    }
 }
 
 #[test]

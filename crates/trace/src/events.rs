@@ -301,6 +301,10 @@ impl EventLog {
     /// length limits; if the ring is full the oldest event is shed and
     /// counted.
     pub fn emit(&self, severity: Severity, scope: &str, event: &str, fields: LogFields) -> u64 {
+        // Copying the detail, and copying scope and event under the lock,
+        // measured faster on fleet batches than cutting the detail in
+        // place or copying all three before the lock. A batch's set-up
+        // time includes dropping its full log.
         let mut fields = fields;
         fields.detail = truncate(&fields.detail, MAX_DETAIL_LEN).to_string();
         let mut state = self.inner.lock().expect("event log poisoned");
@@ -438,6 +442,30 @@ mod tests {
         // And the truncated event still round-trips.
         let line = event.to_json();
         assert_eq!(LogEvent::from_json(&line).unwrap().to_json(), line);
+    }
+
+    #[test]
+    fn overlong_multibyte_detail_truncates_at_a_char_boundary() {
+        // One ASCII byte, then 2-byte chars: byte MAX_DETAIL_LEN falls
+        // inside a char, so the cut lands one byte earlier.
+        let detail = format!("a{}", "é".repeat(MAX_DETAIL_LEN));
+        let expected = format!("a{}", "é".repeat((MAX_DETAIL_LEN - 1) / 2));
+        assert_eq!(expected.len(), MAX_DETAIL_LEN - 1);
+        let log = EventLog::new(4);
+        for detail in [detail, "short é".to_string()] {
+            log.emit(
+                Severity::Debug,
+                "s",
+                "e",
+                LogFields {
+                    detail,
+                    ..LogFields::default()
+                },
+            );
+        }
+        let events = log.events();
+        assert_eq!(events[0].fields.detail, expected);
+        assert_eq!(events[1].fields.detail, "short é");
     }
 
     #[test]
