@@ -716,13 +716,6 @@ impl<D: Digest> Platform<D> {
             .device_mut::<T>(*self.device_handles.get(name)?)
     }
 
-    /// Everything written to the UART so far.
-    pub fn uart_output(&self) -> String {
-        self.device::<Uart>("uart")
-            .map(|u| u.output_string())
-            .unwrap_or_default()
-    }
-
     /// The load base of a task.
     pub fn task_base(&self, handle: TaskHandle) -> Option<u32> {
         self.kernel.task(handle).map(|t| t.params.code.start())
@@ -750,25 +743,6 @@ impl<D: Digest> Platform<D> {
     /// [`Platform::wait_load`]).
     pub fn begin_load(&mut self, source: &TaskSource, priority: u8) -> LoadToken {
         let job = LoadJob::new(source.image.clone(), source.mailbox_offset, priority);
-        self.jobs.push(JobSlot::Running(Box::new(job)));
-        let token = LoadToken(self.jobs.len() - 1);
-        self.trace_core(loader_tid(token.0), EventKind::Enter("load"));
-        token
-    }
-
-    /// Like [`Platform::begin_load`], but the job first runs the static
-    /// verifier ([`tytan_lint`]) against `policy`; a proven policy
-    /// violation fails the load with [`LoadError::LintRejected`] before
-    /// any memory is touched. Verification is host-side and costs zero
-    /// guest cycles.
-    pub fn begin_load_verified(
-        &mut self,
-        source: &TaskSource,
-        priority: u8,
-        policy: tytan_lint::LintPolicy,
-    ) -> LoadToken {
-        let job = LoadJob::new(source.image.clone(), source.mailbox_offset, priority)
-            .with_verification(policy);
         self.jobs.push(JobSlot::Running(Box::new(job)));
         let token = LoadToken(self.jobs.len() - 1);
         self.trace_core(loader_tid(token.0), EventKind::Enter("load"));
@@ -988,11 +962,6 @@ impl<D: Digest> Platform<D> {
         self.machine.cf_monitor()
     }
 
-    /// Detaches and returns the control-flow monitor, if any.
-    pub fn disarm_cf_monitor(&mut self) -> Option<sp_emu::CfMonitor> {
-        self.machine.take_cf_monitor()
-    }
-
     /// Control-flow remote attestation: a MAC-authenticated report over
     /// `id`'s measurement *and* the monitored run's edge log and chain
     /// head, for the verifier's `nonce`.
@@ -1077,12 +1046,6 @@ impl<D: Digest> Platform<D> {
         self.machine
             .tick(costs.ipc_proxy + 2 * costs.measure_per_block);
         Ok(self.storage.retrieve(id, name)?)
-    }
-
-    /// Direct access to the secure-storage component (persistence across
-    /// simulated reboots in examples).
-    pub fn storage_mut(&mut self) -> &mut SecureStorage {
-        &mut self.storage
     }
 
     // ----- IPC -----

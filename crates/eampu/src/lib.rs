@@ -978,32 +978,6 @@ impl EaMpu {
         TransferDecision::Allowed
     }
 
-    /// Resolves an access decision *without* observable side effects; the
-    /// preview counterpart of [`EaMpu::check_access`], mirroring its scan
-    /// exactly.
-    pub fn preview_access(&self, eip: u32, addr: u32, kind: AccessKind) -> AccessDecision {
-        let mut protected = false;
-        for (slot, rule) in self.rules() {
-            if rule.data.contains(addr) {
-                protected = true;
-                if rule.code.contains(eip) && rule.perms.allows(kind) {
-                    return AccessDecision::AllowedByRule { slot };
-                }
-            }
-            if rule.code.contains(addr) {
-                protected = true;
-                if rule.code.contains(eip) && kind == AccessKind::Read {
-                    return AccessDecision::AllowedByRule { slot };
-                }
-            }
-        }
-        if protected {
-            AccessDecision::Denied
-        } else {
-            AccessDecision::AllowedUnprotected
-        }
-    }
-
     /// Replays a pre-resolved transfer decision's observable effects —
     /// trace counters and the decision-log record — as if a (latched)
     /// [`EaMpu::check_transfer`] had just returned `decision`.

@@ -44,7 +44,6 @@
 
 pub mod cfa;
 mod cycles;
-pub mod debug;
 mod device;
 pub mod devices;
 mod engine;

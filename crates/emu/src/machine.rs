@@ -926,11 +926,6 @@ impl Machine {
         self.pending_irqs.insert(vector);
     }
 
-    /// Whether any interrupt is latched.
-    pub fn irq_pending(&self) -> bool {
-        !self.pending_irqs.is_empty()
-    }
-
     /// The `EIP` captured by the exception engine at the last dispatch: for
     /// `INT` the address of the `INT` instruction itself (the "origin of
     /// the interrupt" the IPC proxy reads, §4), for hardware interrupts the

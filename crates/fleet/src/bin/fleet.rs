@@ -246,7 +246,6 @@ fn print_json(outcome: &FleetOutcome) {
     println!("  \"bundles\": {},", outcome.bundles);
     println!("  \"events\": {},", outcome.events);
     println!("  \"events_dropped\": {},", outcome.events_dropped);
-    println!("  \"trace_dropped\": {},", outcome.trace_dropped);
     println!("  \"clean\": {}", outcome.clean());
     println!("}}");
 }
@@ -291,8 +290,8 @@ fn print_human(outcome: &FleetOutcome) {
         outcome.verify_p50_ns, outcome.verify_p99_ns, outcome.batches, outcome.batch_p99_ns
     );
     println!(
-        "  forensics: {} bundles, {} events ({} shed), trace drops {}",
-        outcome.bundles, outcome.events, outcome.events_dropped, outcome.trace_dropped
+        "  forensics: {} bundles, {} events ({} shed)",
+        outcome.bundles, outcome.events, outcome.events_dropped
     );
     println!(
         "  decode errors {}, unknown devices {}, device errors {}",

@@ -225,12 +225,12 @@ pub struct FleetOutcome {
     /// Forensic bundles the flight recorder dumped (one per typed
     /// rejection of a provisioned device).
     pub bundles: u64,
-    /// Structured events emitted (including any later shed).
+    /// Structured events emitted (including any later shed); 0 when
+    /// [`FleetConfig::events_out`] is `None`, since no log is kept.
     pub events: u64,
-    /// Structured events shed because the bounded log was full.
+    /// Structured events shed because the bounded log was full; 0 when
+    /// [`FleetConfig::events_out`] is `None`.
     pub events_dropped: u64,
-    /// Trace events the tracer's sink shed (bounded rings drop-oldest).
-    pub trace_dropped: u64,
 }
 
 impl FleetOutcome {
@@ -256,6 +256,10 @@ impl FleetOutcome {
 /// device farm, streams their reports through the wire protocol into the
 /// farm workers' [`FleetVerifier`]s, and returns the aggregate outcome.
 ///
+/// Each farm worker owns a verifier; it provisions each device it claims
+/// and holds the conversation with [`converse`]. The structured event
+/// stream is kept only when `config.events_out` will write it out.
+///
 /// Determinism: keys, digests, nonces and injections depend only on
 /// `config` (throughput and latency numbers are wall-clock, of course).
 ///
@@ -265,23 +269,14 @@ impl FleetOutcome {
 /// expected fleet digest. Per-device failures do not abort the run; they
 /// are counted in [`FleetOutcome::device_errors`].
 pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
-    run_fleet_with_tracer(config, Tracer::null())
-}
-
-/// [`run_fleet`] reporting into a caller-supplied tracer (counters,
-/// histograms and span events land in its registries).
-///
-/// Each farm worker owns a verifier sharing `tracer` and one event log;
-/// it provisions each device it claims and holds the conversation with
-/// [`converse`]. Forensic bundles are concatenated after the run.
-pub fn run_fleet_with_tracer(
-    config: &FleetConfig,
-    tracer: Tracer,
-) -> Result<FleetOutcome, PlatformError> {
+    let tracer = Tracer::null();
     let master = config.master();
     let (_, expected_digest) = farm::reference_digest()?;
     let edges = config.cfa.then(|| Arc::new(farm::fleet_admissible_edges()));
-    let event_log = Arc::new(EventLog::new(1 << 16));
+    let event_log = config
+        .events_out
+        .is_some()
+        .then(|| Arc::new(EventLog::new(1 << 16)));
     let workers = config.worker_count();
     // Windowed metric deltas: each time the workers' verifiers pass
     // another WINDOW_BATCHES flushes between them, the counters' movement
@@ -290,6 +285,9 @@ pub fn run_fleet_with_tracer(
     let flushes = AtomicU64::new(0);
     let window = Mutex::new(DeltaWindow::new(tracer.counters()));
     let tick_window = |n: u64| {
+        let Some(event_log) = &event_log else {
+            return;
+        };
         let before = flushes.fetch_add(n, Ordering::Relaxed);
         if (before + n) / WINDOW_BATCHES > before / WINDOW_BATCHES {
             // A tick leaves the window valid at every step, so a lock
@@ -311,7 +309,9 @@ pub fn run_fleet_with_tracer(
         |n| {
             let mut verifier =
                 FleetVerifier::new(master, expected_digest.clone(), config.seed, tracer.clone());
-            verifier.attach_event_log(event_log.clone());
+            if let Some(log) = &event_log {
+                verifier.attach_event_log(log.clone());
+            }
             verifier.stride_corr_ids(n as u64 + 1, workers as u64);
             if let Some(edges) = &edges {
                 verifier.provision_edge_set(edges.clone());
@@ -347,8 +347,8 @@ pub fn run_fleet_with_tracer(
         let text = metrics::prometheus_text(tracer.counters(), tracer.histograms());
         write_best_effort(path, &text);
     }
-    if let Some(path) = &config.events_out {
-        write_best_effort(path, &event_log.to_jsonl());
+    if let (Some(path), Some(log)) = (&config.events_out, &event_log) {
+        write_best_effort(path, &log.to_jsonl());
     }
 
     let counters = tracer.counters();
@@ -386,9 +386,8 @@ pub fn run_fleet_with_tracer(
         batch_p99_ns: batch.map_or(0, |s| s.p99),
         batches: get("fleet_batches"),
         bundles: get("fleet_bundles"),
-        events: event_log.emitted(),
-        events_dropped: event_log.dropped(),
-        trace_dropped: tracer.sink_dropped(),
+        events: event_log.as_ref().map_or(0, |log| log.emitted()),
+        events_dropped: event_log.as_ref().map_or(0, |log| log.dropped()),
     })
 }
 

@@ -25,11 +25,12 @@
 //! decision, not a cryptographic one, and a replay could not reproduce
 //! it faithfully.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use tytan::attest::{DeviceId, VerifierSession};
 use tytan_lint::AdmissibleEdgeSet;
 use tytan_trace::json::{self, Value};
+use tytan_trace::Ring;
 
 use crate::farm::device_attestation_key;
 use crate::proto::{self, verdict_code, Message};
@@ -75,11 +76,19 @@ pub struct DecisionRecord {
     pub code: u8,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DeviceTape {
-    frames: VecDeque<FrameRecord>,
-    decisions: VecDeque<DecisionRecord>,
-    dropped: u64,
+    frames: Ring<FrameRecord>,
+    decisions: Ring<DecisionRecord>,
+}
+
+impl DeviceTape {
+    fn new() -> Self {
+        DeviceTape {
+            frames: Ring::new(FRAME_TAIL_CAP),
+            decisions: Ring::new(DECISION_TAIL_CAP),
+        }
+    }
 }
 
 /// Bounded per-device forensic tapes plus the bundles produced so far.
@@ -95,14 +104,13 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
+    fn tape(&mut self, device: DeviceId) -> &mut DeviceTape {
+        self.tapes.entry(device).or_insert_with(DeviceTape::new)
+    }
+
     /// Tapes an inbound report frame for `device`.
     pub fn note_frame(&mut self, device: DeviceId, corr: u64, frame: &[u8]) {
-        let tape = self.tapes.entry(device).or_default();
-        if tape.frames.len() == FRAME_TAIL_CAP {
-            tape.frames.pop_front();
-            tape.dropped += 1;
-        }
-        tape.frames.push_back(FrameRecord {
+        self.tape(device).frames.push(FrameRecord {
             corr,
             len: frame.len(),
             snippet: frame[..frame.len().min(FRAME_SNIPPET_LEN)].to_vec(),
@@ -111,12 +119,9 @@ impl FlightRecorder {
 
     /// Tapes a verdict for `device`.
     pub fn note_decision(&mut self, device: DeviceId, corr: u64, code: u8) {
-        let tape = self.tapes.entry(device).or_default();
-        if tape.decisions.len() == DECISION_TAIL_CAP {
-            tape.decisions.pop_front();
-            tape.dropped += 1;
-        }
-        tape.decisions.push_back(DecisionRecord { corr, code });
+        self.tape(device)
+            .decisions
+            .push(DecisionRecord { corr, code });
     }
 
     /// Snapshot of `device`'s taped frames, oldest first.
@@ -142,7 +147,8 @@ impl FlightRecorder {
 
     /// Records shed across every tape (bounded tapes drop oldest).
     pub fn dropped(&self) -> u64 {
-        self.tapes.values().map(|t| t.dropped).sum()
+        let shed = |t: &DeviceTape| t.frames.dropped() + t.decisions.dropped();
+        self.tapes.values().map(shed).sum()
     }
 
     /// Adds a finished bundle.

@@ -246,7 +246,7 @@ impl FleetVerifier {
         event: &str,
         device: Option<DeviceId>,
         corr: u64,
-        detail: String,
+        detail: impl FnOnce() -> String,
     ) {
         if let Some(log) = &self.event_log {
             let session = device.and_then(|d| self.hello_counts.get(&d).copied());
@@ -258,7 +258,7 @@ impl FleetVerifier {
                     device: device.map(DeviceId::as_u64),
                     session,
                     corr: (corr != 0).then_some(corr),
-                    detail,
+                    detail: detail(),
                 },
             );
         }
@@ -319,13 +319,9 @@ impl FleetVerifier {
         let nonce = session.challenge();
         let corr = self.next_corr;
         self.next_corr += self.corr_stride;
-        self.log_event(
-            Severity::Info,
-            "challenge",
-            Some(device),
-            corr,
-            format!("nonce {} bytes", nonce.len()),
-        );
+        self.log_event(Severity::Info, "challenge", Some(device), corr, || {
+            format!("nonce {} bytes", nonce.len())
+        });
         Some(encode(
             &Message::Challenge {
                 device,
@@ -376,13 +372,9 @@ impl FleetVerifier {
             self.tracer.counters().add(self.counters.decode_errors, 1);
             self.tracer
                 .emit(Layer::Fleet, 0, 0, EventKind::Mark("decode_error"));
-            self.log_event(
-                Severity::Warn,
-                "decode_error",
-                Some(from),
-                0,
-                format!("{err}"),
-            );
+            self.log_event(Severity::Warn, "decode_error", Some(from), 0, || {
+                format!("{err}")
+            });
         }
         replies
     }
@@ -398,13 +390,9 @@ impl FleetVerifier {
                 *self.hello_counts.entry(device).or_insert(0) += 1;
                 if !self.sessions.contains_key(&device) {
                     self.tracer.counters().add(self.counters.unknown_device, 1);
-                    self.log_event(
-                        Severity::Warn,
-                        "hello_unknown",
-                        Some(device),
-                        0,
-                        "hello from unprovisioned device".to_string(),
-                    );
+                    self.log_event(Severity::Warn, "hello_unknown", Some(device), 0, || {
+                        "hello from unprovisioned device".to_string()
+                    });
                     return;
                 }
                 if max_version < PROTOCOL_VERSION {
@@ -414,17 +402,13 @@ impl FleetVerifier {
                         "hello_unsupported_version",
                         Some(device),
                         0,
-                        CodecError::UnsupportedVersion { got: max_version }.to_string(),
+                        || CodecError::UnsupportedVersion { got: max_version }.to_string(),
                     );
                     return;
                 }
-                self.log_event(
-                    Severity::Info,
-                    "hello",
-                    Some(device),
-                    0,
-                    format!("version {PROTOCOL_VERSION}"),
-                );
+                self.log_event(Severity::Info, "hello", Some(device), 0, || {
+                    format!("version {PROTOCOL_VERSION}")
+                });
                 replies.push(encode(
                     &Message::Welcome {
                         version: PROTOCOL_VERSION,
@@ -442,13 +426,9 @@ impl FleetVerifier {
             } => {
                 self.tracer.counters().add(self.counters.reports, 1);
                 self.recorder.note_frame(device, corr, frame);
-                self.log_event(
-                    Severity::Debug,
-                    "report",
-                    Some(device),
-                    corr,
-                    format!("frame {} bytes", frame.len()),
-                );
+                self.log_event(Severity::Debug, "report", Some(device), corr, || {
+                    format!("frame {} bytes", frame.len())
+                });
                 self.pending
                     .push((device, corr, PendingReport::Plain(report)));
             }
@@ -469,7 +449,7 @@ impl FleetVerifier {
                         "cfa_unconfigured",
                         Some(device),
                         corr,
-                        "cfa report dropped: no edge set registered".to_string(),
+                        || "cfa report dropped: no edge set registered".to_string(),
                     );
                     return;
                 };
@@ -483,18 +463,14 @@ impl FleetVerifier {
                 self.tracer
                     .counters()
                     .add(self.counters.cfa_runs, report.log.len() as u64);
-                self.log_event(
-                    Severity::Debug,
-                    "cfa_report",
-                    Some(device),
-                    corr,
+                self.log_event(Severity::Debug, "cfa_report", Some(device), corr, || {
                     format!(
                         "frame {} bytes, {} edges in {} runs",
                         frame.len(),
                         report.raw_edges(),
                         report.log.len()
-                    ),
-                );
+                    )
+                });
                 self.pending
                     .push((device, corr, PendingReport::Cfa(report, edges)));
             }
@@ -708,7 +684,7 @@ impl FleetVerifier {
                 "verdict",
                 Some(*device),
                 *corr,
-                verdict_code::name(code).to_string(),
+                || verdict_code::name(code).to_string(),
             );
             entries.push(FlushEntry {
                 device: *device,
@@ -723,7 +699,7 @@ impl FleetVerifier {
                 "bundle",
                 Some(DeviceId::from_u64(bundle.device)),
                 bundle.corr,
-                format!("forensic bundle: {}", bundle.verdict),
+                || format!("forensic bundle: {}", bundle.verdict),
             );
             self.recorder.push_bundle(bundle);
         }

@@ -84,33 +84,6 @@ pub fn build_machines(setup: &CaseSetup) -> Vec<Machine> {
     ENGINES.map(|engine| build_machine(setup, engine)).into()
 }
 
-/// Compares the observable state of one machine against the legacy
-/// reference; `at` names the boundary for the failure message.
-pub fn compare_state(at: &str, m: &Machine, legacy: &Machine) -> Result<(), String> {
-    let engine = m.engine();
-    let sm = m.snapshot();
-    let sl = legacy.snapshot();
-    if sm != sl {
-        return Err(format!(
-            "state divergence at {at}:\n  {engine:?}: {sm:?}\n  legacy: {sl:?}"
-        ));
-    }
-    let dm = m.mpu().take_decision_log();
-    let dl = legacy.mpu().take_decision_log();
-    if dm != dl {
-        let i = dm.iter().zip(&dl).take_while(|(a, b)| a == b).count();
-        return Err(format!(
-            "EA-MPU decision divergence at {at}: {} vs {} records, first mismatch at {i}: \
-             {engine:?} {:?} vs legacy {:?}",
-            dm.len(),
-            dl.len(),
-            dm.get(i),
-            dl.get(i),
-        ));
-    }
-    Ok(())
-}
-
 /// Compares every non-reference machine's state against the reference
 /// (`machines[0]`), consuming all decision logs. The reference log is
 /// taken once up front (taking drains), so every participant is held

@@ -18,8 +18,7 @@
 //! and the core layer's loader/IPC/attestation markers.
 
 use crate::tcb::TaskHandle;
-use std::collections::VecDeque;
-use tytan_trace::{EventKind, Layer, Tracer};
+use tytan_trace::{EventKind, Layer, Ring, Tracer};
 
 /// What happened at a trace point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,10 +69,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SchedTrace {
-    events: VecDeque<SchedEvent>,
-    capacity: usize,
-    dropped: u64,
-    enabled: bool,
+    events: Ring<SchedEvent>,
     sink: Option<Tracer>,
 }
 
@@ -84,40 +80,31 @@ impl Default for SchedTrace {
 }
 
 impl SchedTrace {
-    /// Creates an enabled, empty trace with the default capacity.
+    /// Creates an empty trace with the default capacity.
     pub fn new() -> Self {
         SchedTrace::with_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
-    /// Creates an enabled, empty trace keeping at most `capacity` events.
+    /// Creates an empty trace keeping at most `capacity` events.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be nonzero");
         SchedTrace {
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-            enabled: true,
+            events: Ring::new(capacity),
             sink: None,
         }
     }
 
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.events.capacity()
     }
 
     /// Number of events dropped to make room for newer ones.
     pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Enables or disables recording (disabled traces cost nothing).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
+        self.events.dropped()
     }
 
     /// Forwards every subsequently recorded event onto the shared
@@ -128,20 +115,13 @@ impl SchedTrace {
         self.sink = Some(tracer);
     }
 
-    /// Records an event if recording is enabled, dropping the oldest
-    /// retained event when the ring is full.
+    /// Records an event, dropping the oldest retained event when the ring
+    /// is full.
     pub fn record(&mut self, cycle: u64, kind: SchedEventKind) {
-        if !self.enabled {
-            return;
-        }
         if let Some(tracer) = &self.sink {
             forward(tracer, cycle, kind);
         }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped = self.dropped.saturating_add(1);
-        }
-        self.events.push_back(SchedEvent { cycle, kind });
+        self.events.push(SchedEvent { cycle, kind });
     }
 
     /// The retained events, oldest first.
@@ -152,34 +132,6 @@ impl SchedTrace {
     /// Clears the trace and resets the dropped count.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.dropped = 0;
-    }
-
-    /// Counts dispatches of `task` within the half-open cycle window.
-    ///
-    /// Only retained events are counted: a window reaching further back
-    /// than the ring's oldest event undercounts (check
-    /// [`SchedTrace::dropped`] when that matters).
-    pub fn dispatches_in_window(&self, task: TaskHandle, start: u64, end: u64) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| {
-                e.cycle >= start
-                    && e.cycle < end
-                    && matches!(e.kind, SchedEventKind::Dispatched(h) if h == task)
-            })
-            .count() as u64
-    }
-
-    /// The achieved dispatch frequency of `task` in the window, in events
-    /// per 1,000,000 cycles (i.e. kHz on a 1 GHz clock; divide by the
-    /// actual clock to get physical units).
-    pub fn dispatch_rate_per_mcycle(&self, task: TaskHandle, start: u64, end: u64) -> f64 {
-        if end <= start {
-            return 0.0;
-        }
-        let n = self.dispatches_in_window(task, start, end) as f64;
-        n * 1_000_000.0 / (end - start) as f64
     }
 }
 
@@ -205,41 +157,6 @@ mod tests {
     use tytan_trace::RingRecorder;
 
     #[test]
-    fn records_and_filters() {
-        let mut t = SchedTrace::new();
-        let a = TaskHandle(0);
-        let b = TaskHandle(1);
-        t.record(10, SchedEventKind::Dispatched(a));
-        t.record(20, SchedEventKind::Dispatched(b));
-        t.record(30, SchedEventKind::Dispatched(a));
-        t.record(40, SchedEventKind::Dispatched(a));
-        assert_eq!(t.dispatches_in_window(a, 0, 35), 2);
-        assert_eq!(t.dispatches_in_window(a, 0, 100), 3);
-        assert_eq!(t.dispatches_in_window(b, 0, 100), 1);
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = SchedTrace::new();
-        t.set_enabled(false);
-        t.record(1, SchedEventKind::Idle);
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn rate_computation() {
-        let mut t = SchedTrace::new();
-        let a = TaskHandle(0);
-        for i in 0..10 {
-            t.record(i * 100, SchedEventKind::Dispatched(a));
-        }
-        // 10 dispatches in 1000 cycles = 10_000 per mcycle.
-        let rate = t.dispatch_rate_per_mcycle(a, 0, 1000);
-        assert!((rate - 10_000.0).abs() < 1e-9);
-        assert_eq!(t.dispatch_rate_per_mcycle(a, 5, 5), 0.0);
-    }
-
-    #[test]
     fn clear_empties() {
         let mut t = SchedTrace::new();
         t.record(1, SchedEventKind::Idle);
@@ -257,10 +174,7 @@ mod tests {
         let cycles: Vec<u64> = t.events().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![7, 8, 9]);
         assert_eq!(t.dropped(), 7);
-        // Window analysis over the retained suffix still works.
-        let a = TaskHandle(0);
-        t.record(11, SchedEventKind::Dispatched(a));
-        assert_eq!(t.dispatches_in_window(a, 0, 100), 1);
+        assert_eq!(t.capacity(), 3);
     }
 
     #[test]

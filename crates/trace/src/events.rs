@@ -50,11 +50,10 @@
 //! assert!(line.contains("\"corr\":\"42\""));
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::json::{self, Value};
+use crate::ring::Ring;
 
 /// Longest `detail` string (in bytes) an event may carry; longer strings
 /// are truncated at a character boundary on emission. Bounds both memory
@@ -256,22 +255,12 @@ impl LogEvent {
     }
 }
 
-/// A bounded, thread-safe structured event log: drop-oldest ring with
-/// the same shedding contract as [`crate::RingRecorder`] — recording
+/// A bounded, thread-safe structured event log: a [`Ring`] of
+/// [`LogEvent`]s behind a lock, with the sequence counter — recording
 /// never blocks progress and never grows without bound, and everything
 /// shed is counted in [`EventLog::dropped`].
 #[derive(Debug)]
-pub struct EventLog {
-    inner: Mutex<LogState>,
-    dropped: AtomicU64,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct LogState {
-    next_seq: u64,
-    events: VecDeque<LogEvent>,
-}
+pub struct EventLog(Mutex<(u64, Ring<LogEvent>)>);
 
 impl EventLog {
     /// Creates a log retaining at most `capacity` events.
@@ -280,20 +269,16 @@ impl EventLog {
     ///
     /// If `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "EventLog capacity must be non-zero");
-        EventLog {
-            inner: Mutex::new(LogState {
-                next_seq: 0,
-                events: VecDeque::with_capacity(capacity.min(1024)),
-            }),
-            dropped: AtomicU64::new(0),
-            capacity,
-        }
+        EventLog(Mutex::new((0, Ring::new(capacity))))
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, (u64, Ring<LogEvent>)> {
+        self.0.lock().expect("event log poisoned")
     }
 
     /// Maximum retained events.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.state().1.capacity()
     }
 
     /// Records one event, assigning the next sequence number (returned).
@@ -301,20 +286,12 @@ impl EventLog {
     /// length limits; if the ring is full the oldest event is shed and
     /// counted.
     pub fn emit(&self, severity: Severity, scope: &str, event: &str, fields: LogFields) -> u64 {
-        // Copying the detail, and copying scope and event under the lock,
-        // measured faster on fleet batches than cutting the detail in
-        // place or copying all three before the lock. A batch's set-up
-        // time includes dropping its full log.
         let mut fields = fields;
         fields.detail = truncate(&fields.detail, MAX_DETAIL_LEN).to_string();
-        let mut state = self.inner.lock().expect("event log poisoned");
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        if state.events.len() == self.capacity {
-            state.events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        state.events.push_back(LogEvent {
+        let mut state = self.state();
+        let seq = state.0;
+        state.0 += 1;
+        state.1.push(LogEvent {
             seq,
             severity,
             scope: truncate(scope, MAX_NAME_LEN).to_string(),
@@ -326,13 +303,12 @@ impl EventLog {
 
     /// Retained events, oldest first.
     pub fn events(&self) -> Vec<LogEvent> {
-        let state = self.inner.lock().expect("event log poisoned");
-        state.events.iter().cloned().collect()
+        self.state().1.iter().cloned().collect()
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("event log poisoned").events.len()
+        self.state().1.len()
     }
 
     /// Whether nothing has been retained.
@@ -342,12 +318,12 @@ impl EventLog {
 
     /// Events emitted in total (including any later shed).
     pub fn emitted(&self) -> u64 {
-        self.inner.lock().expect("event log poisoned").next_seq
+        self.state().0
     }
 
     /// Events shed because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.state().1.dropped()
     }
 
     /// The retained events as a JSONL document (one canonical line per

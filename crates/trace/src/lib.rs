@@ -10,8 +10,8 @@
 //!   emitted it and a logical track id (task, vector, or concern).
 //! - [`TraceSink`]: where events go. [`NullSink`] ignores everything and is
 //!   the default — an unattached layer pays one `Option` branch, nothing
-//!   more. [`RingRecorder`] keeps the newest events in a bounded
-//!   drop-oldest ring and counts what it sheds.
+//!   more. [`RingRecorder`] keeps the newest events in a [`Ring`], the
+//!   one bounded drop-oldest ring every trace in the workspace uses.
 //! - [`Counters`]: a monotonic, saturating counter registry shared across
 //!   layers via relaxed atomics (lock-free on the increment path).
 //! - [`chrome`]: Chrome `trace_event` JSON export (one pid per layer, one
@@ -68,7 +68,7 @@ pub mod ring;
 
 pub use counters::{CounterId, Counters};
 pub use hist::{HistId, Histograms};
-pub use ring::RingRecorder;
+pub use ring::{Ring, RingRecorder};
 
 /// The layer of the stack an event originated from. Maps to one Chrome
 /// trace pid per layer.
@@ -157,13 +157,6 @@ pub trait TraceSink: Send + Sync {
         true
     }
 
-    /// Events this sink has shed (bounded sinks drop-oldest under
-    /// pressure). Defaults to zero for sinks that never shed; surfaced
-    /// fleet-wide so silent trace loss is visible in run summaries.
-    fn dropped(&self) -> u64 {
-        0
-    }
-
     /// Accepts one event.
     fn record(&self, event: TraceEvent);
 }
@@ -211,16 +204,6 @@ impl Tracer {
         }
     }
 
-    /// Builds a tracer sharing an existing counter registry (histograms
-    /// stay fresh).
-    pub fn with_counters(sink: Arc<dyn TraceSink>, counters: Arc<Counters>) -> Self {
-        Tracer {
-            sink,
-            counters,
-            hists: Arc::new(Histograms::new()),
-        }
-    }
-
     /// A disabled tracer ([`NullSink`] + empty registry). Counters still
     /// count — they are cheap — but no events are recorded.
     pub fn null() -> Self {
@@ -230,11 +213,6 @@ impl Tracer {
     /// Whether the sink is recording events.
     pub fn enabled(&self) -> bool {
         self.sink.enabled()
-    }
-
-    /// Events the sink has shed (see [`TraceSink::dropped`]).
-    pub fn sink_dropped(&self) -> u64 {
-        self.sink.dropped()
     }
 
     /// The shared counter registry.

@@ -222,3 +222,16 @@ fn single_worker_event_stream_is_identical_run_to_run() {
     assert!(a.iter().any(|line| line.contains("metrics.window")));
     assert_eq!(a, b);
 }
+
+#[test]
+fn fleet_keeps_no_events_unless_they_are_written_out() {
+    let outcome = run_fleet(&FleetConfig {
+        devices: 6,
+        rounds: 2,
+        replay_every: Some(3),
+        ..FleetConfig::default()
+    })
+    .expect("fleet runs");
+    assert!(outcome.clean(), "{outcome:?}");
+    assert_eq!((outcome.events, outcome.events_dropped), (0, 0));
+}
