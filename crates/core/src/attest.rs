@@ -816,28 +816,15 @@ impl VerifierSession {
     /// nonce, [`VerifyError::DigestMismatch`] for wrong software.
     pub fn submit(&mut self, report: &AttestationReport) -> Result<(), VerifyError> {
         let mac_ok = self.schedule.verify(&report.mac_input(), &report.mac);
-        self.submit_with_mac_verdict(report, mac_ok)
+        self.submit_with_mac_verdict_timed(report, mac_ok, None)
     }
 
     /// Like [`VerifierSession::submit`], with the MAC verdict computed
     /// externally — the fleet service batches MAC checks across many
     /// sessions with [`tytan_crypto::batch_verify`] and completes each
-    /// report here.
-    ///
-    /// # Errors
-    ///
-    /// As [`VerifierSession::submit`].
-    pub fn submit_with_mac_verdict(
-        &mut self,
-        report: &AttestationReport,
-        mac_ok: bool,
-    ) -> Result<(), VerifyError> {
-        self.submit_with_mac_verdict_timed(report, mac_ok, None)
-    }
-
-    /// Like [`VerifierSession::submit_with_mac_verdict`], attributing
-    /// per-stage wall-clock cost into `stages` when supplied. The
-    /// untimed paths pass `None` and pay one `Option` branch.
+    /// report here — attributing per-stage wall-clock cost into `stages`
+    /// when supplied. The untimed paths pass `None` and pay one `Option`
+    /// branch.
     ///
     /// # Errors
     ///
@@ -898,25 +885,11 @@ impl VerifierSession {
         edges: &AdmissibleEdgeSet,
     ) -> Result<(), VerifyError> {
         let mac_ok = self.schedule.verify(&report.mac_input(), &report.mac);
-        self.submit_cfa_with_mac_verdict(report, mac_ok, edges)
-    }
-
-    /// Like [`VerifierSession::submit_cfa`], with the MAC verdict
-    /// computed externally (batched fleet verification).
-    ///
-    /// # Errors
-    ///
-    /// As [`VerifierSession::submit_cfa`].
-    pub fn submit_cfa_with_mac_verdict(
-        &mut self,
-        report: &CfaReport,
-        mac_ok: bool,
-        edges: &AdmissibleEdgeSet,
-    ) -> Result<(), VerifyError> {
         self.submit_cfa_with_mac_verdict_timed(report, mac_ok, edges, None, None)
     }
 
-    /// Like [`VerifierSession::submit_cfa_with_mac_verdict`], attributing
+    /// Like [`VerifierSession::submit_cfa`], with the MAC verdict
+    /// computed externally (batched fleet verification), attributing
     /// per-stage wall-clock cost into `stages` when supplied, and
     /// refolding through a caller-held [`RunRefolder`] so a batch
     /// verifier amortizes the per-run SHA-1 midstate setup across every
@@ -1276,9 +1249,12 @@ mod tests {
         )))
         .all_ok();
         assert!(mac_ok);
-        assert_eq!(session.submit_with_mac_verdict(&report, mac_ok), Ok(()));
         assert_eq!(
-            session.submit_with_mac_verdict(&report, false),
+            session.submit_with_mac_verdict_timed(&report, mac_ok, None),
+            Ok(())
+        );
+        assert_eq!(
+            session.submit_with_mac_verdict_timed(&report, false, None),
             Err(VerifyError::BadMac)
         );
     }

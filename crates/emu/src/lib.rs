@@ -46,14 +46,12 @@ pub mod cfa;
 mod cycles;
 mod device;
 pub mod devices;
-mod engine;
 mod machine;
 mod ram;
 
 pub use cfa::{CfMonitor, CF_LOG_CAP, OUT_OF_REGION};
 pub use cycles::{CycleModel, FirmwareCosts};
 pub use device::Device;
-pub use engine::{core_for, CpuCore, LegacyCore, TranslatedCore};
 pub use machine::{
     engine_from_env, CycleObserver, DispatchStamp, EngineKind, Event, Fault, Machine,
     MachineConfig, MachineSnapshot, MachineStats,

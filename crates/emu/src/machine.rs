@@ -1481,6 +1481,16 @@ mod tests {
     }
 
     #[test]
+    fn exec_engine_selector_defaults_to_the_translator() {
+        assert_eq!(engine_from_env(Some(" legacy ")), EngineKind::Legacy);
+        // Anything else, including unset and retired engine names,
+        // selects the default.
+        for other in [Some("translated"), Some("fast"), Some(""), None] {
+            assert_eq!(engine_from_env(other), EngineKind::Translated);
+        }
+    }
+
+    #[test]
     fn tracer_counts_classes_and_blocks_without_touching_cycles() {
         use std::sync::Arc;
         use tytan_trace::RingRecorder;

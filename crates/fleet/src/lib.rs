@@ -94,7 +94,7 @@ pub struct FleetConfig {
     /// run (`None` = don't write).
     pub events_out: Option<PathBuf>,
     /// Directory receiving one forensic bundle file per typed rejection
-    /// (`None` = bundles stay in memory only). Created if missing.
+    /// (`None` = no bundles are built). Created if missing.
     pub bundle_dir: Option<PathBuf>,
 }
 
@@ -222,8 +222,9 @@ pub struct FleetOutcome {
     pub batch_p99_ns: u64,
     /// Verification batches flushed.
     pub batches: u64,
-    /// Forensic bundles the flight recorder dumped (one per typed
-    /// rejection of a provisioned device).
+    /// Forensic bundles built (one per typed rejection of a provisioned
+    /// device); 0 when [`FleetConfig::bundle_dir`] is `None`, since none
+    /// are built.
     pub bundles: u64,
     /// Structured events emitted (including any later shed); 0 when
     /// [`FleetConfig::events_out`] is `None`, since no log is kept.
@@ -258,7 +259,8 @@ impl FleetOutcome {
 ///
 /// Each farm worker owns a verifier; it provisions each device it claims
 /// and holds the conversation with [`converse`]. The structured event
-/// stream is kept only when `config.events_out` will write it out.
+/// stream is kept only when `config.events_out` will write it out, and
+/// forensic bundles are built only when `config.bundle_dir` will.
 ///
 /// Determinism: keys, digests, nonces and injections depend only on
 /// `config` (throughput and latency numbers are wall-clock, of course).
@@ -312,6 +314,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
             if let Some(log) = &event_log {
                 verifier.attach_event_log(log.clone());
             }
+            if config.bundle_dir.is_some() {
+                verifier.collect_bundles();
+            }
             verifier.stride_corr_ids(n as u64 + 1, workers as u64);
             if let Some(edges) = &edges {
                 verifier.provision_edge_set(edges.clone());
@@ -323,12 +328,8 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
             let mut endpoint = DeviceEndpoint::provision(device, config, &master)?;
             verifier.provision(device);
             let flushes = converse(&mut endpoint, verifier);
-            // A worker's verifier holds one device at a time, and keeps
-            // bundles only if the run writes them out.
+            // A worker's verifier holds one device at a time.
             verifier.retire(device);
-            if config.bundle_dir.is_none() {
-                verifier.take_bundles();
-            }
             tick_window(flushes?);
             Ok::<_, ConversationError>(())
         },

@@ -536,24 +536,19 @@ impl FrameDecoder {
     /// The first hard [`CodecError`] poisons the decoder;
     /// [`CodecError::Poisoned`] thereafter.
     pub fn next_message(&mut self) -> Result<Option<Message>, CodecError> {
-        Ok(self.next_message_with_frame()?.map(|(message, _)| message))
+        Ok(self.next_message_sized()?.map(|(message, _)| message))
     }
 
-    /// Like [`FrameDecoder::next_message`], also returning the raw frame
-    /// bytes the message was decoded from — the fleet flight recorder
-    /// tapes exact wire bytes, not re-encodings.
-    ///
-    /// # Errors
-    ///
-    /// As [`FrameDecoder::next_message`].
-    pub fn next_message_with_frame(&mut self) -> Result<Option<(Message, Vec<u8>)>, CodecError> {
+    /// Like [`FrameDecoder::next_message`], also returning the length
+    /// the message occupied on the wire (the verifier's events cite it).
+    pub(crate) fn next_message_sized(&mut self) -> Result<Option<(Message, usize)>, CodecError> {
         if self.poisoned {
             return Err(CodecError::Poisoned);
         }
         match decode(&self.buf) {
             Ok((message, consumed)) => {
-                let frame = self.buf.drain(..consumed).collect();
-                Ok(Some((message, frame)))
+                self.buf.drain(..consumed);
+                Ok(Some((message, consumed)))
             }
             Err(CodecError::Truncated { .. }) => Ok(None),
             Err(err) => {

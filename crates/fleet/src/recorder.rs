@@ -1,16 +1,14 @@
-//! The fleet flight recorder: bounded per-device forensic tapes and
-//! self-contained rejection bundles.
+//! Forensic bundles: self-contained records of typed rejections.
 //!
-//! The verifier's counters say *how many* reports were rejected; the
-//! flight recorder preserves *which bytes and which state* produced each
-//! rejection. Per device it tapes a bounded tail of recent report frames
-//! (truncated snippets — constant memory at fleet scale) and recent
-//! verdicts; when a provisioned session rejects a report, the verifier
-//! dumps a [`ForensicBundle`]: the full rejected frame, the session's
-//! freshness state at rejection time, the frame/decision tails, the edge
-//! log tail for control-flow evidence, and everything needed to
-//! re-verify offline — the fleet master secret, the expected digest and
-//! the admissible edge set.
+//! The verifier's counters say *how many* reports were rejected; a
+//! bundle preserves *which bytes and which state* produced one
+//! rejection. A verifier asked to collect them
+//! ([`crate::verifier::FleetVerifier::collect_bundles`]) builds a
+//! [`ForensicBundle`] for each typed rejection of a provisioned session:
+//! the full rejected frame, the session's freshness state at rejection
+//! time, the edge log tail for control-flow evidence, and everything
+//! needed to re-verify offline — the fleet master secret, the expected
+//! digest and the admissible edge set.
 //!
 //! Embedding the master secret makes a bundle *self-contained*: the
 //! `fleet replay-bundle` subcommand rebuilds the device's session from
@@ -25,25 +23,12 @@
 //! decision, not a cryptographic one, and a replay could not reproduce
 //! it faithfully.
 
-use std::collections::HashMap;
-
 use tytan::attest::{DeviceId, VerifierSession};
 use tytan_lint::AdmissibleEdgeSet;
 use tytan_trace::json::{self, Value};
-use tytan_trace::Ring;
 
 use crate::farm::device_attestation_key;
 use crate::proto::{self, verdict_code, Message};
-
-/// Frames retained per device tape.
-pub const FRAME_TAIL_CAP: usize = 4;
-
-/// Bytes of each taped frame retained (frames are truncated to this; the
-/// full length is recorded alongside).
-pub const FRAME_SNIPPET_LEN: usize = 160;
-
-/// Verdicts retained per device tape.
-pub const DECISION_TAIL_CAP: usize = 16;
 
 /// Control-flow log *runs* of a rejected report retained in a bundle.
 /// A run covers up to `u32::MAX` raw edges, so the tail's raw coverage
@@ -52,115 +37,10 @@ pub const EDGE_TAIL_CAP: usize = 32;
 
 /// Bundle format version written into every bundle. Version 2 switched
 /// `edge_tail` from expanded `[from, to]` pairs to run-length-encoded
-/// `[from, to, count]` triples, matching the wire form.
-pub const BUNDLE_FORMAT_VERSION: u64 = 2;
-
-/// One taped frame: its correlation id, full wire length, and the first
-/// [`FRAME_SNIPPET_LEN`] bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameRecord {
-    /// Correlation id the frame carried, echoed from its challenge.
-    pub corr: u64,
-    /// Full frame length on the wire.
-    pub len: usize,
-    /// Leading bytes of the frame (truncated at [`FRAME_SNIPPET_LEN`]).
-    pub snippet: Vec<u8>,
-}
-
-/// One taped verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionRecord {
-    /// Correlation id of the judged report.
-    pub corr: u64,
-    /// The [`verdict_code`] the verifier produced.
-    pub code: u8,
-}
-
-#[derive(Debug)]
-struct DeviceTape {
-    frames: Ring<FrameRecord>,
-    decisions: Ring<DecisionRecord>,
-}
-
-impl DeviceTape {
-    fn new() -> Self {
-        DeviceTape {
-            frames: Ring::new(FRAME_TAIL_CAP),
-            decisions: Ring::new(DECISION_TAIL_CAP),
-        }
-    }
-}
-
-/// Bounded per-device forensic tapes plus the bundles produced so far.
-#[derive(Debug, Default)]
-pub struct FlightRecorder {
-    tapes: HashMap<DeviceId, DeviceTape>,
-    bundles: Vec<ForensicBundle>,
-}
-
-impl FlightRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        FlightRecorder::default()
-    }
-
-    fn tape(&mut self, device: DeviceId) -> &mut DeviceTape {
-        self.tapes.entry(device).or_insert_with(DeviceTape::new)
-    }
-
-    /// Tapes an inbound report frame for `device`.
-    pub fn note_frame(&mut self, device: DeviceId, corr: u64, frame: &[u8]) {
-        self.tape(device).frames.push(FrameRecord {
-            corr,
-            len: frame.len(),
-            snippet: frame[..frame.len().min(FRAME_SNIPPET_LEN)].to_vec(),
-        });
-    }
-
-    /// Tapes a verdict for `device`.
-    pub fn note_decision(&mut self, device: DeviceId, corr: u64, code: u8) {
-        self.tape(device)
-            .decisions
-            .push(DecisionRecord { corr, code });
-    }
-
-    /// Snapshot of `device`'s taped frames, oldest first.
-    pub fn frame_tail(&self, device: DeviceId) -> Vec<FrameRecord> {
-        self.tapes
-            .get(&device)
-            .map(|t| t.frames.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of `device`'s taped verdicts, oldest first.
-    pub fn decision_tail(&self, device: DeviceId) -> Vec<DecisionRecord> {
-        self.tapes
-            .get(&device)
-            .map(|t| t.decisions.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Drops `device`'s tapes.
-    pub fn forget(&mut self, device: DeviceId) {
-        self.tapes.remove(&device);
-    }
-
-    /// Records shed across every tape (bounded tapes drop oldest).
-    pub fn dropped(&self) -> u64 {
-        let shed = |t: &DeviceTape| t.frames.dropped() + t.decisions.dropped();
-        self.tapes.values().map(shed).sum()
-    }
-
-    /// Adds a finished bundle.
-    pub fn push_bundle(&mut self, bundle: ForensicBundle) {
-        self.bundles.push(bundle);
-    }
-
-    /// Takes ownership of every bundle produced so far.
-    pub fn take_bundles(&mut self) -> Vec<ForensicBundle> {
-        std::mem::take(&mut self.bundles)
-    }
-}
+/// `[from, to, count]` triples, matching the wire form; version 3
+/// dropped the per-device `frame_tail` and `decisions` tapes, which
+/// replay never read.
+pub const BUNDLE_FORMAT_VERSION: u64 = 3;
 
 /// A self-contained forensic record of one typed rejection. See the
 /// module docs for the trust model behind embedding the master secret.
@@ -180,10 +60,6 @@ pub struct ForensicBundle {
     pub expected_digest: Vec<u8>,
     /// The complete rejected frame, exactly as received.
     pub frame: Vec<u8>,
-    /// Recent report frames from this device (oldest first).
-    pub frame_tail: Vec<FrameRecord>,
-    /// Recent verdicts for this device (oldest first).
-    pub decisions: Vec<DecisionRecord>,
     /// The session's consumed-nonce window at rejection time.
     pub consumed: Vec<Vec<u8>>,
     /// The session's outstanding challenge nonce at rejection time.
@@ -273,26 +149,7 @@ impl ForensicBundle {
         push_hex(&mut out, &self.expected_digest);
         out.push_str(",\"frame\":");
         push_hex(&mut out, &self.frame);
-        out.push_str(",\"frame_tail\":[");
-        for (i, f) in self.frame_tail.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"corr\":\"{}\",\"len\":{},\"snippet\":",
-                f.corr, f.len
-            ));
-            push_hex(&mut out, &f.snippet);
-            out.push('}');
-        }
-        out.push_str("],\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"corr\":\"{}\",\"code\":{}}}", d.corr, d.code));
-        }
-        out.push_str("],\"consumed\":[");
+        out.push_str(",\"consumed\":[");
         for (i, nonce) in self.consumed.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -334,33 +191,6 @@ impl ForensicBundle {
         let master: [u8; 20] = hex_field(&doc, "master")?
             .try_into()
             .map_err(|_| "master is not 20 bytes".to_string())?;
-        let frame_tail = field(&doc, "frame_tail")?
-            .as_array()
-            .ok_or("frame_tail is not an array")?
-            .iter()
-            .map(|f| {
-                Ok(FrameRecord {
-                    corr: u64_field(f, "corr")?,
-                    len: field(f, "len")?
-                        .as_number()
-                        .ok_or("frame len is not a number")? as usize,
-                    snippet: hex_field(f, "snippet")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let decisions = field(&doc, "decisions")?
-            .as_array()
-            .ok_or("decisions is not an array")?
-            .iter()
-            .map(|d| {
-                Ok(DecisionRecord {
-                    corr: u64_field(d, "corr")?,
-                    code: field(d, "code")?
-                        .as_number()
-                        .ok_or("decision code is not a number")? as u8,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let consumed = field(&doc, "consumed")?
             .as_array()
             .ok_or("consumed is not an array")?
@@ -410,8 +240,6 @@ impl ForensicBundle {
             master,
             expected_digest: hex_field(&doc, "expected_digest")?,
             frame: hex_field(&doc, "frame")?,
-            frame_tail,
-            decisions,
             consumed,
             outstanding,
             edge_tail,
@@ -491,12 +319,6 @@ mod tests {
             master: [0xA5; 20],
             expected_digest: vec![0x11; 20],
             frame: vec![1, 2, 3, 4, 5],
-            frame_tail: vec![FrameRecord {
-                corr: 7,
-                len: 500,
-                snippet: vec![0xDE, 0xAD],
-            }],
-            decisions: vec![DecisionRecord { corr: 7, code: 0 }],
             consumed: vec![vec![0xAA; 16], vec![0xBB; 16]],
             outstanding: Some(vec![0xCC; 16]),
             edge_tail: vec![(0, 8, 1), (8, 16, 250)],
@@ -533,36 +355,16 @@ mod tests {
         assert!(ForensicBundle::from_json("{}").is_err());
         let mut bundle = sample_bundle();
         bundle.verdict = "x".into();
-        let wrong_version = bundle.to_json().replace(
-            &format!("\"bundle_version\":\"{BUNDLE_FORMAT_VERSION}\""),
-            "\"bundle_version\":\"999\"",
-        );
-        assert!(ForensicBundle::from_json(&wrong_version)
-            .unwrap_err()
-            .contains("version"));
-    }
-
-    #[test]
-    fn tapes_are_bounded_and_count_drops() {
-        let mut rec = FlightRecorder::new();
-        let device = DeviceId::from_u64(3);
-        for i in 0..10u64 {
-            rec.note_frame(device, i, &[i as u8; 200]);
+        // A future version and the v2 layout (with its tapes) both
+        // fail on the version check.
+        for other in ["999", "2"] {
+            let wrong_version = bundle.to_json().replace(
+                &format!("\"bundle_version\":\"{BUNDLE_FORMAT_VERSION}\""),
+                &format!("\"bundle_version\":\"{other}\""),
+            );
+            assert!(ForensicBundle::from_json(&wrong_version)
+                .unwrap_err()
+                .contains("version"));
         }
-        let tail = rec.frame_tail(device);
-        assert_eq!(tail.len(), FRAME_TAIL_CAP);
-        assert_eq!(tail[0].corr, 10 - FRAME_TAIL_CAP as u64);
-        assert_eq!(tail[0].len, 200);
-        assert_eq!(tail[0].snippet.len(), FRAME_SNIPPET_LEN);
-        for i in 0..20u64 {
-            rec.note_decision(device, i, 0);
-        }
-        assert_eq!(rec.decision_tail(device).len(), DECISION_TAIL_CAP);
-        assert_eq!(
-            rec.dropped(),
-            (10 - FRAME_TAIL_CAP as u64) + (20 - DECISION_TAIL_CAP as u64)
-        );
-        // Unknown devices have empty tails.
-        assert!(rec.frame_tail(DeviceId::from_u64(99)).is_empty());
     }
 }

@@ -22,7 +22,8 @@
 //! cost attribution (`lat_fleet_stage_*`: frame decode, batched HMAC,
 //! freshness+digest, control-flow edge replay, chain refold), a
 //! structured [`EventLog`] narrating challenges, reports and verdicts by
-//! correlation id, and a [`FlightRecorder`] that dumps a
+//! correlation id, and — only for a verifier asked to collect them
+//! ([`FleetVerifier::collect_bundles`]) — a
 //! [`crate::recorder::ForensicBundle`] for every typed rejection of a
 //! provisioned device.
 
@@ -36,11 +37,11 @@ use tytan::attest::{
 use tytan_crypto::{batch_verify, RunRefolder};
 use tytan_lint::AdmissibleEdgeSet;
 use tytan_trace::events::{EventLog, LogFields, Severity};
-use tytan_trace::{EventKind, HistId, Layer, Tracer};
+use tytan_trace::{HistId, Tracer};
 
 use crate::farm::device_attestation_key;
 use crate::proto::{encode, verdict_code, CodecError, FrameDecoder, Message, PROTOCOL_VERSION};
-use crate::recorder::{FlightRecorder, ForensicBundle, EDGE_TAIL_CAP};
+use crate::recorder::{ForensicBundle, EDGE_TAIL_CAP};
 
 /// Maps a session verdict to its wire [`verdict_code`]. Shared by
 /// [`FlushEntry::code`] and bundle replay so the two can never disagree.
@@ -157,7 +158,9 @@ pub struct FleetVerifier {
     corr_stride: u64,
     /// Per-device Hello count — the session number in structured events.
     hello_counts: HashMap<DeviceId, u64>,
-    recorder: FlightRecorder,
+    /// Forensic bundles built so far; `None` builds none (see
+    /// [`Self::collect_bundles`]).
+    bundles: Option<Vec<ForensicBundle>>,
     event_log: Option<Arc<EventLog>>,
 }
 
@@ -224,7 +227,7 @@ impl FleetVerifier {
             next_corr: 1,
             corr_stride: 1,
             hello_counts: HashMap::new(),
-            recorder: FlightRecorder::new(),
+            bundles: None,
             event_log: None,
         }
     }
@@ -235,9 +238,20 @@ impl FleetVerifier {
         self.event_log = Some(log);
     }
 
-    /// Takes every forensic bundle produced since the last call.
+    /// Has every later typed rejection of a provisioned device build a
+    /// forensic bundle (and bump `fleet_bundles`, and log a `bundle`
+    /// event). Without this call the verifier builds none.
+    pub fn collect_bundles(&mut self) {
+        self.bundles.get_or_insert_with(Vec::new);
+    }
+
+    /// Takes every forensic bundle produced since the last call; empty
+    /// unless [`Self::collect_bundles`] was called.
     pub fn take_bundles(&mut self) -> Vec<ForensicBundle> {
-        self.recorder.take_bundles()
+        self.bundles
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     fn log_event(
@@ -302,7 +316,6 @@ impl FleetVerifier {
         self.sessions.remove(&device);
         self.decoders.remove(&device);
         self.hello_counts.remove(&device);
-        self.recorder.forget(device);
     }
 
     /// Reports decoded but not yet verified.
@@ -333,9 +346,9 @@ impl FleetVerifier {
     }
 
     /// Feeds received bytes from `from`'s connection through its frame
-    /// decoder and handles every complete message: a `Hello` at
-    /// [`PROTOCOL_VERSION`] gets a `Welcome` and a first challenge,
-    /// `Report`s join the pending batch.
+    /// decoder and handles every complete message: a `Hello` from `from`
+    /// itself at [`PROTOCOL_VERSION`] gets a `Welcome` and a first
+    /// challenge, `Report`s join the pending batch.
     ///
     /// Returns frames to send back to `from` (the `Hello` replies).
     /// Decode failures poison that connection and bump
@@ -349,13 +362,13 @@ impl FleetVerifier {
         let mut failure = None;
         loop {
             let decode_began = Instant::now();
-            match decoder.next_message_with_frame() {
-                Ok(Some(message)) => {
+            match decoder.next_message_sized() {
+                Ok(Some(sized)) => {
                     self.tracer.histograms().record(
                         self.h_stage_decode,
                         decode_began.elapsed().as_nanos() as u64,
                     );
-                    decoded.push(message);
+                    decoded.push(sized);
                 }
                 Ok(None) | Err(CodecError::Poisoned) => break,
                 Err(err) => {
@@ -365,13 +378,11 @@ impl FleetVerifier {
             }
         }
         let mut replies = Vec::new();
-        for (message, frame) in decoded {
-            self.handle(message, &frame, &mut replies);
+        for (message, frame_len) in decoded {
+            self.handle(from, message, frame_len, &mut replies);
         }
         if let Some(err) = failure {
             self.tracer.counters().add(self.counters.decode_errors, 1);
-            self.tracer
-                .emit(Layer::Fleet, 0, 0, EventKind::Mark("decode_error"));
             self.log_event(Severity::Warn, "decode_error", Some(from), 0, || {
                 format!("{err}")
             });
@@ -379,15 +390,31 @@ impl FleetVerifier {
         replies
     }
 
-    /// Handles one decoded message; `frame` is its exact wire bytes.
-    fn handle(&mut self, message: Message, frame: &[u8], replies: &mut Vec<Vec<u8>>) {
+    /// Handles one decoded message that arrived on `from`'s connection
+    /// in a frame of `frame_len` bytes.
+    fn handle(
+        &mut self,
+        from: DeviceId,
+        message: Message,
+        frame_len: usize,
+        replies: &mut Vec<Vec<u8>>,
+    ) {
         match message {
             Message::Hello {
                 device,
                 max_version,
             } => {
                 self.tracer.counters().add(self.counters.hello, 1);
-                *self.hello_counts.entry(device).or_insert(0) += 1;
+                // A Hello speaks only for its own connection: one naming
+                // another device would re-challenge that device and void
+                // the nonce its honest report answers.
+                if device != from {
+                    self.tracer.counters().add(self.counters.decode_errors, 1);
+                    self.log_event(Severity::Warn, "hello_mismatch", Some(from), 0, || {
+                        format!("hello names device {device}")
+                    });
+                    return;
+                }
                 if !self.sessions.contains_key(&device) {
                     self.tracer.counters().add(self.counters.unknown_device, 1);
                     self.log_event(Severity::Warn, "hello_unknown", Some(device), 0, || {
@@ -395,6 +422,7 @@ impl FleetVerifier {
                     });
                     return;
                 }
+                *self.hello_counts.entry(device).or_insert(0) += 1;
                 if max_version < PROTOCOL_VERSION {
                     self.tracer.counters().add(self.counters.decode_errors, 1);
                     self.log_event(
@@ -425,9 +453,8 @@ impl FleetVerifier {
                 report,
             } => {
                 self.tracer.counters().add(self.counters.reports, 1);
-                self.recorder.note_frame(device, corr, frame);
                 self.log_event(Severity::Debug, "report", Some(device), corr, || {
-                    format!("frame {} bytes", frame.len())
+                    format!("frame {frame_len} bytes")
                 });
                 self.pending
                     .push((device, corr, PendingReport::Plain(report)));
@@ -439,7 +466,6 @@ impl FleetVerifier {
             } => {
                 self.tracer.counters().add(self.counters.reports, 1);
                 self.tracer.counters().add(self.counters.cfa_reports, 1);
-                self.recorder.note_frame(device, corr, frame);
                 let Some(edges) = self.edge_set.clone() else {
                     self.tracer
                         .counters()
@@ -465,8 +491,7 @@ impl FleetVerifier {
                     .add(self.counters.cfa_runs, report.log.len() as u64);
                 self.log_event(Severity::Debug, "cfa_report", Some(device), corr, || {
                     format!(
-                        "frame {} bytes, {} edges in {} runs",
-                        frame.len(),
+                        "frame {frame_len} bytes, {} edges in {} runs",
                         report.raw_edges(),
                         report.log.len()
                     )
@@ -486,12 +511,10 @@ impl FleetVerifier {
     /// provisioned session. The freshness snapshot is taken after the
     /// rejection, which equals the verification-time state: rejections
     /// never consume nonces.
-    #[allow(clippy::too_many_arguments)]
     fn build_bundle(
         session: &VerifierSession,
         master: [u8; 20],
         expected_digest: &[u8],
-        recorder: &FlightRecorder,
         device: DeviceId,
         corr: u64,
         report: &PendingReport,
@@ -531,8 +554,6 @@ impl FleetVerifier {
             master,
             expected_digest: expected_digest.to_vec(),
             frame,
-            frame_tail: recorder.frame_tail(device),
-            decisions: recorder.decision_tail(device),
             consumed: session.consumed_nonces(),
             outstanding: session.outstanding_nonce().map(<[u8]>::to_vec),
             edge_tail,
@@ -542,17 +563,16 @@ impl FleetVerifier {
 
     /// Verifies every pending report: one batched HMAC pass over the
     /// precomputed per-device key schedules, then the stateful session
-    /// checks (freshness, replay window, digest) per report. Every typed
-    /// rejection of a provisioned device also dumps a forensic bundle
-    /// into the flight recorder.
+    /// checks (freshness, replay window, digest) per report. A verifier
+    /// that [collects bundles](Self::collect_bundles) also builds one for
+    /// every typed rejection of a provisioned device.
     pub fn flush(&mut self) -> Vec<FlushEntry> {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
             return Vec::new();
         }
         self.tracer.counters().add(self.counters.batches, 1);
-        self.tracer
-            .emit(Layer::Fleet, 0, 0, EventKind::Enter("flush"));
+        let collect = self.bundles.is_some();
         let begin = Instant::now();
 
         // Phase 1: batched MAC verification. Unknown devices get no MAC
@@ -613,12 +633,11 @@ impl FleetVerifier {
                                 Some(&mut stages),
                             ),
                     };
-                    if result.is_err() {
+                    if collect && result.is_err() {
                         bundles.push(Self::build_bundle(
                             session,
                             self.master,
                             &self.expected_digest,
-                            &self.recorder,
                             *device,
                             *corr,
                             report,
@@ -674,7 +693,6 @@ impl FleetVerifier {
             };
             self.tracer.counters().add(counter, 1);
             let code = result_code(&result);
-            self.recorder.note_decision(*device, *corr, code);
             self.log_event(
                 if result.is_ok() {
                     Severity::Info
@@ -692,7 +710,7 @@ impl FleetVerifier {
                 result,
             });
         }
-        for bundle in bundles {
+        for bundle in &bundles {
             self.tracer.counters().add(self.counters.bundles, 1);
             self.log_event(
                 Severity::Error,
@@ -701,7 +719,9 @@ impl FleetVerifier {
                 bundle.corr,
                 || format!("forensic bundle: {}", bundle.verdict),
             );
-            self.recorder.push_bundle(bundle);
+        }
+        if let Some(kept) = &mut self.bundles {
+            kept.extend(bundles);
         }
 
         let elapsed = begin.elapsed().as_nanos() as u64;
@@ -712,8 +732,6 @@ impl FleetVerifier {
         for _ in 0..entries.len() {
             self.tracer.histograms().record(self.h_verify, per_report);
         }
-        self.tracer
-            .emit(Layer::Fleet, 0, 0, EventKind::Exit("flush"));
         entries
     }
 
@@ -825,6 +843,109 @@ mod tests {
         );
     }
 
+    fn hello(device: DeviceId) -> Vec<u8> {
+        encode(
+            &Message::Hello {
+                device,
+                max_version: PROTOCOL_VERSION,
+            },
+            PROTOCOL_VERSION,
+        )
+    }
+
+    fn report_frame(device: DeviceId, corr: u64, report: AttestationReport) -> Vec<u8> {
+        encode(
+            &Message::Report {
+                device,
+                corr,
+                report,
+            },
+            PROTOCOL_VERSION,
+        )
+    }
+
+    #[test]
+    fn hello_naming_another_device_cannot_void_its_challenge() {
+        let mut v = verifier_with(2);
+        let log = Arc::new(EventLog::new(16));
+        v.attach_event_log(log.clone());
+        let (a, b) = (DeviceId::from_u64(0), DeviceId::from_u64(1));
+        let (corr, nonce) =
+            challenge_parts(&v.challenge_frame(b, PROTOCOL_VERSION).expect("known"));
+        // A Hello naming B on A's connection: no reply, no corr minted,
+        // counted and logged against A's connection.
+        assert!(v.ingest(a, &hello(b)).is_empty());
+        assert_eq!(v.next_corr, 2);
+        assert_eq!(v.tracer().counters().get("fleet_decode_errors"), Some(1));
+        let refused = log.events().into_iter().last().expect("logged");
+        assert_eq!(refused.event, "hello_mismatch");
+        assert_eq!(refused.fields.device, Some(a.as_u64()));
+        // B's honest answer to its original challenge still verifies.
+        v.ingest(b, &report_frame(b, corr, attest(b, &nonce)));
+        let entries = v.flush();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].result, Ok(()));
+        // A's connection is not poisoned: its own Hello still works.
+        assert_eq!(v.ingest(a, &hello(a)).len(), 2);
+    }
+
+    #[test]
+    fn hellos_from_unprovisioned_ids_leave_no_hello_counts() {
+        let mut v = verifier_with(1);
+        for d in 1_000..2_000 {
+            let ghost = DeviceId::from_u64(d);
+            assert!(v.ingest(ghost, &hello(ghost)).is_empty());
+        }
+        assert!(v.hello_counts.is_empty());
+        assert_eq!(
+            v.tracer().counters().get("fleet_unknown_device"),
+            Some(1_000)
+        );
+    }
+
+    /// One flush of an accepted report, its verbatim replay, a forgery
+    /// and a ghost's report; returns the verdicts, every counter but
+    /// `fleet_bundles`, and the bundles built.
+    fn mixed_flush(collect: bool) -> (Vec<FlushEntry>, Vec<(String, u64)>, usize) {
+        let mut v = verifier_with(2);
+        if collect {
+            v.collect_bundles();
+        }
+        let (honest, forger, ghost) = (
+            DeviceId::from_u64(0),
+            DeviceId::from_u64(1),
+            DeviceId::from_u64(999),
+        );
+        let (corr, nonce) =
+            challenge_parts(&v.challenge_frame(honest, PROTOCOL_VERSION).expect("known"));
+        let frame = report_frame(honest, corr, attest(honest, &nonce));
+        v.ingest(honest, &frame);
+        v.ingest(honest, &frame);
+        let (corr, nonce) =
+            challenge_parts(&v.challenge_frame(forger, PROTOCOL_VERSION).expect("known"));
+        let mut forged = attest(forger, &nonce);
+        forged.mac[0] ^= 1;
+        v.ingest(forger, &report_frame(forger, corr, forged));
+        v.ingest(ghost, &report_frame(ghost, 9, attest(ghost, b"nonce")));
+        let entries = v.flush();
+        let counters = v
+            .tracer()
+            .counters()
+            .snapshot()
+            .into_iter()
+            .filter(|(name, _)| name != "fleet_bundles")
+            .collect();
+        (entries, counters, v.take_bundles().len())
+    }
+
+    #[test]
+    fn collecting_bundles_changes_no_verdict_or_count() {
+        let (entries, counters, bundles) = mixed_flush(true);
+        assert_eq!(entries.len(), 4);
+        assert_eq!(bundles, 2, "the replay and the forgery, not the ghost");
+        assert_eq!(mixed_flush(false), (entries, counters, 0));
+    }
+
     #[test]
     fn batch_of_reports_verifies_and_replays_are_typed() {
         let mut v = verifier_with(8);
@@ -883,6 +1004,7 @@ mod tests {
     #[test]
     fn unknown_device_reports_never_verify() {
         let mut v = verifier_with(1);
+        v.collect_bundles();
         let ghost = DeviceId::from_u64(999);
         let report = attest(ghost, b"nonce");
         let frame = encode(
@@ -956,6 +1078,7 @@ mod tests {
     #[test]
     fn rejections_produce_bundles_that_replay_to_the_same_verdict() {
         let mut v = verifier_with(2);
+        v.collect_bundles();
         let device = DeviceId::from_u64(0);
         let (corr, nonce) =
             challenge_parts(&v.challenge_frame(device, PROTOCOL_VERSION).expect("known"));

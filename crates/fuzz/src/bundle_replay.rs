@@ -57,6 +57,7 @@ pub fn bundle_replay(rng: &mut FuzzRng) -> Result<(), String> {
     let mut verifier = FleetVerifier::new(master, expected.clone(), rng.next_u64(), Tracer::null());
     let device = DeviceId::from_u64(rng.below(16));
     verifier.provision(device);
+    verifier.collect_bundles();
 
     // The real admission path: Hello yields a Welcome and a challenge.
     let hello = encode(

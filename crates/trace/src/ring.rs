@@ -8,8 +8,8 @@ use std::sync::Mutex;
 /// older ones are dropped and counted. Long-running workloads can
 /// therefore record forever in constant memory; consumers that care
 /// about loss read [`Ring::dropped`]. Every bounded trace in the
-/// workspace (trace events, structured log events, scheduling events,
-/// forensic tapes) is one of these.
+/// workspace (trace events, structured log events, scheduling events)
+/// is one of these.
 ///
 /// # Examples
 ///

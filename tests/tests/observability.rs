@@ -1,6 +1,6 @@
 //! Fleet observability & forensics, end to end across crates.
 //!
-//! The fleet crate's unit tests cover the flight recorder and replay in
+//! The fleet crate's unit tests cover forensic bundles and replay in
 //! isolation; here the full orchestrated driver runs with injected
 //! attacks and every observability artifact is consumed the way an
 //! operator would: forensic bundle files re-verified offline with
@@ -11,7 +11,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use tytan_fleet::recorder::replay_bundle;
-use tytan_fleet::{run_fleet, FleetConfig};
+use tytan_fleet::{run_fleet, FleetConfig, FleetOutcome};
 use tytan_trace::events::LogEvent;
 use tytan_trace::metrics::validate_prometheus_text;
 
@@ -234,4 +234,57 @@ fn fleet_keeps_no_events_unless_they_are_written_out() {
     .expect("fleet runs");
     assert!(outcome.clean(), "{outcome:?}");
     assert_eq!((outcome.events, outcome.events_dropped), (0, 0));
+}
+
+/// Every count a run books (what `clean()` judges, plus the work done);
+/// leaves out wall-clock figures and the observability outputs.
+fn books(o: &FleetOutcome) -> [u64; 21] {
+    [
+        o.devices,
+        o.rounds,
+        o.reports,
+        o.accepted,
+        o.rejected_replay,
+        o.rejected_bad_mac,
+        o.rejected_nonce,
+        o.rejected_digest,
+        o.unknown_device,
+        o.decode_errors,
+        o.cfa_reports,
+        o.cfa_edges,
+        o.cfa_runs,
+        o.rejected_inadmissible,
+        o.rejected_unproven,
+        o.rejected_chain,
+        o.injected_replays,
+        o.injected_corrupt,
+        o.injected_detours,
+        o.device_errors,
+        o.batches,
+    ]
+}
+
+#[test]
+fn fleet_keeps_no_bundles_unless_they_are_written_out() {
+    let config = FleetConfig {
+        devices: 12,
+        rounds: 2,
+        replay_every: Some(3),
+        corrupt_every: Some(4),
+        ..FleetConfig::default()
+    };
+    let without = run_fleet(&config).expect("fleet runs");
+    assert!(without.clean(), "{without:?}");
+    assert_eq!(without.bundles, 0);
+
+    let scratch = Scratch::new("no-bundles");
+    let with = run_fleet(&FleetConfig {
+        bundle_dir: Some(scratch.path("bundles")),
+        ..config
+    })
+    .expect("fleet runs");
+    assert!(with.clean(), "{with:?}");
+    assert_eq!(with.bundles, with.injected_replays + with.injected_corrupt);
+    assert!(with.bundles > 0);
+    assert_eq!(books(&without), books(&with));
 }
