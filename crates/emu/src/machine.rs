@@ -809,6 +809,14 @@ impl Machine {
         self.ram.resident_pages()
     }
 
+    /// Number of self-modifying-code bitmap pages the host holds: one per
+    /// 4 KiB RAM page in which the translator compiled code or saw it
+    /// rewritten, until the next flush. A machine that compiles nothing
+    /// holds none.
+    pub fn smc_bitmap_pages(&self) -> usize {
+        self.tcache.bitmap_pages()
+    }
+
     // ----- MPU-checked access on behalf of a software component -----
 
     fn check(&self, actor_eip: u32, addr: u32, kind: AccessKind) -> Result<(), Fault> {

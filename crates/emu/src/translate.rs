@@ -9,6 +9,11 @@
 //! current configuration. Compiled blocks live in a translation cache
 //! keyed by entry address.
 //!
+//! Cold entries run through [`Machine::step`]: the first arrival at an
+//! entry only marks it in the cache and interprets one instruction, and
+//! the second arrival compiles the block. Code a device runs once —
+//! boot, task load, straight-line setup — so never pays for a compile.
+//!
 //! # Identity contract
 //!
 //! The engine is bit-identical to [`Machine::run_legacy`] — every
@@ -54,7 +59,8 @@
 //!   hit and miss counters do, and those are counted only in observed
 //!   compiles; quiet transfer edges skip the cache the same way.
 //! - **Self-modifying-code tracking.** RAM words covered by compiled
-//!   blocks are marked in a bitmap; every RAM write into a marked word
+//!   blocks are marked in a bitmap, held in 128-byte pages allocated per
+//!   4 KiB RAM page on first use; every RAM write into a marked word
 //!   queues a dirty range ([`TransState::note_code_write`], hooked into
 //!   the machine's write paths). Dirty ranges break the block batch and
 //!   drop overlapping blocks (counted as `emu_block_invalidate_smc`)
@@ -112,8 +118,11 @@ impl Hasher for EntryHasher {
     }
 }
 
-/// The translation cache: compiled blocks keyed by entry address.
-pub(crate) type BlockMap = HashMap<u32, TBlock, BuildHasherDefault<EntryHasher>>;
+/// The translation cache, keyed by entry address: `Some` holds the
+/// compiled block, `None` marks an entry reached once and interpreted
+/// (it compiles on its next arrival). Marks live in the same map as the
+/// blocks, so [`MAX_BLOCKS`] bounds them and every flush clears them.
+pub(crate) type BlockMap = HashMap<u32, Option<TBlock>, BuildHasherDefault<EntryHasher>>;
 
 /// log2 of the SMC-tracking granule: one bitmap bit per RAM word.
 const GRANULE_SHIFT: u32 = 2;
@@ -121,8 +130,8 @@ const GRANULE_SHIFT: u32 = 2;
 /// Longest straight-line run compiled into one block.
 const MAX_OPS: usize = 64;
 
-/// Translation-cache capacity; overflowing flushes everything (simple,
-/// and unreachable outside adversarial workloads).
+/// Translation-cache capacity, marks included; overflowing flushes
+/// everything (simple, and unreachable outside adversarial workloads).
 const MAX_BLOCKS: usize = 4096;
 
 /// The epilogue transfer check of one op, pre-resolved where possible.
@@ -232,51 +241,77 @@ struct Snap {
     trap_gen: u64,
 }
 
-/// A set of RAM granules ([`GRANULE_SHIFT`]): one bit each, plus the
-/// range of bitmap words that may hold set bits, so that probing an
-/// empty map costs one compare and clearing costs what was marked.
+/// log2 of the RAM page one bitmap page covers: 4 KiB, as in `Ram`.
+const PAGE_SHIFT: u32 = 12;
+
+/// Bitmap words per page: one bit per granule of a 4 KiB RAM page.
+const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - GRANULE_SHIFT) >> 6;
+
+/// One page of a [`GranuleMap`]: 128 bytes.
+type BitPage = [u64; PAGE_WORDS];
+
+/// A set of RAM granules ([`GRANULE_SHIFT`]), one bit each, held as one
+/// [`BitPage`] per 4 KiB RAM page and allocated when a granule in that
+/// page is first set. A fresh or cleared map holds no page, so a machine
+/// that compiles nothing allocates nothing here, and probing a granule
+/// is one page-table load and one bit test.
 struct GranuleMap {
-    bits: Vec<u64>,
-    /// Half-open range of `bits` words that may be non-zero; empty
-    /// (`lo >= hi`) when no bit is set.
-    lo: usize,
-    hi: usize,
+    /// Slots for RAM pages up to the highest one ever set; `None` until a
+    /// granule in that page is set.
+    pages: Vec<Option<Box<BitPage>>>,
+    /// RAM pages the map covers.
+    limit: usize,
 }
 
 impl GranuleMap {
     fn new(ram_size: u32) -> Self {
-        let words = ((ram_size >> GRANULE_SHIFT) as usize + 1).div_ceil(64);
         GranuleMap {
-            bits: vec![0; words],
-            lo: words,
-            hi: 0,
+            pages: Vec::new(),
+            limit: (ram_size as usize).div_ceil(1 << PAGE_SHIFT),
         }
     }
 
+    /// Whether no page was set since the last clear (a page whose bits
+    /// were all cleared again still counts as set).
     fn is_empty(&self) -> bool {
-        self.lo >= self.hi
+        self.pages.is_empty()
     }
 
     fn clear(&mut self) {
-        if !self.is_empty() {
-            self.bits[self.lo..self.hi].fill(0);
+        self.pages.clear();
+    }
+
+    /// Bitmap pages the host holds.
+    fn resident_pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
+
+    /// Bitmap word `index` (granules `64 * index ..`); 0 on a page that
+    /// was never set.
+    #[inline]
+    fn word(&self, index: usize) -> u64 {
+        match self.pages.get(index / PAGE_WORDS) {
+            Some(Some(page)) => page[index % PAGE_WORDS],
+            _ => 0,
         }
-        (self.lo, self.hi) = (self.bits.len(), 0);
     }
 
     /// Sets (`on`) or clears the granules covering bytes `first..=last`.
     fn set(&mut self, first: u32, last: u32, on: bool) {
-        for granule in (first >> GRANULE_SHIFT)..=(last >> GRANULE_SHIFT) {
-            let word = granule as usize / 64;
-            let Some(bits) = self.bits.get_mut(word) else {
+        for granule in (first >> GRANULE_SHIFT) as usize..=(last >> GRANULE_SHIFT) as usize {
+            let (word, bit) = (granule / 64, 1u64 << (granule % 64));
+            let page = word / PAGE_WORDS;
+            if page >= self.limit {
                 break;
-            };
-            let bit = 1u64 << (granule % 64);
+            }
             if on {
-                *bits |= bit;
-                (self.lo, self.hi) = (self.lo.min(word), self.hi.max(word + 1));
-            } else {
-                *bits &= !bit;
+                if self.pages.len() <= page {
+                    self.pages.resize_with(page + 1, || None);
+                }
+                let bits = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+                bits[word % PAGE_WORDS] |= bit;
+            } else if let Some(Some(bits)) = self.pages.get_mut(page) {
+                bits[word % PAGE_WORDS] &= !bit;
             }
         }
     }
@@ -285,18 +320,15 @@ impl GranuleMap {
     #[inline]
     fn contains(&self, addr: u32) -> bool {
         let granule = (addr >> GRANULE_SHIFT) as usize;
-        self.bits
-            .get(granule / 64)
-            .is_some_and(|bits| bits >> (granule % 64) & 1 != 0)
+        self.word(granule / 64) >> (granule % 64) & 1 != 0
     }
 
     /// Whether any granule covering bytes `first..=last` is set.
     fn any(&self, first: u32, last: u32) -> bool {
         let first = (first >> GRANULE_SHIFT) as usize;
         let last = (last >> GRANULE_SHIFT) as usize;
-        let lo = (first / 64).max(self.lo);
-        let hi = (last / 64 + 1).min(self.hi);
-        (lo..hi).any(|word| {
+        let hi = (last / 64 + 1).min(self.pages.len() * PAGE_WORDS);
+        (first / 64..hi).any(|word| {
             let mut mask = !0u64;
             if word == first / 64 {
                 mask &= !0u64 << (first % 64);
@@ -304,16 +336,17 @@ impl GranuleMap {
             if word == last / 64 {
                 mask &= !0u64 >> (63 - last % 64);
             }
-            self.bits[word] & mask != 0
+            self.word(word) & mask != 0
         })
     }
 }
 
 /// Translation-engine state owned by the [`Machine`].
 pub(crate) struct TransState {
-    /// Compiled blocks by entry address. Taken out of the machine (via
-    /// `mem::take`) for the duration of `run_translated` so handlers
-    /// can borrow the machine mutably while a block is executing.
+    /// Compiled blocks and once-entered marks by entry address. Taken
+    /// out of the machine (via `mem::take`) for the duration of
+    /// `run_translated` so handlers can borrow the machine mutably while
+    /// a block is executing.
     pub(crate) blocks: BlockMap,
     /// Granules covered by some compiled block's code.
     code: GranuleMap,
@@ -339,14 +372,19 @@ impl TransState {
         }
     }
 
-    /// Drops every block and clears both granule maps and the dirty
-    /// queue.
+    /// Drops every block and mark and clears both granule maps and the
+    /// dirty queue.
     pub(crate) fn flush(&mut self) {
         self.blocks.clear();
         self.code.clear();
         self.rewritten.clear();
         self.dirty.clear();
         self.snap = None;
+    }
+
+    /// Bitmap pages the two granule maps hold.
+    pub(crate) fn bitmap_pages(&self) -> usize {
+        self.code.resident_pages() + self.rewritten.resident_pages()
     }
 
     /// Notes a RAM write of `len` bytes at `addr` (called from the
@@ -392,7 +430,7 @@ impl Machine {
             trap_gen: self.trap_gen,
         };
         if self.tcache.snap != Some(snap) {
-            let dropped = self.tcache.blocks.len();
+            let dropped = self.tcache.blocks.values().flatten().count();
             self.tcache.flush();
             self.tcache.snap = Some(snap);
             if dropped > 0 {
@@ -417,6 +455,10 @@ impl Machine {
         let written = std::mem::take(&mut self.tcache.dirty);
         let mut dropped = Vec::new();
         blocks.retain(|_, b| {
+            // A mark covers no code: nothing compiled from it can go stale.
+            let Some(b) = b else {
+                return true;
+            };
             let hit = written.iter().any(|&(s, e)| s < b.end && e > b.entry);
             if hit {
                 dropped.push((b.entry, b.end));
@@ -437,7 +479,7 @@ impl Machine {
             }
         }
         let granule = |a: u32| a >> GRANULE_SHIFT;
-        for b in blocks.values() {
+        for b in blocks.values().flatten() {
             if dropped.iter().any(|&(entry, end)| {
                 granule(entry) <= granule(b.end - 1) && granule(b.entry) <= granule(end - 1)
             }) {
@@ -741,29 +783,39 @@ impl Machine {
         op
     }
 
-    /// Executes at `self.eip`: a cached block, a freshly compiled one,
-    /// or a single interpreted step when no block can start here.
+    /// Executes at `self.eip`: a cached block, or a block compiled now
+    /// on the entry's second arrival. A first arrival only marks the
+    /// entry and runs one [`Machine::step`], so code that runs once (boot
+    /// and load paths, straight-line setup) never pays for a compile; a
+    /// single step also runs wherever no block can start.
     fn exec_at(&mut self, blocks: &mut BlockMap, step_limit: u64) -> Result<(), Fault> {
         let eip = self.eip;
-        if let Some(block) = blocks.get(&eip) {
-            if let Some(t) = &self.trace {
-                t.tracer.counters().incr(t.block_hit);
+        match blocks.get_mut(&eip) {
+            Some(Some(block)) => {
+                if let Some(t) = &self.trace {
+                    t.tracer.counters().incr(t.block_hit);
+                }
+                exec_block(self, block, step_limit)
             }
-            return exec_block(self, block, step_limit);
+            Some(slot) => match self.compile_block(eip) {
+                Some(block) => {
+                    if let Some(t) = &self.trace {
+                        t.tracer.counters().incr(t.block_compile);
+                    }
+                    self.tcache.code.set(block.entry, block.end - 1, true);
+                    exec_block(self, slot.insert(block), step_limit)
+                }
+                None => self.step(),
+            },
+            None => {
+                if blocks.len() >= MAX_BLOCKS {
+                    blocks.clear();
+                    self.tcache.code.clear();
+                }
+                blocks.insert(eip, None);
+                self.step()
+            }
         }
-        if let Some(block) = self.compile_block(eip) {
-            if blocks.len() >= MAX_BLOCKS {
-                blocks.clear();
-                self.tcache.code.clear();
-            }
-            if let Some(t) = &self.trace {
-                t.tracer.counters().incr(t.block_compile);
-            }
-            self.tcache.code.set(block.entry, block.end - 1, true);
-            let block = blocks.entry(eip).or_insert(block);
-            return exec_block(self, block, step_limit);
-        }
-        self.step()
     }
 
     /// The translated run loop: boundary-identical to
@@ -1339,13 +1391,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<TOp>(), 96);
     }
 
-    /// The distinct access windows of memoising ops, by pc (the block at
-    /// `main` runs into `loop`, so both hold a copy of its ops).
+    /// The distinct access windows of memoising ops, by pc (blocks that
+    /// overlap hold a copy of their shared ops each).
     fn windows(m: &Machine) -> Vec<(u32, Window)> {
         let mut windows: Vec<_> = m
             .tcache
             .blocks
             .values()
+            .flatten()
             .flat_map(|b| &b.ops)
             .filter_map(|op| match &op.access {
                 AccessMode::Memo(window) => Some((op.pc, window.get())),
@@ -1412,10 +1465,11 @@ mod tests {
         assert_eq!(m.read_word(0x1040), Ok(1000));
         m.write_word(0x1040, 0).expect("host write");
         assert!(m.tcache.dirty.is_empty(), "a data write was queued as SMC");
-        // Blocks at `main`, `loop` and the `hlt`, each compiled once: no
-        // store split a block or dropped one.
+        // Only `loop` is entered twice, so it is the one block compiled
+        // (`main` and the `hlt` run once, through `step`), and compiled
+        // once: no store split it or dropped it.
         let c = tracer.counters();
-        assert_eq!(c.get("emu_block_compile"), Some(3));
+        assert_eq!(c.get("emu_block_compile"), Some(1));
         assert_eq!(c.get("emu_block_invalidate_smc"), Some(0));
     }
 
@@ -1457,7 +1511,7 @@ mod tests {
     fn word_writes_probe_exactly_the_words_they_cover() {
         let (mut m, _) = translated("main:\n movi r0, 1\n jmp main\n");
         m.run(1_000);
-        let end = m.tcache.blocks[&0x1000].end;
+        let end = m.tcache.blocks[&0x1000].as_ref().expect("compiled").end;
         // Rewrite each word with its own value: only the code words count.
         let mut rewrite = |addr: u32| {
             let word = m.read_word(addr).expect("read");
@@ -1477,19 +1531,94 @@ mod tests {
     fn dropping_a_block_keeps_overlapping_survivors_tracked() {
         // The block at `main` spans the block at `loop`; dropping the
         // first unmarks their shared words, which must be marked again
-        // for the survivor.
-        let (mut m, _) = translated("main:\n movi r0, 1\nloop:\n addi r2, 1\n jmp loop\n");
+        // for the survivor. `loop` compiles on its second pass and `main`
+        // on its second entry, through the `jmp`.
+        let (mut m, _) = translated(
+            "main:\n movi r0, 1\nloop:\n addi r2, 1\n cmpi r2, 3\n jnz loop\n jmp main\n",
+        );
         m.run(1_000);
+        assert!(matches!(m.tcache.blocks.get(&0x1000), Some(Some(_))));
         let word = m.read_word(0x1000).expect("read");
         m.write_word(0x1000, word).expect("rewrite main");
         let mut blocks = std::mem::take(&mut m.tcache.blocks);
         m.drain_dirty(&mut blocks);
         assert!(!blocks.contains_key(&0x1000), "overwritten block survived");
         let loop_entry = 0x1008;
-        assert!(blocks.contains_key(&loop_entry));
+        assert!(matches!(blocks.get(&loop_entry), Some(Some(_))));
         m.tcache.blocks = blocks;
         let word = m.read_word(loop_entry).expect("read");
         m.write_word(loop_entry, word).expect("rewrite loop");
         assert_eq!(m.tcache.dirty, vec![(loop_entry, loop_entry + 4)]);
+    }
+
+    #[test]
+    fn a_block_compiles_on_its_second_entry_not_its_first() {
+        // `main` and the `hlt` run once; `loop` runs twice.
+        let source = "main:\n movi r1, 0\nloop:\n addi r1, 1\n cmpi r1, 2\n jnz loop\nend:\n hlt\n";
+        let (mut m, tracer) = translated(source);
+        m.run(10_000);
+        assert!(m.is_halted());
+        let program = assemble(source, 0x1000).expect("assemble");
+        let (main, end) = (0x1000, program.symbols["end"]);
+        let looped = program.symbols["loop"];
+        assert!(
+            matches!(m.tcache.blocks.get(&main), Some(None)),
+            "main compiled"
+        );
+        assert!(
+            matches!(m.tcache.blocks.get(&end), Some(None)),
+            "hlt compiled"
+        );
+        assert!(matches!(m.tcache.blocks.get(&looped), Some(Some(_))));
+        let c = tracer.counters();
+        assert_eq!(c.get("emu_block_compile"), Some(1));
+        assert_eq!(c.get("emu_block_hit"), Some(0));
+        // The interpreted first pass and the compiled second one end in
+        // the legacy engine's state.
+        let mut legacy = Machine::new(MachineConfig {
+            engine: EngineKind::Legacy,
+            ..MachineConfig::default()
+        });
+        legacy.load_image(0x1000, &program.bytes).expect("load");
+        legacy.set_eip(0x1000);
+        legacy.run(10_000);
+        assert_eq!(m.snapshot(), legacy.snapshot());
+        assert_eq!(m.ram_digest(), legacy.ram_digest());
+    }
+
+    #[test]
+    fn once_entered_code_keeps_the_map_within_max_blocks() {
+        // Every `nop` of the straight line is a first entry, so each one
+        // leaves a mark; the marks overflow the map and flush it.
+        let source = format!("main:\n{}hlt\n", " nop\n".repeat(MAX_BLOCKS + 100));
+        let (mut m, tracer) = translated(&source);
+        m.run(1_000_000);
+        assert!(m.is_halted());
+        assert_eq!(m.stats().instructions, MAX_BLOCKS as u64 + 101);
+        assert!(m.tcache.blocks.len() <= MAX_BLOCKS);
+        assert_eq!(m.tcache.blocks.len(), 101, "the overflow flushed the map");
+        assert_eq!(tracer.counters().get("emu_block_compile"), Some(0));
+    }
+
+    #[test]
+    fn bitmap_pages_exist_only_where_code_compiled() {
+        let fresh = Machine::new(MachineConfig::default());
+        assert_eq!(fresh.smc_bitmap_pages(), 0);
+        // Code run once compiles nothing and so marks no page.
+        let (mut once, _) = translated("main:\n movi r0, 1\n hlt\n");
+        once.run(1_000);
+        assert!(once.is_halted());
+        assert_eq!(once.smc_bitmap_pages(), 0);
+        // A loop compiles into one code page; rewriting it adds the
+        // rewritten map's page; a flush drops both.
+        let (mut looping, _) = translated("main:\n movi r0, 1\n jmp main\n");
+        looping.run(1_000);
+        assert_eq!(looping.smc_bitmap_pages(), 1);
+        let word = looping.read_word(0x1000).expect("read");
+        looping.write_word(0x1000, word).expect("rewrite");
+        looping.run(1_000);
+        assert_eq!(looping.smc_bitmap_pages(), 2);
+        looping.tcache.flush();
+        assert_eq!(looping.smc_bitmap_pages(), 0);
     }
 }

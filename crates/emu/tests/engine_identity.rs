@@ -410,17 +410,17 @@ fn lockstep_self_modifying_code() {
 #[test]
 fn hot_loop_overwrite_invalidates_translated_block() {
     // A hot spin loop runs long enough for the translator to compile and
-    // repeatedly hit its block, then the guest overwrites the loop's own
-    // branch with `hlt`. Both engines must observe the rewrite at
-    // the same cycle, and the translated engine must account for it as
-    // an SMC invalidation.
+    // repeatedly hit its blocks, then the guest overwrites the loop's own
+    // back-branch — a block of its own, entered on every iteration — with
+    // `hlt`. Both engines must observe the rewrite at the same cycle, and
+    // the translated engine must account for it as an SMC invalidation.
     let hlt = assemble("hlt\n", 0).unwrap();
     let hlt_word = u32::from_le_bytes(hlt.bytes[0..4].try_into().unwrap());
     let source = format!(
         "main:\n movi r1, patch\n movi r2, {hlt_word:#010x}\n movi r3, 0\n\
-         loop:\n addi r3, 1\n cmpi r3, 4000\n jnz loop\n\
-         stw [r1], r2\n\
-         patch:\n jmp loop\n"
+         loop:\n addi r3, 1\n cmpi r3, 4000\n jz store\n\
+         patch:\n jmp loop\n\
+         store:\n stw [r1], r2\n jmp loop\n"
     );
     lockstep(
         |m| {
@@ -449,6 +449,41 @@ fn hot_loop_overwrite_invalidates_translated_block() {
         c.get("emu_block_invalidate_smc").unwrap_or(0) > 0,
         "store into compiled code not booked as SMC invalidation"
     );
+}
+
+#[test]
+fn code_rewritten_before_its_second_entry_compiles_the_new_bytes() {
+    // `body` runs once through the interpreter, then the guest copies
+    // `addi r3, 100` over its first word and jumps back. The first pass
+    // compiled nothing, so the store is no SMC write, and the second
+    // entry must compile the bytes as they are now.
+    let source = "main:\n movi r5, 0\n jmp body\n\
+                  body:\n addi r3, 1\n addi r5, 1\n cmpi r5, 2\n jz done\n\
+                  movi r1, body\n movi r6, newcode\n ldw r2, [r6]\n stw [r1], r2\n jmp body\n\
+                  done:\n hlt\n\
+                  newcode:\n addi r3, 100\n";
+    let load = |m: &mut Machine| {
+        let program = assemble(source, 0x1000).unwrap();
+        m.load_image(0x1000, &program.bytes).unwrap();
+        m.set_eip(0x1000);
+    };
+    lockstep(load, 24, 7);
+
+    for engine in ALL_ENGINES {
+        let mut m = Machine::new(config(engine));
+        let tracer = Tracer::new(Arc::new(RingRecorder::new(64)));
+        m.attach_tracer(tracer.clone());
+        load(&mut m);
+        m.run(10_000);
+        assert!(m.is_halted());
+        assert_eq!(m.reg(Reg::R3), 1 + 100, "{engine:?}: stale bytes ran");
+        if engine == EngineKind::Translated {
+            // `body` is the only entry reached twice.
+            let c = tracer.counters();
+            assert_eq!(c.get("emu_block_compile"), Some(1));
+            assert_eq!(c.get("emu_block_invalidate_smc"), Some(0));
+        }
+    }
 }
 
 #[test]

@@ -153,7 +153,7 @@ impl<'c> DeviceEndpoint<'c> {
         let (config, device) = (self.config, self.sim.device());
         let d = device.as_u64();
         let fail = |stage| move |e| ConversationError::Platform(device, stage, e);
-        let honest = if config.cfa {
+        let mut honest = if config.cfa {
             let report = self.sim.respond_cfa(nonce).map_err(fail("cfa attest"))?;
             if config.detour_hit(d) {
                 // One edge knocked off 4-byte alignment (inadmissible at
@@ -190,16 +190,15 @@ impl<'c> DeviceEndpoint<'c> {
             out.push(frame.clone());
         }
         out.push(frame);
-        if let Message::Report { mut report, .. } = honest {
-            if config.corrupt_hit(d) {
-                report.mac[0] ^= 0x80;
-                let forged = Message::Report {
-                    device,
-                    corr,
-                    report,
-                };
-                out.push(encode(&forged, PROTOCOL_VERSION));
-            }
+        if config.corrupt_hit(d) {
+            // The honest report with one MAC bit flipped, static or CFA.
+            let mac = match &mut honest {
+                Message::Report { report, .. } => &mut report.mac,
+                Message::CfaReport { report, .. } => &mut report.mac,
+                _ => unreachable!("the honest answer is a report"),
+            };
+            mac[0] ^= 0x80;
+            out.push(encode(&honest, PROTOCOL_VERSION));
         }
         Ok(())
     }
@@ -294,6 +293,31 @@ mod tests {
         assert_eq!(count("fleet_decode_errors"), Some(0));
         assert_eq!(books_at(1), whole);
         assert_eq!(books_at(13), whole);
+    }
+
+    #[test]
+    fn cfa_forgeries_land_in_bad_mac_and_the_books_balance() {
+        // Device 0 carries every injection: per round one detour, one
+        // replay and one forgery beside the honest report.
+        let config = FleetConfig {
+            devices: 1,
+            rounds: 2,
+            cfa: true,
+            replay_every: Some(1),
+            corrupt_every: Some(1),
+            detour_every: Some(1),
+            ..FleetConfig::default()
+        };
+        let outcome = crate::run_fleet(&config).expect("fleet runs");
+        assert_eq!(outcome.reports, 8);
+        assert_eq!(outcome.cfa_reports, 8);
+        assert_eq!(outcome.accepted, 2);
+        assert_eq!(outcome.rejected_replay, 2);
+        assert_eq!(outcome.rejected_bad_mac, 2);
+        assert_eq!(outcome.rejected_inadmissible, 2);
+        assert_eq!(outcome.injected_corrupt, 2);
+        assert_eq!(outcome.rejected_chain + outcome.rejected_nonce, 0);
+        assert!(outcome.clean(), "outcome: {outcome:?}");
     }
 
     #[test]

@@ -250,6 +250,24 @@ mod tests {
     }
 
     #[test]
+    fn a_provisioned_device_holds_no_smc_bitmap_page() {
+        // Boot, load and the task's first instructions each run once, so
+        // the translator compiles nothing and tracks no code page.
+        let master = [5u8; 20];
+        let mut sim = DeviceSim::provision(DeviceId::from_u64(21), &master).expect("boots");
+        let pages = |sim: &DeviceSim| sim.platform.machine().smc_bitmap_pages();
+        assert_eq!(pages(&sim), 0);
+        sim.respond(&[0x11; 16]).expect("attests");
+        assert_eq!(pages(&sim), 0);
+        // The monitored run loops, so the translator compiles code now
+        // (the legacy reference never does), and only on pages that hold
+        // code the device wrote.
+        sim.arm_cfa().expect("task is measured");
+        sim.run(500_000).expect("monitored run");
+        assert!(pages(&sim) <= sim.platform.machine().resident_pages());
+    }
+
+    #[test]
     fn a_provisioned_device_idles_to_an_exact_clock() {
         // Provisioning ends with the core halted in the idle loop, waiting
         // for the next tick. The translator crosses each halt in one move;

@@ -1,27 +1,29 @@
 //! The differential oracle: every execution engine vs the legacy
 //! interpreter in lockstep.
 //!
-//! One machine per [`EngineKind`] is built bit-identically from a
-//! [`CaseSetup`] — same program, registers, IDT, EA-MPU rules, devices,
-//! pending IRQs — differing in exactly one bit: the engine. The block
-//! translator's contract is total invisibility (EA-MPU decision cache,
-//! event-driven run loop, block translation cache — all
-//! guest-transparent), so *any* observable difference from the legacy
-//! reference is a bug:
+//! One machine per [`PARTICIPANTS`] entry is built bit-identically from
+//! a [`CaseSetup`] — same program, registers, IDT, EA-MPU rules,
+//! devices, pending IRQs — differing only in the engine and in whether
+//! the EA-MPU decision log is on. The block translator's contract is
+//! total invisibility (EA-MPU decision cache, event-driven run loop,
+//! block translation cache — all guest-transparent), so *any*
+//! observable difference from the legacy reference is a bug:
 //!
-//! - run-loop events ([`Event`]) must match at every chunk boundary,
+//! - run-loop events ([`Event`]), faults included, must match at every
+//!   chunk boundary,
 //! - [`Machine::snapshot`] (registers, EIP, flags, clock, stats,
 //!   pending IRQs) must match at every boundary,
 //! - the EA-MPU decision logs (query + decision, including rule slots)
-//!   must be byte-identical,
-//! - the final RAM digests must match.
+//!   of the logged participants must be byte-identical,
+//! - the RAM digests must match at the end of every pass.
 //!
 //! Two drive modes: [`run_diff`] exercises the real run loops
 //! (IRQ delivery, device polling, batching, block compilation and
-//! invalidation — where loop-boundary bugs live) in odd-sized chunks;
-//! [`step_diff`] single-steps all machines and compares after every
-//! instruction, which localises a divergence to the exact instruction
-//! that caused it.
+//! invalidation — where loop-boundary bugs live) in odd-sized chunks,
+//! over several passes of the case (see [`run_lockstep`]); [`step_diff`]
+//! single-steps all machines and compares after every instruction,
+//! which localises a divergence to the exact instruction that caused
+//! it.
 
 use crate::gen::{setup_rules, words_to_bytes, CaseSetup};
 use sp_emu::devices::Timer;
@@ -35,12 +37,24 @@ pub const FUZZ_RAM: u32 = 1 << 17;
 /// MMIO base the optional case timer is mapped at.
 pub const TIMER_BASE: u32 = 0xf000_0000;
 
-/// The lockstep participants, reference first: every comparison is
-/// against `ENGINES[0]` (legacy).
+/// The engines under test, reference first.
 pub const ENGINES: [EngineKind; 2] = [EngineKind::Legacy, EngineKind::Translated];
 
-/// Builds one machine of a differential set.
-pub fn build_machine(setup: &CaseSetup, engine: EngineKind) -> Machine {
+/// The lockstep participants, reference first: every comparison is
+/// against `PARTICIPANTS[0]` (legacy). Each is an engine and whether its
+/// EA-MPU decision log is on. A logged translator compiles every check
+/// as observed, so the unlogged one is the only participant that runs
+/// the quiet paths compiled: unchecked transfer edges, unchecked
+/// accesses, and memoised access windows.
+pub const PARTICIPANTS: [(EngineKind, bool); 3] = [
+    (EngineKind::Legacy, true),
+    (EngineKind::Translated, true),
+    (EngineKind::Translated, false),
+];
+
+/// Builds one machine of a differential set, with its EA-MPU decision
+/// log on when `logged`.
+pub fn build_machine(setup: &CaseSetup, engine: EngineKind, logged: bool) -> Machine {
     let mut m = Machine::new(MachineConfig {
         ram_size: FUZZ_RAM,
         engine,
@@ -74,38 +88,53 @@ pub fn build_machine(setup: &CaseSetup, engine: EngineKind) -> Machine {
         m.raise_irq(v);
     }
     m.set_eip(setup.origin);
-    m.mpu_mut().set_decision_log_enabled(true);
+    m.mpu_mut().set_decision_log_enabled(logged);
     m
 }
 
-/// Builds the full lockstep set, one machine per engine in [`ENGINES`]
-/// order (legacy reference first).
+/// Builds the full lockstep set, one machine per entry of
+/// [`PARTICIPANTS`], in that order (legacy reference first).
 pub fn build_machines(setup: &CaseSetup) -> Vec<Machine> {
-    ENGINES.map(|engine| build_machine(setup, engine)).into()
+    PARTICIPANTS
+        .map(|(engine, logged)| build_machine(setup, engine, logged))
+        .into()
+}
+
+/// Names a participant in failure messages.
+fn label(m: &Machine) -> String {
+    let unlogged = if m.mpu().log_enabled() {
+        ""
+    } else {
+        " (unlogged)"
+    };
+    format!("{:?}{unlogged}", m.engine())
 }
 
 /// Compares every non-reference machine's state against the reference
 /// (`machines[0]`), consuming all decision logs. The reference log is
-/// taken once up front (taking drains), so every participant is held
-/// against the same record sequence.
+/// taken once up front (taking drains), so every logged participant is
+/// held against the same record sequence.
 pub fn compare_all(at: &str, machines: &[Machine]) -> Result<(), String> {
     let (legacy, rest) = machines.split_first().expect("at least the reference");
     let sl = legacy.snapshot();
     let dl = legacy.mpu().take_decision_log();
     for m in rest {
-        let engine = m.engine();
+        let engine = label(m);
         let sm = m.snapshot();
         if sm != sl {
             return Err(format!(
-                "state divergence at {at}:\n  {engine:?}: {sm:?}\n  legacy: {sl:?}"
+                "state divergence at {at}:\n  {engine}: {sm:?}\n  legacy: {sl:?}"
             ));
+        }
+        if !m.mpu().log_enabled() {
+            continue;
         }
         let dm = m.mpu().take_decision_log();
         if dm != dl {
             let i = dm.iter().zip(&dl).take_while(|(a, b)| a == b).count();
             return Err(format!(
                 "EA-MPU decision divergence at {at}: {} vs {} records, first mismatch at {i}: \
-                 {engine:?} {:?} vs legacy {:?}",
+                 {engine} {:?} vs legacy {:?}",
                 dm.len(),
                 dl.len(),
                 dm.get(i),
@@ -116,24 +145,70 @@ pub fn compare_all(at: &str, machines: &[Machine]) -> Result<(), String> {
     Ok(())
 }
 
-fn compare_ram(machines: &[Machine]) -> Result<(), String> {
+fn compare_ram(at: &str, machines: &[Machine]) -> Result<(), String> {
     let digest = machines[0].ram_digest();
     for m in &machines[1..] {
         if m.ram_digest() != digest {
             return Err(format!(
-                "RAM digest divergence at end of case ({:?} vs legacy)",
-                m.engine()
+                "RAM digest divergence at {at} ({} vs legacy)",
+                label(m)
             ));
         }
     }
     Ok(())
 }
 
-/// Drives the set through their *run loops* in identical chunks,
-/// comparing events, state, and EA-MPU decisions at every boundary and
-/// RAM at the end.
+/// How often [`run_lockstep`] runs a case. The translator interprets an
+/// entry on its first arrival and compiles it on its second, and a
+/// generated case seldom loops, so the first pass runs mostly
+/// interpreted; the second compiles the entries the first reached and
+/// runs them straight after compiling; the third runs those blocks from
+/// the cache, with the access windows the second pass memoised, and
+/// compiles what the second pass reached first (IRQ returns and chunk
+/// boundaries that moved with the clock).
+pub const PASSES: u32 = 3;
+
+/// Drives a fresh lockstep set through [`run_lockstep`] with nothing
+/// injected.
 pub fn run_diff(setup: &CaseSetup) -> Result<(), String> {
-    let mut machines = build_machines(setup);
+    run_lockstep(setup, &mut build_machines(setup), |_| {})
+}
+
+/// Drives `machines`, a lockstep set built from `setup`, through their
+/// *run loops* in identical chunks, comparing events, state and EA-MPU
+/// decisions at every boundary and RAM at the end of each pass. After
+/// each boundary `inject` may mutate the set; it must apply the *same*
+/// mutation to every machine.
+///
+/// The case runs [`PASSES`] times on the same machines, each pass from
+/// the case's initial state (see `rewind`).
+pub fn run_lockstep(
+    setup: &CaseSetup,
+    machines: &mut [Machine],
+    mut inject: impl FnMut(&mut [Machine]),
+) -> Result<(), String> {
+    let initial = machines[0]
+        .read_bytes(0, FUZZ_RAM)
+        .expect("fuzz RAM is readable");
+    for pass in 0..PASSES {
+        if pass > 0 {
+            for m in machines.iter_mut() {
+                rewind(setup, m, &initial);
+            }
+        }
+        run_pass(setup, machines, pass, &mut inject)?;
+    }
+    Ok(())
+}
+
+/// One pass of [`run_lockstep`]: `setup.budget` cycles in `setup.chunk`
+/// slices, or up to the first fault or firmware trap.
+fn run_pass(
+    setup: &CaseSetup,
+    machines: &mut [Machine],
+    pass: u32,
+    inject: &mut impl FnMut(&mut [Machine]),
+) -> Result<(), String> {
     let start = machines[0].cycles();
     let mut boundary = 0u64;
     loop {
@@ -147,20 +222,46 @@ pub fn run_diff(setup: &CaseSetup) -> Result<(), String> {
             let e = m.run(chunk);
             if e != el {
                 return Err(format!(
-                    "event divergence at chunk {boundary}: {:?} {e:?} vs legacy {el:?}",
-                    m.engine()
+                    "event divergence at pass {pass} chunk {boundary}: {} {e:?} vs legacy {el:?}",
+                    label(m)
                 ));
             }
         }
-        compare_all(&format!("chunk {boundary}"), &machines)?;
-        boundary += 1;
+        compare_all(&format!("pass {pass} chunk {boundary}"), machines)?;
         if let Event::Fault(_) | Event::FirmwareTrap { .. } = el {
             // Faults charge nothing (the clock cannot advance past them)
             // and no firmware is registered to service traps.
             break;
         }
+        inject(machines);
+        boundary += 1;
     }
-    compare_ram(&machines)
+    compare_ram(&format!("end of pass {pass}"), machines)
+}
+
+/// Puts `m` back at `setup`'s initial state for another pass: registers,
+/// flags, the prior IRQs, EIP at the origin (un-halting the core), and
+/// every RAM word that differs from `initial`. The clock, statistics,
+/// devices and translation cache carry on. Only changed words are
+/// written, because a write over compiled code counts as
+/// self-modifying and hands those words to the interpreter; rewriting
+/// the whole image would keep the pass from running compiled.
+fn rewind(setup: &CaseSetup, m: &mut Machine, initial: &[u8]) {
+    let now = m.read_bytes(0, FUZZ_RAM).expect("fuzz RAM is readable");
+    let words = initial.chunks_exact(4).zip(now.chunks_exact(4));
+    for (index, (was, is)) in words.enumerate() {
+        if was != is {
+            let word = u32::from_le_bytes(was.try_into().expect("4 bytes"));
+            m.write_word(index as u32 * 4, word)
+                .expect("inside fuzz RAM");
+        }
+    }
+    m.set_regs(setup.regs);
+    m.set_eflags(setup.eflags);
+    for &v in &setup.prior_irqs {
+        m.raise_irq(v);
+    }
+    m.set_eip(setup.origin);
 }
 
 /// Single-steps the set, comparing after every instruction. Stops at
@@ -174,8 +275,8 @@ pub fn step_diff(setup: &CaseSetup, max_steps: u64) -> Result<(), String> {
             let r = m.step();
             if r != rl {
                 return Err(format!(
-                    "step result divergence at instruction {step}: {:?} {r:?} vs legacy {rl:?}",
-                    m.engine()
+                    "step result divergence at instruction {step}: {} {r:?} vs legacy {rl:?}",
+                    label(m)
                 ));
             }
         }
@@ -184,7 +285,7 @@ pub fn step_diff(setup: &CaseSetup, max_steps: u64) -> Result<(), String> {
             break;
         }
     }
-    compare_ram(&machines)
+    compare_ram("end of case", &machines)
 }
 
 #[cfg(test)]
@@ -271,7 +372,7 @@ mod tests {
         // And the rewritten instruction must actually have executed, on
         // every engine.
         for engine in ENGINES {
-            let mut m = build_machine(&setup, engine);
+            let mut m = build_machine(&setup, engine, true);
             m.run(1_000);
             assert!(m.is_halted(), "{engine:?}: stored HLT not executed");
         }

@@ -16,13 +16,13 @@
 //!    must never panic, livelock, or leak resources (an aborted load
 //!    job must release its allocation).
 
-use crate::diff::{build_machines, compare_all, FUZZ_RAM, TIMER_BASE};
-use crate::gen::{encode_stream, gen_setup, gen_stream, CaseSetup, StreamCtx};
+use crate::diff::{build_machines, run_lockstep, FUZZ_RAM, TIMER_BASE};
+use crate::gen::{encode_stream, gen_setup, gen_stream, StreamCtx};
 use crate::rng::FuzzRng;
 use eampu::Region;
 use rtos::{Kernel, KernelConfig};
 use sp_emu::devices::Timer;
-use sp_emu::{Event, Machine, MachineConfig};
+use sp_emu::{Machine, MachineConfig};
 use tytan::allocator::Allocator;
 use tytan::attest::AttestationReport;
 use tytan::driver::TrustedActors;
@@ -33,51 +33,6 @@ use tytan_crypto::{Sha1, TaskId};
 use tytan_image::{mutate, TaskImage};
 use tytan_lint::LintPolicy;
 
-/// Drives a differential set (one machine per engine, legacy reference
-/// first) while injecting per-boundary faults via `inject`, which must
-/// apply the *same* mutation to every machine.
-fn run_diff_with_injection(
-    setup: &CaseSetup,
-    mut inject: impl FnMut(&mut [Machine], u64),
-) -> Result<(), String> {
-    let mut machines = build_machines(setup);
-    let start = machines[0].cycles();
-    let mut boundary = 0u64;
-    loop {
-        let spent = machines[0].cycles() - start;
-        if spent >= setup.budget {
-            break;
-        }
-        let chunk = setup.chunk.min(setup.budget - spent);
-        let el = machines[0].run(chunk);
-        for m in machines.iter_mut().skip(1) {
-            let e = m.run(chunk);
-            if e != el {
-                return Err(format!(
-                    "event divergence at chunk {boundary} under injection: {:?} {e:?} vs legacy {el:?}",
-                    m.engine()
-                ));
-            }
-        }
-        compare_all(&format!("chunk {boundary} (injected)"), &machines)?;
-        if let Event::Fault(_) | Event::FirmwareTrap { .. } = el {
-            break;
-        }
-        inject(&mut machines, boundary);
-        boundary += 1;
-    }
-    let digest = machines[0].ram_digest();
-    for m in &machines[1..] {
-        if m.ram_digest() != digest {
-            return Err(format!(
-                "RAM digest divergence after fault injection ({:?} vs legacy)",
-                m.engine()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// RAM bit flips between run chunks: the translation cache must
 /// observe every host-side write, including flips landing
 /// in the program's own text.
@@ -86,7 +41,7 @@ pub fn bitflip_diff(rng: &mut FuzzRng) -> Result<(), String> {
     let mut flips = rng.fork();
     let origin = setup.origin;
     let text_len = (setup.words.len() * 4) as u32;
-    run_diff_with_injection(&setup, move |machines, _| {
+    run_lockstep(&setup, &mut build_machines(&setup), move |machines| {
         for _ in 0..flips.range(1, 4) {
             // Half the flips target the program text itself — that is
             // where a stale cached instruction would show up.
@@ -113,7 +68,7 @@ pub fn bitflip_diff(rng: &mut FuzzRng) -> Result<(), String> {
 pub fn irq_storm_diff(rng: &mut FuzzRng) -> Result<(), String> {
     let setup = gen_setup(rng);
     let mut storm = rng.fork();
-    run_diff_with_injection(&setup, move |machines, _| {
+    run_lockstep(&setup, &mut build_machines(&setup), move |machines| {
         for _ in 0..storm.range(1, 12) {
             let vector = (storm.next_u32() % 64) as u8;
             for m in machines.iter_mut() {
@@ -136,28 +91,7 @@ pub fn timer_chaos_diff(rng: &mut FuzzRng) -> Result<(), String> {
         .map(|m| m.add_device(Box::new(Timer::new(TIMER_BASE, vector))))
         .collect();
     let mut chaos = rng.fork();
-    let start = machines[0].cycles();
-    let mut boundary = 0u64;
-    loop {
-        let spent = machines[0].cycles() - start;
-        if spent >= setup.budget {
-            break;
-        }
-        let chunk = setup.chunk.min(setup.budget - spent);
-        let el = machines[0].run(chunk);
-        for m in machines.iter_mut().skip(1) {
-            let e = m.run(chunk);
-            if e != el {
-                return Err(format!(
-                    "event divergence at chunk {boundary} under timer chaos: {:?} {e:?} vs legacy {el:?}",
-                    m.engine()
-                ));
-            }
-        }
-        compare_all(&format!("chunk {boundary} (timer chaos)"), &machines)?;
-        if let Event::Fault(_) | Event::FirmwareTrap { .. } = el {
-            break;
-        }
+    run_lockstep(&setup, &mut machines, |machines| {
         let interval = match chaos.below(5) {
             0 => 0,
             1 => 1,
@@ -170,18 +104,7 @@ pub fn timer_chaos_diff(rng: &mut FuzzRng) -> Result<(), String> {
                 .expect("timer handle")
                 .configure(interval, enabled);
         }
-        boundary += 1;
-    }
-    let digest = machines[0].ram_digest();
-    for m in &machines[1..] {
-        if m.ram_digest() != digest {
-            return Err(format!(
-                "RAM digest divergence after timer chaos ({:?} vs legacy)",
-                m.engine()
-            ));
-        }
-    }
-    Ok(())
+    })
 }
 
 /// The loader-side platform a mutated image is driven through (also

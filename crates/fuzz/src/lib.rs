@@ -9,9 +9,9 @@
 //! with seed-derived random inputs:
 //!
 //! - [`diff`] — the differential oracle: every generated program +
-//!   platform state runs on a translated and a legacy machine in
-//!   lockstep; any divergence in events, registers, cycles, EA-MPU
-//!   decisions, or RAM is a failure.
+//!   platform state runs on a legacy machine and two translated ones
+//!   (decision log on and off) in lockstep; any divergence in events,
+//!   registers, cycles, EA-MPU decisions, or RAM is a failure.
 //! - [`faults`] — platform fault injection: RAM bit flips between
 //!   chunks, IRQ storms, timer reprogramming chaos, mutated/truncated
 //!   task images through the loader, garbage attestation reports.
