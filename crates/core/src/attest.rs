@@ -82,11 +82,11 @@ impl AttestationReport {
     /// The exact byte string the report's MAC covers
     /// (`id ‖ digest ‖ nonce` with length framing).
     ///
-    /// Exposed so bulk verifiers — the fleet service batches MAC checks
-    /// across many devices via [`tytan_crypto::batch_verify`] — can
-    /// compute inputs up front and feed precomputed key schedules,
-    /// instead of going through [`RemoteVerifier::verify`] one report at
-    /// a time.
+    /// Exposed for parties that hold `K_a` outside [`RemoteAttestor`]
+    /// (test fixtures and fuzzers that seal or forge reports directly).
+    /// Verifiers never take a MAC verdict from outside: [`RemoteVerifier`]
+    /// and [`VerifierSession`] recompute the MAC over this input
+    /// themselves.
     pub fn mac_input(&self) -> Vec<u8> {
         mac_input(self.id, &self.digest, &self.nonce)
     }
@@ -187,7 +187,7 @@ impl RemoteVerifier {
         expected: &[(TaskId, Vec<u8>)],
     ) -> Result<(), VerifyError> {
         if !self
-            .key
+            .schedule
             .verify(&device_mac_input(&report.tasks, &report.nonce), &report.mac)
         {
             return Err(VerifyError::BadMac);
@@ -305,14 +305,14 @@ impl std::error::Error for VerifyError {}
 /// and knows the reference digest of the software it expects.
 #[derive(Debug)]
 pub struct RemoteVerifier {
-    key: HmacKey,
+    schedule: HmacSchedule<Sha1>,
 }
 
 impl RemoteVerifier {
     /// Creates a verifier holding the shared attestation key.
     pub fn new(ka: SymmetricKey) -> Self {
         RemoteVerifier {
-            key: ka.to_hmac_key(),
+            schedule: ka.to_hmac_key().schedule(),
         }
     }
 
@@ -330,20 +330,24 @@ impl RemoteVerifier {
         nonce: &[u8],
         expected_digest: &[u8],
     ) -> Result<(), VerifyError> {
-        let input = mac_input(report.id, &report.digest, &report.nonce);
-        if !self.key.verify(&input, &report.mac) {
-            return Err(VerifyError::BadMac);
-        }
-        if report.nonce != nonce {
-            return Err(VerifyError::NonceMismatch);
-        }
-        if report.digest != expected_digest {
-            return Err(VerifyError::DigestMismatch {
-                expected: expected_digest.to_vec(),
-                reported: report.digest.clone(),
-            });
-        }
+        check(
+            &self.schedule,
+            Evidence::Plain(report),
+            |got| nonce_equals(got, nonce),
+            expected_digest,
+            &mut RunRefolder::new(),
+            None,
+        )
+    }
+}
+
+/// The stateless verifier's freshness: the report answers exactly the
+/// caller's challenge.
+fn nonce_equals(got: &[u8], challenge: &[u8]) -> Result<(), VerifyError> {
+    if got == challenge {
         Ok(())
+    } else {
+        Err(VerifyError::NonceMismatch)
     }
 }
 
@@ -547,68 +551,109 @@ impl RemoteAttestor {
     }
 }
 
-/// Nanosecond wall-clock cost of each verifier stage for one report —
-/// the fleet service's verify-cost attribution. Stages the report never
-/// reaches (a plain report has no control-flow evidence; a bad MAC
-/// short-circuits everything) stay zero.
+/// One report as a verifier checks it: a plain measurement, or a
+/// control-flow report with the admissible edge set its log replays
+/// against.
+#[derive(Debug, Clone, Copy)]
+pub enum Evidence<'a> {
+    /// A static measurement report.
+    Plain(&'a AttestationReport),
+    /// A control-flow-attested report and the edge set of its image.
+    Cfa(&'a CfaReport, &'a AdmissibleEdgeSet),
+}
+
+/// Nanosecond wall-clock cost of each verifier stage one report
+/// reached, in check order. A stage the report never reached is `None`:
+/// a bad MAC stops after `mac`, a stale nonce or wrong digest after
+/// `freshness`, an inadmissible edge after `edge_replay`, and a plain
+/// report has no control-flow stages at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyStageNanos {
+    /// The HMAC over the report under the verifier's own key schedule.
+    pub mac: Option<u64>,
     /// Freshness (replay window + outstanding nonce) and digest compare.
-    pub freshness: u64,
+    pub freshness: Option<u64>,
     /// Edge-log replay against the static CFG (admissibility and
     /// shadow-stack return checks).
-    pub edge_replay: u64,
+    pub edge_replay: Option<u64>,
     /// Refolding the edge log through [`CfChain`](tytan_crypto::CfChain)
     /// and comparing heads.
-    pub chain_refold: u64,
+    pub chain_refold: Option<u64>,
 }
 
 /// Stamps `stages`' field chosen by `pick` with the wall-clock cost of
 /// `f`, when attribution is requested.
 fn staged<T>(
     stages: &mut Option<&mut VerifyStageNanos>,
-    pick: fn(&mut VerifyStageNanos) -> &mut u64,
+    pick: fn(&mut VerifyStageNanos) -> &mut Option<u64>,
     f: impl FnOnce() -> T,
 ) -> T {
     match stages {
         Some(stages) => {
             let begin = std::time::Instant::now();
             let out = f();
-            *pick(stages) += begin.elapsed().as_nanos() as u64;
+            *pick(stages) = Some(begin.elapsed().as_nanos() as u64);
             out
         }
         None => f(),
     }
 }
 
-/// Replays the run-encoded `log` against the static CFG and checks it
-/// refolds to the MAC'd `chain_head`. Shared by the stateless and
-/// session verifiers; assumes MAC/nonce/digest were already checked.
-/// When `stages` is supplied, the two phases are attributed separately.
+/// The one per-report check every verifier runs, in the paper's order:
+/// the MAC under `schedule` (so a forged report learns nothing about
+/// verifier state), then freshness (`fresh` judges the reported nonce)
+/// and the digest against `expected_digest`, then for control-flow
+/// evidence the edge replay and the refold. When `stages` is supplied,
+/// every stage reached is timed into it.
 ///
-/// Both phases run over runs, never the expanded stream: replay checks
-/// each run's edge once (its admissibility cannot change with
-/// repetition; only the shadow stack sees counts), and the refold uses
-/// the caller's [`RunRefolder`] so the per-run SHA-1 midstate setup is
-/// paid once per verifier, not once per run.
-fn check_cf_evidence(
-    log: &[(u32, u32, u32)],
-    chain_head: &[u8; 20],
-    edges: &AdmissibleEdgeSet,
+/// Both control-flow phases run over runs, never the expanded stream:
+/// replay checks each run's edge once (its admissibility cannot change
+/// with repetition; only the shadow stack sees counts), and the refold
+/// uses the caller's [`RunRefolder`] so a long-lived verifier formats
+/// the padded SHA-1 block once.
+fn check(
+    schedule: &HmacSchedule<Sha1>,
+    evidence: Evidence<'_>,
+    fresh: impl FnOnce(&[u8]) -> Result<(), VerifyError>,
+    expected_digest: &[u8],
     refolder: &mut RunRefolder,
     mut stages: Option<&mut VerifyStageNanos>,
 ) -> Result<(), VerifyError> {
+    let (input, mac, nonce, digest) = match evidence {
+        Evidence::Plain(r) => (r.mac_input(), &r.mac, &r.nonce, &r.digest),
+        Evidence::Cfa(r, _) => (r.mac_input(), &r.mac, &r.nonce, &r.digest),
+    };
+    if !staged(&mut stages, |s| &mut s.mac, || schedule.verify(&input, mac)) {
+        return Err(VerifyError::BadMac);
+    }
+    staged(
+        &mut stages,
+        |s| &mut s.freshness,
+        || {
+            fresh(nonce)?;
+            if digest.as_slice() != expected_digest {
+                return Err(VerifyError::DigestMismatch {
+                    expected: expected_digest.to_vec(),
+                    reported: digest.clone(),
+                });
+            }
+            Ok(())
+        },
+    )?;
+    let Evidence::Cfa(report, edges) = evidence else {
+        return Ok(());
+    };
     // Admissibility first: an injected detour is reported as the typed
     // CFG violation it is, not as the chain damage it also causes.
     staged(
         &mut stages,
         |s| &mut s.edge_replay,
-        || edges.replay_runs(log),
+        || edges.replay_runs(&report.log),
     )?;
     let refolds = staged(
         &mut stages,
         |s| &mut s.chain_refold,
-        || refolder.refold(log.iter().copied()) == *chain_head,
+        || refolder.refold(report.log.iter().copied()) == report.chain_head,
     );
     if !refolds {
         return Err(VerifyError::ChainMismatch);
@@ -638,22 +683,11 @@ impl RemoteVerifier {
         expected_digest: &[u8],
         edges: &AdmissibleEdgeSet,
     ) -> Result<(), VerifyError> {
-        if !self.key.verify(&report.mac_input(), &report.mac) {
-            return Err(VerifyError::BadMac);
-        }
-        if report.nonce != nonce {
-            return Err(VerifyError::NonceMismatch);
-        }
-        if report.digest != expected_digest {
-            return Err(VerifyError::DigestMismatch {
-                expected: expected_digest.to_vec(),
-                reported: report.digest.clone(),
-            });
-        }
-        check_cf_evidence(
-            &report.log,
-            &report.chain_head,
-            edges,
+        check(
+            &self.schedule,
+            Evidence::Cfa(report, edges),
+            |got| nonce_equals(got, nonce),
+            expected_digest,
             &mut RunRefolder::new(),
             None,
         )
@@ -765,12 +799,6 @@ impl VerifierSession {
         self.device
     }
 
-    /// The precomputed HMAC key schedule (for batched MAC verification
-    /// via [`tytan_crypto::batch_verify`]).
-    pub fn schedule(&self) -> &HmacSchedule<Sha1> {
-        &self.schedule
-    }
-
     /// Reports accepted so far.
     pub fn accepted(&self) -> u64 {
         self.accepted
@@ -815,59 +843,7 @@ impl VerifierSession {
     /// [`VerifyError::NonceMismatch`] for any other stale or unknown
     /// nonce, [`VerifyError::DigestMismatch`] for wrong software.
     pub fn submit(&mut self, report: &AttestationReport) -> Result<(), VerifyError> {
-        let mac_ok = self.schedule.verify(&report.mac_input(), &report.mac);
-        self.submit_with_mac_verdict_timed(report, mac_ok, None)
-    }
-
-    /// Like [`VerifierSession::submit`], with the MAC verdict computed
-    /// externally — the fleet service batches MAC checks across many
-    /// sessions with [`tytan_crypto::batch_verify`] and completes each
-    /// report here — attributing per-stage wall-clock cost into `stages`
-    /// when supplied. The untimed paths pass `None` and pay one `Option`
-    /// branch.
-    ///
-    /// # Errors
-    ///
-    /// As [`VerifierSession::submit`].
-    pub fn submit_with_mac_verdict_timed(
-        &mut self,
-        report: &AttestationReport,
-        mac_ok: bool,
-        stages: Option<&mut VerifyStageNanos>,
-    ) -> Result<(), VerifyError> {
-        let result = self.check(report, mac_ok, stages);
-        match result {
-            Ok(()) => self.accepted += 1,
-            Err(_) => self.rejected += 1,
-        }
-        result
-    }
-
-    fn check(
-        &mut self,
-        report: &AttestationReport,
-        mac_ok: bool,
-        mut stages: Option<&mut VerifyStageNanos>,
-    ) -> Result<(), VerifyError> {
-        if !mac_ok {
-            return Err(VerifyError::BadMac);
-        }
-        staged(
-            &mut stages,
-            |s| &mut s.freshness,
-            || {
-                self.freshness(&report.nonce)?;
-                if report.digest != self.expected_digest {
-                    return Err(VerifyError::DigestMismatch {
-                        expected: self.expected_digest.clone(),
-                        reported: report.digest.clone(),
-                    });
-                }
-                Ok(())
-            },
-        )?;
-        self.consume_outstanding();
-        Ok(())
+        self.judge(Evidence::Plain(report), &mut RunRefolder::new(), None)
     }
 
     /// Verifies a control-flow-attested report against the outstanding
@@ -884,66 +860,48 @@ impl VerifierSession {
         report: &CfaReport,
         edges: &AdmissibleEdgeSet,
     ) -> Result<(), VerifyError> {
-        let mac_ok = self.schedule.verify(&report.mac_input(), &report.mac);
-        self.submit_cfa_with_mac_verdict_timed(report, mac_ok, edges, None, None)
+        self.judge(Evidence::Cfa(report, edges), &mut RunRefolder::new(), None)
     }
 
-    /// Like [`VerifierSession::submit_cfa`], with the MAC verdict
-    /// computed externally (batched fleet verification), attributing
-    /// per-stage wall-clock cost into `stages` when supplied, and
-    /// refolding through a caller-held [`RunRefolder`] so a batch
-    /// verifier amortizes the per-run SHA-1 midstate setup across every
-    /// report in a flush. `None` builds a throwaway refolder.
-    ///
-    /// # Errors
-    ///
-    /// As [`VerifierSession::submit_cfa`].
-    pub fn submit_cfa_with_mac_verdict_timed(
+    /// Verifies either kind of report exactly as [`Self::submit`] /
+    /// [`Self::submit_cfa`] do, refolding control-flow logs through the
+    /// caller's long-lived `refolder`, and returns the verdict with the
+    /// cost of every stage the check reached.
+    pub fn submit_staged(
         &mut self,
-        report: &CfaReport,
-        mac_ok: bool,
-        edges: &AdmissibleEdgeSet,
-        refolder: Option<&mut RunRefolder>,
+        evidence: Evidence<'_>,
+        refolder: &mut RunRefolder,
+    ) -> (Result<(), VerifyError>, VerifyStageNanos) {
+        let mut stages = VerifyStageNanos::default();
+        let result = self.judge(evidence, refolder, Some(&mut stages));
+        (result, stages)
+    }
+
+    /// Runs the one check against this session's key, freshness state
+    /// and reference digest, and books the verdict: an accepted report
+    /// consumes its nonce.
+    fn judge(
+        &mut self,
+        evidence: Evidence<'_>,
+        refolder: &mut RunRefolder,
         stages: Option<&mut VerifyStageNanos>,
     ) -> Result<(), VerifyError> {
-        let mut local = RunRefolder::new();
-        let refolder = refolder.unwrap_or(&mut local);
-        let result = self.check_cfa(report, mac_ok, edges, refolder, stages);
+        let result = check(
+            &self.schedule,
+            evidence,
+            |nonce| self.freshness(nonce),
+            &self.expected_digest,
+            refolder,
+            stages,
+        );
         match result {
-            Ok(()) => self.accepted += 1,
+            Ok(()) => {
+                self.consume_outstanding();
+                self.accepted += 1;
+            }
             Err(_) => self.rejected += 1,
         }
         result
-    }
-
-    fn check_cfa(
-        &mut self,
-        report: &CfaReport,
-        mac_ok: bool,
-        edges: &AdmissibleEdgeSet,
-        refolder: &mut RunRefolder,
-        mut stages: Option<&mut VerifyStageNanos>,
-    ) -> Result<(), VerifyError> {
-        if !mac_ok {
-            return Err(VerifyError::BadMac);
-        }
-        staged(
-            &mut stages,
-            |s| &mut s.freshness,
-            || {
-                self.freshness(&report.nonce)?;
-                if report.digest != self.expected_digest {
-                    return Err(VerifyError::DigestMismatch {
-                        expected: self.expected_digest.clone(),
-                        reported: report.digest.clone(),
-                    });
-                }
-                Ok(())
-            },
-        )?;
-        check_cf_evidence(&report.log, &report.chain_head, edges, refolder, stages)?;
-        self.consume_outstanding();
-        Ok(())
     }
 
     /// Typed freshness check against the consumed window and the
@@ -1238,47 +1196,53 @@ mod tests {
     }
 
     #[test]
-    fn session_batched_mac_verdict_path_matches_inline() {
+    fn session_staged_submit_matches_submit() {
         let (attestor, mut session, rec) = fleet_session();
+        let (_, mut twin, _) = fleet_session();
         let nonce = session.challenge();
+        assert_eq!(twin.challenge(), nonce, "same salt, same challenge");
         let report = attestor.attest(&rec, &nonce);
-        let mac_ok = tytan_crypto::batch_verify(std::iter::once((
-            session.schedule(),
-            report.mac_input().as_slice(),
-            report.mac.as_slice(),
-        )))
-        .all_ok();
-        assert!(mac_ok);
+        let mut forged = report.clone();
+        forged.mac[3] ^= 1;
+        let mut refolder = RunRefolder::new();
+        // Same verdicts and books through either entry, in any order.
+        for r in [&forged, &report, &report] {
+            let (staged, _) = session.submit_staged(Evidence::Plain(r), &mut refolder);
+            assert_eq!(staged, twin.submit(r));
+        }
         assert_eq!(
-            session.submit_with_mac_verdict_timed(&report, mac_ok, None),
-            Ok(())
+            (session.accepted(), session.rejected()),
+            (twin.accepted(), twin.rejected())
         );
-        assert_eq!(
-            session.submit_with_mac_verdict_timed(&report, false, None),
-            Err(VerifyError::BadMac)
-        );
+        assert_eq!(session.consumed_nonces(), twin.consumed_nonces());
     }
 
     #[test]
     fn session_timed_submit_attributes_freshness_only_for_plain_reports() {
         let (attestor, mut session, rec) = fleet_session();
+        let mut refolder = RunRefolder::new();
         let nonce = session.challenge();
         let report = attestor.attest(&rec, &nonce);
-        let mut stages = VerifyStageNanos::default();
-        assert_eq!(
-            session.submit_with_mac_verdict_timed(&report, true, Some(&mut stages)),
-            Ok(())
-        );
+        let (result, stages) = session.submit_staged(Evidence::Plain(&report), &mut refolder);
+        assert_eq!(result, Ok(()));
         // Plain reports never reach the control-flow stages.
-        assert_eq!(stages.edge_replay, 0);
-        assert_eq!(stages.chain_refold, 0);
-        // A bad MAC short-circuits before any staged work.
-        let mut stages = VerifyStageNanos::default();
+        assert!(stages.mac.is_some());
+        assert!(stages.freshness.is_some());
+        assert_eq!(stages.edge_replay, None);
+        assert_eq!(stages.chain_refold, None);
+        // A bad MAC stops before any later stage.
+        let mut forged = report.clone();
+        forged.mac[0] ^= 1;
+        let (result, stages) = session.submit_staged(Evidence::Plain(&forged), &mut refolder);
+        assert_eq!(result, Err(VerifyError::BadMac));
+        assert!(stages.mac.is_some());
         assert_eq!(
-            session.submit_with_mac_verdict_timed(&report, false, Some(&mut stages)),
-            Err(VerifyError::BadMac)
+            VerifyStageNanos {
+                mac: None,
+                ..stages
+            },
+            VerifyStageNanos::default()
         );
-        assert_eq!(stages, VerifyStageNanos::default());
     }
 
     #[test]
@@ -1505,25 +1469,20 @@ mod tests {
         fn session_timed_cfa_submit_attributes_all_three_stages() {
             let (attestor, mut session, rec) = fleet_session();
             let edges = demo_edges();
+            let mut refolder = RunRefolder::new();
             let log = honest_log();
             let head = CfChain::fold_runs(log.iter().copied());
             let nonce = session.challenge();
             let report = attestor.attest_cfa(&rec, &nonce, &log, head);
-            let mut stages = VerifyStageNanos::default();
-            assert_eq!(
-                session.submit_cfa_with_mac_verdict_timed(
-                    &report,
-                    true,
-                    &edges,
-                    None,
-                    Some(&mut stages)
-                ),
-                Ok(())
-            );
-            // All three stages ran; Instant is monotonic but can tick 0ns,
-            // so assert structure (the plain path asserts zeros) rather
-            // than strict positivity.
-            let _ = (stages.freshness, stages.edge_replay, stages.chain_refold);
+            let (result, stages) =
+                session.submit_staged(Evidence::Cfa(&report, &edges), &mut refolder);
+            assert_eq!(result, Ok(()));
+            // Every stage ran; Instant is monotonic but can tick 0ns, so
+            // assert which stages ran, not their cost.
+            assert!(stages.mac.is_some());
+            assert!(stages.freshness.is_some());
+            assert!(stages.edge_replay.is_some());
+            assert!(stages.chain_refold.is_some());
 
             // A detour stops at edge replay: the refold stage never runs.
             let nonce = session.challenge();
@@ -1531,18 +1490,11 @@ mod tests {
             bad_log[2] = (16, 20, 1);
             let bad_head = CfChain::fold_runs(bad_log.iter().copied());
             let bad = attestor.attest_cfa(&rec, &nonce, &bad_log, bad_head);
-            let mut stages = VerifyStageNanos::default();
-            assert!(matches!(
-                session.submit_cfa_with_mac_verdict_timed(
-                    &bad,
-                    true,
-                    &edges,
-                    None,
-                    Some(&mut stages)
-                ),
-                Err(VerifyError::InadmissibleEdge { .. })
-            ));
-            assert_eq!(stages.chain_refold, 0);
+            let (result, stages) =
+                session.submit_staged(Evidence::Cfa(&bad, &edges), &mut refolder);
+            assert!(matches!(result, Err(VerifyError::InadmissibleEdge { .. })));
+            assert!(stages.edge_replay.is_some());
+            assert_eq!(stages.chain_refold, None);
         }
 
         /// The prover-side and verifier-side sentinel constants are

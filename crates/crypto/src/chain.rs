@@ -32,10 +32,10 @@
 //! admissible edges.)
 //!
 //! Verifier-side refolding is the hot path at fleet scale, so
-//! [`RunRefolder`] provides a batch API: every run folds a fixed
+//! [`RunRefolder`] folds runs directly: every run folds a fixed
 //! 32-byte message, whose SHA-1 padding is one constant 64-byte block
 //! suffix. The refolder precomputes that padded block once and reuses
-//! it across every report of a flush batch, driving the compression
+//! it across every report its verifier checks, driving the compression
 //! function directly instead of the streaming [`Digest`] state machine.
 //!
 //! The chain is deliberately engine-agnostic: it consumes architectural
@@ -188,14 +188,14 @@ pub fn expand_runs(runs: &[(u32, u32, u32)]) -> impl Iterator<Item = (u32, u32)>
         .flat_map(|&(from, to, count)| std::iter::repeat_n((from, to), count as usize))
 }
 
-/// Batch chain refolder: precomputed-padding single-block folds.
+/// Chain refolder: precomputed-padding single-block folds.
 ///
 /// A run folds a fixed `RUN_MSG_LEN`-byte message, short enough that
 /// its padded SHA-1 form is exactly one 64-byte block: message bytes,
 /// the `0x80` terminator, zeros, and the constant 256-bit length field.
 /// The refolder formats that block once and rewrites only the first 32
-/// bytes per fold, invoking the compression function directly. Shared
-/// across a verifier flush batch, refolding a report is then one
+/// bytes per fold, invoking the compression function directly. Held by
+/// a verifier for its whole life, refolding a report is then one
 /// compression per *run* with no per-fold state-machine overhead.
 ///
 /// Equivalence with the streaming fold is pinned by property test:
@@ -361,7 +361,7 @@ mod tests {
         let runs = [(0u32, 8u32, 1u32), (8, 8, 4097), (8, 0, 1), (0, 8, 2)];
         let mut refolder = RunRefolder::new();
         assert_eq!(refolder.refold(runs), CfChain::fold_runs(runs));
-        // Reuse across a batch never leaks state between reports.
+        // Reuse across reports never leaks state from one to the next.
         assert_eq!(refolder.refold(runs), CfChain::fold_runs(runs));
         assert_eq!(refolder.refold([]), CHAIN_GENESIS);
     }

@@ -26,10 +26,10 @@ pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
 /// Computing `HMAC(key, m)` from scratch costs four compression-function
 /// calls for a short `m` (ipad block, message block, opad block, inner
 /// digest block). The two key-block compressions depend only on the key,
-/// so a verifier that checks many tags under the same key — the fleet
-/// attestation service verifies thousands of device reports per batch —
-/// precomputes them once and halves the per-message hashing work.
-/// [`batch_verify`] is the corresponding bulk entry point.
+/// so a verifier that checks many tags under the same key — each fleet
+/// verifier session checks every report of its device, round after
+/// round — precomputes them once and halves the per-message hashing
+/// work.
 ///
 /// # Examples
 ///
@@ -86,47 +86,6 @@ impl<D: Digest> std::fmt::Debug for HmacSchedule<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The pad states are key-equivalent material: never print them.
         write!(f, "HmacSchedule(redacted)")
-    }
-}
-
-/// Outcome of a [`batch_verify`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Per-item verdicts, in input order.
-    pub ok: Vec<bool>,
-}
-
-impl BatchOutcome {
-    /// Number of items that verified.
-    pub fn accepted(&self) -> usize {
-        self.ok.iter().filter(|&&b| b).count()
-    }
-
-    /// True when every item verified.
-    pub fn all_ok(&self) -> bool {
-        self.ok.iter().all(|&b| b)
-    }
-}
-
-/// Verifies a batch of `(schedule, message, tag)` items, returning one
-/// verdict per item in input order.
-///
-/// Each item's comparison is constant-time and independent — a bad tag
-/// never short-circuits the rest of the batch, so the total running time
-/// leaks only the batch size. The schedules may all share one key (one
-/// device re-verified across rounds) or differ per item (a fleet drain
-/// cycle covering many devices); either way the two key-block
-/// compressions per HMAC are already paid.
-pub fn batch_verify<'a, D, I>(items: I) -> BatchOutcome
-where
-    D: Digest + 'a,
-    I: IntoIterator<Item = (&'a HmacSchedule<D>, &'a [u8], &'a [u8])>,
-{
-    BatchOutcome {
-        ok: items
-            .into_iter()
-            .map(|(schedule, message, tag)| schedule.verify(message, tag))
-            .collect(),
     }
 }
 
@@ -313,23 +272,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_reports_per_item_verdicts_in_order() {
+    fn schedules_verify_only_their_own_tags() {
         let a: HmacSchedule<Sha1> = HmacSchedule::new(b"device-a");
         let b: HmacSchedule<Sha1> = HmacSchedule::new(b"device-b");
         let tag_a = a.sign(b"report-a");
         let tag_b = b.sign(b"report-b");
         let mut forged = tag_b.clone();
         forged[0] ^= 1;
-        let items: Vec<(&HmacSchedule<Sha1>, &[u8], &[u8])> = vec![
-            (&a, b"report-a", &tag_a),
-            (&b, b"report-b", &forged), // forged tag
-            (&b, b"report-b", &tag_b),
-            (&a, b"report-b", &tag_b), // wrong key for that tag
-        ];
-        let outcome = batch_verify(items);
-        assert_eq!(outcome.ok, vec![true, false, true, false]);
-        assert_eq!(outcome.accepted(), 2);
-        assert!(!outcome.all_ok());
-        assert!(batch_verify::<Sha1, _>(Vec::new()).all_ok());
+        assert!(a.verify(b"report-a", &tag_a));
+        assert!(!b.verify(b"report-b", &forged));
+        assert!(b.verify(b"report-b", &tag_b));
+        // Another device's key never verifies that device's tag.
+        assert!(!a.verify(b"report-b", &tag_b));
     }
 }

@@ -51,7 +51,7 @@ mod taskid;
 pub use chain::{compress_log, expand_runs, CfChain, RunRefolder};
 pub use cipher::{SealedBlob, SealingCipher, UnsealError};
 pub use ct::ct_eq;
-pub use hmac::{batch_verify, hmac, hmac_sha1, BatchOutcome, HmacKey, HmacSchedule};
+pub use hmac::{hmac, hmac_sha1, HmacKey, HmacSchedule};
 pub use kdf::{derive_key, PlatformKey, SymmetricKey, KEY_LEN};
 pub use sha1::Sha1;
 pub use sha256::Sha256;

@@ -1,8 +1,8 @@
 //! Fleet attestation driver CLI.
 //!
 //! Boots a fleet of simulated TyTAN devices, streams their attestation
-//! reports through the framed wire protocol into the batched verifier
-//! service, and prints the outcome. Exits non-zero unless the run was
+//! reports through the framed wire protocol into the verifier service,
+//! and prints the outcome. Exits non-zero unless the run was
 //! *clean*: every genuine report accepted, every injected replay and
 //! forgery rejected as its own class, zero decode errors — which is
 //! exactly what the `fleet-smoke` CI job asserts.

@@ -6,9 +6,10 @@
 //! ([`farm`]) on a few scoped worker threads, each device streams
 //! MAC-authenticated attestation reports over a framed, versioned wire
 //! protocol ([`proto`]), and a **verifier service** ([`verifier`])
-//! ingests each connection, batches HMAC verification (precomputed key
-//! schedules via [`tytan_crypto::batch_verify`]) and enforces per-device
-//! nonce freshness so replays are rejected *typed*, not silently.
+//! ingests each connection and hands every report to its device's
+//! session, which checks the MAC under a precomputed key schedule and
+//! enforces nonce freshness so replays are rejected *typed*, not
+//! silently.
 //!
 //! [`run_fleet`] wires the three together: each farm worker owns a
 //! verifier and holds its devices' conversations with it by direct

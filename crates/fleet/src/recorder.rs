@@ -18,10 +18,9 @@
 //! would reference a key handle instead; the bundle format carries a
 //! version field so that change stays compatible.
 //!
-//! Rejections from *unprovisioned* devices get no bundle: the verifier
-//! has no key material for them, so the recorded `BadMac` is a roster
-//! decision, not a cryptographic one, and a replay could not reproduce
-//! it faithfully.
+//! Reports from *unprovisioned* devices get no verdict and so no
+//! bundle: the verifier has no key material to judge them with, and
+//! only counts them (`fleet_unknown_device`).
 
 use tytan::attest::{DeviceId, VerifierSession};
 use tytan_lint::AdmissibleEdgeSet;

@@ -1,16 +1,17 @@
-//! The fleet verifier service: many connections in, batched HMAC
-//! verification, per-device freshness out.
+//! The fleet verifier service: many connections in, one verdict per
+//! report out.
 //!
 //! One [`FleetVerifier`] owns every device's
 //! [`tytan::attest::VerifierSession`] plus a streaming
 //! [`crate::proto::FrameDecoder`] per connection. Bytes arrive in
 //! whatever chunks the transport produced ([`FleetVerifier::ingest`]);
-//! decoded reports accumulate in a pending batch and are verified
-//! together in [`FleetVerifier::flush`]: one
-//! [`tytan_crypto::batch_verify`] pass over precomputed per-device key
-//! schedules (the ipad/opad states are hashed once per *device*, not
-//! once per report), then each verdict completes through the session's
-//! stateful nonce check.
+//! decoded reports from provisioned devices wait until
+//! [`FleetVerifier::flush`], which hands each to its device's session.
+//! The session runs the whole check itself — the MAC under its
+//! precomputed key schedule (the ipad/opad states are hashed once per
+//! *device*, not once per report), then freshness and digest, then for
+//! control-flow reports the edge replay and refold — and reports which
+//! stages ran.
 //!
 //! All verifier state is per device, so a fleet may split its devices
 //! across verifiers sharing one tracer and event log.
@@ -18,9 +19,9 @@
 //! Everything observable lands in the shared `tytan-trace` registries:
 //! `fleet_*` counters for totals and each rejection class, the
 //! `lat_fleet_verify` / `lat_fleet_batch` histograms (nanoseconds) for
-//! the latency tables, and — since the observability plane — per-stage
-//! cost attribution (`lat_fleet_stage_*`: frame decode, batched HMAC,
-//! freshness+digest, control-flow edge replay, chain refold), a
+//! the latency tables, per-stage cost attribution (`lat_fleet_stage_*`:
+//! frame decode, HMAC, freshness+digest, control-flow edge replay,
+//! chain refold; each recorded only for reports that reached it), a
 //! structured [`EventLog`] narrating challenges, reports and verdicts by
 //! correlation id, and — only for a verifier asked to collect them
 //! ([`FleetVerifier::collect_bundles`]) — a
@@ -32,9 +33,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tytan::attest::{
-    AttestationReport, CfaReport, DeviceId, VerifierSession, VerifyError, VerifyStageNanos,
+    AttestationReport, CfaReport, DeviceId, Evidence, VerifierSession, VerifyError,
 };
-use tytan_crypto::{batch_verify, RunRefolder};
+use tytan_crypto::RunRefolder;
 use tytan_lint::AdmissibleEdgeSet;
 use tytan_trace::events::{EventLog, LogFields, Severity};
 use tytan_trace::{HistId, Tracer};
@@ -110,26 +111,19 @@ struct FleetCounters {
     bundles: tytan_trace::CounterId,
 }
 
-/// One decoded report awaiting the batched flush — either kind shares
-/// the MAC-then-session pipeline. A control-flow report carries the edge
-/// set it was admitted against, so its flush cannot lack one.
+/// One decoded report of a provisioned device awaiting flush. A
+/// control-flow report carries the edge set it was admitted against, so
+/// its flush cannot lack one.
 enum PendingReport {
     Plain(AttestationReport),
     Cfa(CfaReport, Arc<AdmissibleEdgeSet>),
 }
 
 impl PendingReport {
-    fn mac_input(&self) -> Vec<u8> {
+    fn evidence(&self) -> Evidence<'_> {
         match self {
-            PendingReport::Plain(r) => r.mac_input(),
-            PendingReport::Cfa(r, _) => r.mac_input(),
-        }
-    }
-
-    fn mac(&self) -> &[u8] {
-        match self {
-            PendingReport::Plain(r) => &r.mac,
-            PendingReport::Cfa(r, _) => &r.mac,
+            PendingReport::Plain(r) => Evidence::Plain(r),
+            PendingReport::Cfa(r, edges) => Evidence::Cfa(r, edges),
         }
     }
 }
@@ -143,6 +137,8 @@ pub struct FleetVerifier {
     decoders: HashMap<DeviceId, FrameDecoder>,
     pending: Vec<(DeviceId, u64, PendingReport)>,
     edge_set: Option<Arc<AdmissibleEdgeSet>>,
+    /// Refolds every control-flow log this verifier checks.
+    refolder: RunRefolder,
     tracer: Tracer,
     counters: FleetCounters,
     h_verify: HistId,
@@ -215,6 +211,7 @@ impl FleetVerifier {
             decoders: HashMap::new(),
             pending: Vec::new(),
             edge_set: None,
+            refolder: RunRefolder::new(),
             tracer,
             counters,
             h_verify,
@@ -310,17 +307,33 @@ impl FleetVerifier {
         self.edge_set = Some(edges.into());
     }
 
-    /// Drops all state held for `device` except its finished bundles;
-    /// later frames from it count as from an unprovisioned device.
+    /// Drops all state held for `device` except its finished bundles,
+    /// its unflushed reports included; later frames from it count as
+    /// from an unprovisioned device.
     pub fn retire(&mut self, device: DeviceId) {
         self.sessions.remove(&device);
         self.decoders.remove(&device);
         self.hello_counts.remove(&device);
+        self.pending.retain(|(d, _, _)| *d != device);
     }
 
-    /// Reports decoded but not yet verified.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
+    /// Whether `device` has a session. A `what` message from a device
+    /// without one is counted (`fleet_unknown_device`) and logged as
+    /// `{what}_unknown`, and gets no reply and no verdict: the roster is
+    /// explicit.
+    fn provisioned(&self, device: DeviceId, corr: u64, what: &str) -> bool {
+        let known = self.sessions.contains_key(&device);
+        if !known {
+            self.tracer.counters().add(self.counters.unknown_device, 1);
+            self.log_event(
+                Severity::Warn,
+                &format!("{what}_unknown"),
+                Some(device),
+                corr,
+                || format!("{what} from unprovisioned device"),
+            );
+        }
+        known
     }
 
     /// Issues a fresh challenge for `device` and returns it as an
@@ -348,7 +361,8 @@ impl FleetVerifier {
     /// Feeds received bytes from `from`'s connection through its frame
     /// decoder and handles every complete message: a `Hello` from `from`
     /// itself at [`PROTOCOL_VERSION`] gets a `Welcome` and a first
-    /// challenge, `Report`s join the pending batch.
+    /// challenge, `Report`s from provisioned devices wait for
+    /// [`Self::flush`].
     ///
     /// Returns frames to send back to `from` (the `Hello` replies).
     /// Decode failures poison that connection and bump
@@ -415,11 +429,7 @@ impl FleetVerifier {
                     });
                     return;
                 }
-                if !self.sessions.contains_key(&device) {
-                    self.tracer.counters().add(self.counters.unknown_device, 1);
-                    self.log_event(Severity::Warn, "hello_unknown", Some(device), 0, || {
-                        "hello from unprovisioned device".to_string()
-                    });
+                if !self.provisioned(device, 0, "hello") {
                     return;
                 }
                 *self.hello_counts.entry(device).or_insert(0) += 1;
@@ -453,6 +463,9 @@ impl FleetVerifier {
                 report,
             } => {
                 self.tracer.counters().add(self.counters.reports, 1);
+                if !self.provisioned(device, corr, "report") {
+                    return;
+                }
                 self.log_event(Severity::Debug, "report", Some(device), corr, || {
                     format!("frame {frame_len} bytes")
                 });
@@ -466,6 +479,9 @@ impl FleetVerifier {
             } => {
                 self.tracer.counters().add(self.counters.reports, 1);
                 self.tracer.counters().add(self.counters.cfa_reports, 1);
+                if !self.provisioned(device, corr, "cfa_report") {
+                    return;
+                }
                 let Some(edges) = self.edge_set.clone() else {
                     self.tracer
                         .counters()
@@ -561,124 +577,46 @@ impl FleetVerifier {
         }
     }
 
-    /// Verifies every pending report: one batched HMAC pass over the
-    /// precomputed per-device key schedules, then the stateful session
-    /// checks (freshness, replay window, digest) per report. A verifier
-    /// that [collects bundles](Self::collect_bundles) also builds one for
-    /// every typed rejection of a provisioned device.
+    /// Verifies every pending report through its device's session and
+    /// records a stage histogram for each stage the check reached. A
+    /// verifier that [collects bundles](Self::collect_bundles) also
+    /// builds one for every typed rejection.
     pub fn flush(&mut self) -> Vec<FlushEntry> {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
             return Vec::new();
         }
         self.tracer.counters().add(self.counters.batches, 1);
-        let collect = self.bundles.is_some();
         let begin = Instant::now();
-
-        // Phase 1: batched MAC verification. Unknown devices get no MAC
-        // check at all — there is no key to check against.
-        let inputs: Vec<Option<Vec<u8>>> = pending
-            .iter()
-            .map(|(device, _, report)| {
-                self.sessions
-                    .contains_key(device)
-                    .then(|| report.mac_input())
-            })
-            .collect();
-        let items = pending
-            .iter()
-            .zip(&inputs)
-            .filter_map(|((device, _, report), input)| {
-                let schedule = self.sessions.get(device)?.schedule();
-                Some((schedule, input.as_deref()?, report.mac()))
-            });
-        let hmac_began = Instant::now();
-        let outcome = batch_verify(items);
-        let hmac_elapsed = hmac_began.elapsed().as_nanos() as u64;
-        let batched = outcome.ok.len() as u64;
-        // The batch shares one timestamp pair; each report is charged
-        // its mean share of the HMAC pass.
-        if let Some(share) = hmac_elapsed.checked_div(batched) {
-            for _ in 0..batched {
-                self.tracer.histograms().record(self.h_stage_hmac, share);
-            }
-        }
-
-        // Phase 2: complete each report through its session. One
-        // refolder serves the whole flush, so the SHA-1 run-block
-        // template is set up once per batch, not once per report.
-        let mut refolder = RunRefolder::new();
-        let mut verdicts = outcome.ok.into_iter();
         let mut entries = Vec::with_capacity(pending.len());
         let mut bundles = Vec::new();
-        for ((device, corr, report), input) in pending.iter().zip(&inputs) {
-            // `batch_verify` returns one verdict per batched item, in
-            // order; a report left without one is rejected below.
-            let mac = input.as_ref().and_then(|_| verdicts.next());
-            let mut stages = VerifyStageNanos::default();
-            let mut mac_ok_known = false;
-            let result = match (self.sessions.get_mut(device), mac) {
-                (Some(session), Some(mac_ok)) => {
-                    mac_ok_known = mac_ok;
-                    let result = match report {
-                        PendingReport::Plain(report) => {
-                            session.submit_with_mac_verdict_timed(report, mac_ok, Some(&mut stages))
-                        }
-                        PendingReport::Cfa(report, edges) => session
-                            .submit_cfa_with_mac_verdict_timed(
-                                report,
-                                mac_ok,
-                                edges,
-                                Some(&mut refolder),
-                                Some(&mut stages),
-                            ),
-                    };
-                    if collect && result.is_err() {
-                        bundles.push(Self::build_bundle(
-                            session,
-                            self.master,
-                            &self.expected_digest,
-                            *device,
-                            *corr,
-                            report,
-                            result_code(&result),
-                        ));
-                    }
-                    result
-                }
-                _ => {
-                    self.tracer.counters().add(self.counters.unknown_device, 1);
-                    Err(VerifyError::BadMac)
-                }
+        for (device, corr, report) in &pending {
+            // `handle` queues no report from an unprovisioned device and
+            // `retire` drops a device's queued reports, so every pending
+            // report has a session.
+            let Some(session) = self.sessions.get_mut(device) else {
+                continue;
             };
-            // Per-stage attribution: record a stage only when it ran.
-            // MAC failures short-circuit before freshness; control-flow
-            // stages exist only for CFA reports; an inadmissible edge
-            // stops before the refold.
-            if mac_ok_known {
-                self.tracer
-                    .histograms()
-                    .record(self.h_stage_freshness, stages.freshness);
-                if matches!(report, PendingReport::Cfa(..)) {
-                    let reached_edges = matches!(
-                        &result,
-                        Ok(())
-                            | Err(VerifyError::InadmissibleEdge { .. })
-                            | Err(VerifyError::UnprovenSiteViolation { .. })
-                            | Err(VerifyError::ChainMismatch)
-                    );
-                    if reached_edges {
-                        self.tracer
-                            .histograms()
-                            .record(self.h_stage_edge, stages.edge_replay);
-                        let reached_refold =
-                            matches!(&result, Ok(()) | Err(VerifyError::ChainMismatch));
-                        if reached_refold {
-                            self.tracer
-                                .histograms()
-                                .record(self.h_stage_refold, stages.chain_refold);
-                        }
-                    }
+            let (result, stages) = session.submit_staged(report.evidence(), &mut self.refolder);
+            if self.bundles.is_some() && result.is_err() {
+                bundles.push(Self::build_bundle(
+                    session,
+                    self.master,
+                    &self.expected_digest,
+                    *device,
+                    *corr,
+                    report,
+                    result_code(&result),
+                ));
+            }
+            for (hist, ns) in [
+                (self.h_stage_hmac, stages.mac),
+                (self.h_stage_freshness, stages.freshness),
+                (self.h_stage_edge, stages.edge_replay),
+                (self.h_stage_refold, stages.chain_refold),
+            ] {
+                if let Some(ns) = ns {
+                    self.tracer.histograms().record(hist, ns);
                 }
             }
             let counter = match &result {
@@ -726,11 +664,12 @@ impl FleetVerifier {
 
         let elapsed = begin.elapsed().as_nanos() as u64;
         self.tracer.histograms().record(self.h_batch, elapsed);
-        // Amortized per-report verify latency: the batch shares one
+        // Amortized per-report verify latency: the flush shares one
         // timestamp pair, so each report is charged its mean share.
-        let per_report = elapsed / entries.len() as u64;
-        for _ in 0..entries.len() {
-            self.tracer.histograms().record(self.h_verify, per_report);
+        if let Some(per_report) = elapsed.checked_div(entries.len() as u64) {
+            for _ in 0..entries.len() {
+                self.tracer.histograms().record(self.h_verify, per_report);
+            }
         }
         entries
     }
@@ -904,8 +843,9 @@ mod tests {
     }
 
     /// One flush of an accepted report, its verbatim replay, a forgery
-    /// and a ghost's report; returns the verdicts, every counter but
-    /// `fleet_bundles`, and the bundles built.
+    /// and a ghost's report (which gets no verdict); returns the
+    /// verdicts, every counter but `fleet_bundles`, and the bundles
+    /// built.
     fn mixed_flush(collect: bool) -> (Vec<FlushEntry>, Vec<(String, u64)>, usize) {
         let mut v = verifier_with(2);
         if collect {
@@ -941,8 +881,8 @@ mod tests {
     #[test]
     fn collecting_bundles_changes_no_verdict_or_count() {
         let (entries, counters, bundles) = mixed_flush(true);
-        assert_eq!(entries.len(), 4);
-        assert_eq!(bundles, 2, "the replay and the forgery, not the ghost");
+        assert_eq!(entries.len(), 3, "no verdict for the ghost");
+        assert_eq!(bundles, 2, "the replay and the forgery");
         assert_eq!(mixed_flush(false), (entries, counters, 0));
     }
 
@@ -975,7 +915,7 @@ mod tests {
                 assert!(replies.is_empty());
             }
         }
-        assert_eq!(v.pending(), 8);
+        assert_eq!(v.pending.len(), 8);
         let entries = v.flush();
         assert!(entries.iter().all(|e| e.result.is_ok()));
         // The verdict carries back the corr the report carried in.
@@ -1015,14 +955,35 @@ mod tests {
             },
             PROTOCOL_VERSION,
         );
+        let log = Arc::new(EventLog::new(16));
+        v.attach_event_log(log.clone());
         v.ingest(ghost, &frame);
+        // Counted once, as an unknown device, and judged not at all: no
+        // verdict, no rejection class, no bundle.
+        assert!(v.flush().is_empty());
+        assert_eq!(v.tracer().counters().get("fleet_unknown_device"), Some(1));
+        assert_eq!(v.tracer().counters().get("fleet_rejected_bad_mac"), Some(0));
+        assert!(v.take_bundles().is_empty());
+        let events = log.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].event, "report_unknown");
+        assert_eq!(events[0].fields.corr, Some(5));
+    }
+
+    #[test]
+    fn retire_drops_the_devices_unflushed_reports() {
+        let mut v = verifier_with(2);
+        let (gone, kept) = (DeviceId::from_u64(0), DeviceId::from_u64(1));
+        for device in [gone, kept] {
+            let (corr, nonce) =
+                challenge_parts(&v.challenge_frame(device, PROTOCOL_VERSION).expect("known"));
+            v.ingest(device, &report_frame(device, corr, attest(device, &nonce)));
+        }
+        v.retire(gone);
         let entries = v.flush();
         assert_eq!(entries.len(), 1);
-        assert!(entries[0].result.is_err());
-        assert_eq!(v.tracer().counters().get("fleet_unknown_device"), Some(1));
-        // No bundle: the verifier has no key material for ghosts, so a
-        // replay could not reproduce the roster decision.
-        assert!(v.take_bundles().is_empty());
+        assert_eq!((entries[0].device, &entries[0].result), (kept, &Ok(())));
+        assert_eq!(v.tracer().counters().get("fleet_unknown_device"), Some(0));
     }
 
     #[test]
@@ -1044,35 +1005,137 @@ mod tests {
         assert_eq!(v.tracer().counters().get("fleet_decode_errors"), Some(1));
     }
 
+    /// The stage histograms, in check order.
+    const STAGES: [&str; 5] = ["decode", "hmac", "freshness", "edge_replay", "refold"];
+
+    fn stage_counts(v: &FleetVerifier) -> Vec<u64> {
+        STAGES
+            .iter()
+            .map(|stage| {
+                let hists = v.tracer().histograms();
+                hists
+                    .get(&format!("lat_fleet_stage_{stage}"))
+                    .map_or(0, |h| h.count())
+            })
+            .collect()
+    }
+
+    /// A three-instruction image: `0: jmp 8`, `8: jmp 16`, `16: <end>`.
+    fn demo_edges() -> AdmissibleEdgeSet {
+        use tytan_lint::SiteKind;
+        AdmissibleEdgeSet {
+            image_name: "demo".into(),
+            entry: 0,
+            text_len: 20,
+            instr_pcs: [0u32, 8, 16].into_iter().collect(),
+            sites: [
+                (0u32, SiteKind::Jump { target: 8 }),
+                (8, SiteKind::Jump { target: 16 }),
+            ]
+            .into_iter()
+            .collect(),
+            external_sites: Default::default(),
+        }
+    }
+
+    /// A CFA report from `device` over `log`, sealed under `chain_head`.
+    fn attest_cfa(
+        device: DeviceId,
+        nonce: &[u8],
+        log: Vec<(u32, u32, u32)>,
+        chain_head: [u8; 20],
+    ) -> CfaReport {
+        let digest = digest();
+        let mut report = CfaReport {
+            id: TaskId::from_digest(&digest),
+            digest,
+            nonce: nonce.to_vec(),
+            log,
+            chain_head,
+            mac: Vec::new(),
+        };
+        let key = device_attestation_key(&MASTER, device).to_hmac_key();
+        report.mac = key.sign(&report.mac_input());
+        report
+    }
+
+    /// One report of each verdict class records exactly the stages its
+    /// check reached, and nothing else.
     #[test]
     fn latency_histograms_populate_on_flush() {
-        let mut v = verifier_with(1);
-        let device = DeviceId::from_u64(0);
-        let (corr, nonce) =
-            challenge_parts(&v.challenge_frame(device, PROTOCOL_VERSION).expect("known"));
-        let report = attest(device, &nonce);
-        v.ingest(
-            device,
-            &encode(
-                &Message::Report {
+        use tytan_crypto::CfChain;
+        let honest_log = vec![(0, 8, 1), (8, 16, 1)];
+        let honest_head = CfChain::fold_runs(honest_log.iter().copied());
+        let cfa_frame = |device, corr, report| {
+            encode(
+                &Message::CfaReport {
                     device,
                     corr,
                     report,
                 },
                 PROTOCOL_VERSION,
-            ),
-        );
-        v.flush();
-        let hists = v.tracer().histograms();
-        assert_eq!(hists.get("lat_fleet_verify").unwrap().count(), 1);
-        assert_eq!(hists.get("lat_fleet_batch").unwrap().count(), 1);
-        // Per-stage attribution for an accepted plain report: decode,
-        // HMAC share and freshness ran; no control-flow stages.
-        assert_eq!(hists.get("lat_fleet_stage_decode").unwrap().count(), 1);
-        assert_eq!(hists.get("lat_fleet_stage_hmac").unwrap().count(), 1);
-        assert_eq!(hists.get("lat_fleet_stage_freshness").unwrap().count(), 1);
-        assert_eq!(hists.get("lat_fleet_stage_edge_replay").unwrap().count(), 0);
-        assert_eq!(hists.get("lat_fleet_stage_refold").unwrap().count(), 0);
+            )
+        };
+        type Build<'a> = &'a dyn Fn(DeviceId, u64, &[u8]) -> Vec<u8>;
+        let accepted = |d, c, n: &[u8]| report_frame(d, c, attest(d, n));
+        let bad_mac = |d, c, n: &[u8]| {
+            let mut forged = attest(d, n);
+            forged.mac[0] ^= 1;
+            report_frame(d, c, forged)
+        };
+        let inadmissible = |d, c, n: &[u8]| {
+            let log = vec![(0, 16, 1)];
+            let head = CfChain::fold_runs(log.iter().copied());
+            cfa_frame(d, c, attest_cfa(d, n, log, head))
+        };
+        let chain_mismatch =
+            |d, c, n: &[u8]| cfa_frame(d, c, attest_cfa(d, n, honest_log.clone(), [0; 20]));
+        let accepted_cfa =
+            |d, c, n: &[u8]| cfa_frame(d, c, attest_cfa(d, n, honest_log.clone(), honest_head));
+        use verdict_code::{BAD_MAC, CHAIN_MISMATCH, INADMISSIBLE_EDGE, OK, REPLAYED_NONCE};
+        let plain: &[&str] = &STAGES[..3];
+        let no_refold: &[&str] = &STAGES[..4];
+        let cases: [(&str, Build, u8, &[&str]); 6] = [
+            ("accepted", &accepted, OK, plain),
+            ("bad_mac", &bad_mac, BAD_MAC, &STAGES[..2]),
+            // The first copy is accepted; the stages are the replay's.
+            ("replay", &accepted, REPLAYED_NONCE, plain),
+            ("inadmissible", &inadmissible, INADMISSIBLE_EDGE, no_refold),
+            ("chain_mismatch", &chain_mismatch, CHAIN_MISMATCH, &STAGES),
+            ("accepted_cfa", &accepted_cfa, OK, &STAGES),
+        ];
+        for (class, build, code, expected) in cases {
+            let mut v = verifier_with(1);
+            v.provision_edge_set(demo_edges());
+            let device = DeviceId::from_u64(0);
+            let (corr, nonce) =
+                challenge_parts(&v.challenge_frame(device, PROTOCOL_VERSION).expect("known"));
+            let frame = build(device, corr, &nonce);
+            let replay = class == "replay";
+            if replay {
+                v.ingest(device, &frame);
+                assert_eq!(v.flush()[0].result, Ok(()), "{class}: first copy");
+            }
+            let before = stage_counts(&v);
+            v.ingest(device, &frame);
+            let entries = v.flush();
+            assert_eq!(entries.len(), 1, "{class}");
+            assert_eq!(entries[0].code(), code, "{class}");
+            let after = stage_counts(&v);
+            let ran: Vec<&str> = STAGES
+                .iter()
+                .zip(after.iter().zip(&before))
+                .filter(|(_, (after, before))| after > before)
+                .map(|(stage, _)| *stage)
+                .collect();
+            assert_eq!(ran, expected, "{class}");
+            // Each stage that ran was recorded once, for this report.
+            assert!(after.iter().zip(&before).all(|(a, b)| a - b <= 1));
+            let hists = v.tracer().histograms();
+            let flushes = 1 + u64::from(replay);
+            assert_eq!(hists.get("lat_fleet_verify").unwrap().count(), flushes);
+            assert_eq!(hists.get("lat_fleet_batch").unwrap().count(), flushes);
+        }
     }
 
     #[test]

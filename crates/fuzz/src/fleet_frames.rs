@@ -1,8 +1,8 @@
 //! Fleet verifier oracle: hostile wire traffic must never verify.
 //!
 //! The fleet service accepts length-prefixed frames from thousands of
-//! connections, so its decode → batch-verify → session pipeline is the
-//! widest untrusted-input surface in the host plane. The oracle drives
+//! connections, so its decode → session check (MAC, freshness, digest)
+//! pipeline is the widest untrusted-input surface in the host plane. The oracle drives
 //! one provisioned device per case through the real admission path
 //! (`Hello` → `Welcome` + `Challenge`), builds an honestly MACed report
 //! for the issued nonce, and then attacks:

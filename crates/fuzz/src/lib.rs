@@ -20,7 +20,7 @@
 //!   verdict means sandboxed execution never raises an EA-MPU fault.
 //! - [`fleet_frames`] — the fleet verifier's untrusted-input surface:
 //!   replayed and mutated attestation frames through the framed codec
-//!   and batched verifier must never verify and never panic.
+//!   and the verifier must never verify and never panic.
 //! - [`cfa_log`] — the control-flow-attestation oracle: detoured,
 //!   mutated, reordered, and truncated edge logs must never verify
 //!   against the static admissible-edge set, even when re-sealed under

@@ -23,7 +23,7 @@ use tytan_fleet::proto::{decode, encode, Message, PROTOCOL_VERSION};
 use tytan_fleet::verifier::FleetVerifier;
 
 /// A real platform's control-flow evidence through the wire protocol
-/// into the batched fleet verifier: the honest report verifies, and an
+/// into the fleet verifier: the honest report verifies, and an
 /// injected non-admissible edge in an otherwise genuine report (MAC
 /// and chain head intact — the MAC covers the chain, not the raw log)
 /// is rejected with the typed `InadmissibleEdge`.

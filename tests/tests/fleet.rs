@@ -3,7 +3,7 @@
 //! The fleet crate's own tests exercise its modules in isolation; here
 //! the full stack runs together: real [`tytan::platform::Platform`]
 //! devices booted under diversified keys, the framed wire protocol, the
-//! batched verifier, and the orchestrated [`tytan_fleet::run_fleet`]
+//! fleet verifier, and the orchestrated [`tytan_fleet::run_fleet`]
 //! driver — at integration-test scale (tens of devices, not thousands;
 //! the CI `fleet-smoke` job covers 1k).
 
@@ -55,7 +55,7 @@ fn injected_attacks_are_fully_booked_at_integration_scale() {
 }
 
 /// A real booted platform attests through the wire protocol into the
-/// batched verifier — no hand-built reports anywhere in the loop.
+/// fleet verifier — no hand-built reports anywhere in the loop.
 #[test]
 fn real_device_attests_through_the_wire_and_replay_is_typed() {
     let master = [0x42u8; 20];
