@@ -42,7 +42,7 @@ pub mod verifier;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use tytan::attest::DeviceId;
@@ -50,7 +50,7 @@ use tytan::platform::PlatformError;
 use tytan_crypto::{Digest, Sha1};
 use tytan_trace::events::{EventLog, LogFields, Severity};
 use tytan_trace::metrics::{self, DeltaWindow};
-use tytan_trace::Tracer;
+use tytan_trace::{Counters, Tracer};
 
 use endpoint::{converse, ConversationError, DeviceEndpoint};
 use verifier::FleetVerifier;
@@ -65,7 +65,9 @@ pub struct FleetConfig {
     /// Seed for the fleet master secret and challenge salts. The same
     /// seed reproduces the same keys, nonces and injection pattern.
     pub seed: u64,
-    /// Worker threads for the device farm (`0` = auto).
+    /// Worker threads for the device farm. `0` picks the host's available
+    /// parallelism clamped to 2..=8, looked up once per process; any
+    /// other value is used as given.
     pub workers: usize,
     /// Wire chunk size: frames are fragmented into chunks of this many
     /// bytes to exercise stream reassembly (`0` = whole frames).
@@ -129,13 +131,18 @@ impl FleetConfig {
     }
 
     fn worker_count(&self) -> usize {
+        // `available_parallelism` reads the cgroup files on every call
+        // (about 0.1 ms on a 2-vCPU VM), so a process looks it up once.
+        static AUTO: OnceLock<usize> = OnceLock::new();
         if self.workers > 0 {
             return self.workers;
         }
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(2, 8)
+        *AUTO.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+                .clamp(2, 8)
+        })
     }
 
     fn replay_hit(&self, device: u64) -> bool {
@@ -259,9 +266,12 @@ impl FleetOutcome {
 /// farm workers' [`FleetVerifier`]s, and returns the aggregate outcome.
 ///
 /// Each farm worker owns a verifier; it provisions each device it claims
-/// and holds the conversation with [`converse`]. The structured event
-/// stream is kept only when `config.events_out` will write it out, and
-/// forensic bundles are built only when `config.bundle_dir` will.
+/// and holds the conversation with [`converse`]. Each verifier counts
+/// and times into its own [`Tracer`], so no two cores write one counter,
+/// and the workers' counters and histograms are summed after the timed
+/// phase. The structured event stream is kept only when
+/// `config.events_out` will write it out, and forensic bundles are built
+/// only when `config.bundle_dir` will.
 ///
 /// Determinism: keys, digests, nonces and injections depend only on
 /// `config` (throughput and latency numbers are wall-clock, of course).
@@ -272,7 +282,12 @@ impl FleetOutcome {
 /// expected fleet digest. Per-device failures do not abort the run; they
 /// are counted in [`FleetOutcome::device_errors`].
 pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
-    let tracer = Tracer::null();
+    run_fleet_traced(config).map(|(outcome, _)| outcome)
+}
+
+/// [`run_fleet`], also returning the tracer that holds the run's merged
+/// counters and histograms.
+fn run_fleet_traced(config: &FleetConfig) -> Result<(FleetOutcome, Tracer), PlatformError> {
     let master = config.master();
     let (_, expected_digest) = farm::reference_digest()?;
     let edges = config.cfa.then(|| Arc::new(farm::fleet_admissible_edges()));
@@ -281,12 +296,16 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
         .is_some()
         .then(|| Arc::new(EventLog::new(1 << 16)));
     let workers = config.worker_count();
+    // One tracer per worker; worker 0's becomes the run's once the
+    // others are folded into it.
+    let tracers: Vec<Tracer> = (0..workers).map(|_| Tracer::null()).collect();
     // Windowed metric deltas: each time the workers' verifiers pass
-    // another WINDOW_BATCHES flushes between them, the counters' movement
-    // since the previous window lands in the event stream as rates.
+    // another WINDOW_BATCHES flushes between them, the movement of the
+    // workers' summed counters since the previous window lands in the
+    // event stream as rates.
     const WINDOW_BATCHES: u64 = 32;
     let flushes = AtomicU64::new(0);
-    let window = Mutex::new(DeltaWindow::new(tracer.counters()));
+    let window = Mutex::new(DeltaWindow::new(&Counters::new()));
     let tick_window = |n: u64| {
         let Some(event_log) = &event_log else {
             return;
@@ -296,7 +315,11 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
             // A tick leaves the window valid at every step, so a lock
             // poisoned by a panicking device is safe to take over.
             let mut window = window.lock().unwrap_or_else(PoisonError::into_inner);
-            let detail = window.tick(tracer.counters()).compact();
+            let total = Counters::new();
+            for tracer in &tracers {
+                total.absorb(tracer.counters());
+            }
+            let detail = window.tick(&total).compact();
             let fields = LogFields {
                 detail,
                 ..LogFields::default()
@@ -310,8 +333,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
         config.devices,
         workers,
         |n| {
+            let tracer = tracers[n].clone();
             let mut verifier =
-                FleetVerifier::new(master, expected_digest.clone(), config.seed, tracer.clone());
+                FleetVerifier::new(master, expected_digest.clone(), config.seed, tracer);
             if let Some(log) = &event_log {
                 verifier.attach_event_log(log.clone());
             }
@@ -336,6 +360,11 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
         },
     );
     let elapsed = began.elapsed();
+    let (tracer, others) = tracers.split_first().expect("the farm has a worker");
+    for other in others {
+        tracer.counters().absorb(other.counters());
+        tracer.histograms().absorb(other.histograms());
+    }
 
     let device_errors = verifiers.iter().map(|(_, errors)| errors).sum();
     if let Some(dir) = &config.bundle_dir {
@@ -359,7 +388,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
     let verify = hists.get("lat_fleet_verify").map(|h| h.summary());
     let batch = hists.get("lat_fleet_batch").map(|h| h.summary());
     let accepted = get("fleet_accepted");
-    Ok(FleetOutcome {
+    let outcome = FleetOutcome {
         devices: config.devices,
         rounds: config.rounds,
         reports: get("fleet_reports"),
@@ -390,7 +419,8 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetOutcome, PlatformError> {
         bundles: get("fleet_bundles"),
         events: event_log.as_ref().map_or(0, |log| log.emitted()),
         events_dropped: event_log.as_ref().map_or(0, |log| log.dropped()),
-    })
+    };
+    Ok((outcome, tracer.clone()))
 }
 
 /// The device farm: runs `job(&mut state, d)` once for every device
@@ -698,6 +728,68 @@ mod tests {
         assert_eq!(outcome.rejected_chain, 0);
         assert_eq!(outcome.rejected_bad_mac, 0, "the detoured MAC verifies");
         assert!(outcome.clean(), "outcome: {outcome:?}");
+    }
+
+    /// An outcome with its wall-clock fields zeroed, rendered whole.
+    fn books(mut o: FleetOutcome) -> String {
+        o.elapsed = Duration::ZERO;
+        o.throughput = 0.0;
+        (o.verify_p50_ns, o.verify_p99_ns) = (0, 0);
+        (o.batch_p50_ns, o.batch_p99_ns) = (0, 0);
+        format!("{o:?}")
+    }
+
+    /// Books, counters, histogram counts and exposition families of one
+    /// run: everything a merge of per-worker tracers could lose.
+    type MergedView = (String, Vec<(String, u64)>, Vec<(String, u64)>, Vec<String>);
+
+    fn merged_view(config: &FleetConfig) -> MergedView {
+        let (outcome, tracer) = run_fleet_traced(config).expect("fleet runs");
+        assert!(outcome.clean(), "outcome: {outcome:?}");
+        let counters = tracer.counters().snapshot();
+        assert!(counters.iter().all(|(name, _)| name.starts_with("fleet_")));
+        let hists = tracer.histograms().snapshot();
+        assert!(hists.iter().all(|(name, _)| name.starts_with("lat_fleet_")));
+        let hist_counts = hists.into_iter().map(|(name, s)| (name, s.count)).collect();
+        let text = metrics::prometheus_text(tracer.counters(), tracer.histograms());
+        let families = metrics::validate_prometheus_text(&text).expect("well-formed");
+        (books(outcome), counters, hist_counts, families)
+    }
+
+    #[test]
+    fn merging_worker_books_loses_nothing() {
+        let plain = FleetConfig {
+            devices: 30,
+            rounds: 2,
+            seed: 97,
+            replay_every: Some(4),
+            corrupt_every: Some(5),
+            ..FleetConfig::default()
+        };
+        let cfa = FleetConfig {
+            devices: 12,
+            cfa: true,
+            detour_every: Some(3),
+            ..plain.clone()
+        };
+        for config in [plain, cfa] {
+            let one = merged_view(&FleetConfig {
+                workers: 1,
+                ..config.clone()
+            });
+            let three = merged_view(&FleetConfig {
+                workers: 3,
+                ..config.clone()
+            });
+            assert_eq!(one, three, "cfa: {}", config.cfa);
+            // Every stage a report can reach in this leg recorded, and
+            // every counter is named even where it stayed zero.
+            assert!(one.2.len() >= 5, "histograms: {:?}", one.2);
+            assert!(one
+                .1
+                .iter()
+                .any(|(name, v)| name == "fleet_rejected_chain" && *v == 0));
+        }
     }
 
     #[test]

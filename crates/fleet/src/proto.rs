@@ -137,6 +137,10 @@ impl std::error::Error for CodecError {}
 
 /// Verdict detail codes carried by [`Message::Verdict`] (the wire form of
 /// `tytan::attest::VerifyError`).
+///
+/// Code 5 is unassigned: it once meant "no provisioned session", but a
+/// report from an unprovisioned device gets no verdict at all. The other
+/// codes keep their values, so 5 stays free rather than being reused.
 pub mod verdict_code {
     /// Report accepted.
     pub const OK: u8 = 0;
@@ -148,8 +152,6 @@ pub mod verdict_code {
     pub const NONCE_MISMATCH: u8 = 3;
     /// Measurement digest does not match the reference.
     pub const DIGEST_MISMATCH: u8 = 4;
-    /// The device has no provisioned session.
-    pub const UNKNOWN_DEVICE: u8 = 5;
     /// A control-flow edge in the log is not admitted by the static CFG.
     pub const INADMISSIBLE_EDGE: u8 = 6;
     /// An unproven-site edge landed outside reachable instruction starts.
@@ -166,7 +168,6 @@ pub mod verdict_code {
             REPLAYED_NONCE => "replayed_nonce",
             NONCE_MISMATCH => "nonce_mismatch",
             DIGEST_MISMATCH => "digest_mismatch",
-            UNKNOWN_DEVICE => "unknown_device",
             INADMISSIBLE_EDGE => "inadmissible_edge",
             UNPROVEN_SITE => "unproven_site",
             CHAIN_MISMATCH => "chain_mismatch",
@@ -528,6 +529,17 @@ impl FrameDecoder {
         self.poisoned
     }
 
+    /// Whether the next [`FrameDecoder::next_message`] can return more
+    /// than `Ok(None)`: the buffer holds a length prefix that is either
+    /// out of bounds or followed by the whole frame it announces.
+    pub(crate) fn frame_ready(&self) -> bool {
+        let Some(prefix) = self.buf.first_chunk::<4>() else {
+            return false;
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        !(2..=MAX_FRAME_LEN).contains(&len) || self.buf.len() >= 4 + len
+    }
+
     /// Decodes the next complete message, `Ok(None)` if more bytes are
     /// needed.
     ///
@@ -654,6 +666,53 @@ mod tests {
             }
             assert_eq!(out, sample_messages(), "chunk size {chunk_size}");
         }
+    }
+
+    #[test]
+    fn frame_ready_is_exactly_when_a_decode_can_return_something() {
+        // Byte by byte through every message, then a bad length prefix
+        // and a frame with a bad version byte: whenever `frame_ready` says
+        // no, the decode would have returned `Ok(None)`, and vice versa.
+        let mut wire = Vec::new();
+        for msg in sample_messages() {
+            wire.extend_from_slice(&encode(&msg, PROTOCOL_VERSION));
+        }
+        let mut bad_version = encode(&sample_messages()[0], PROTOCOL_VERSION);
+        bad_version[4] ^= 0xFF;
+        let bad_length = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
+        for tail in [&bad_version[..], &bad_length[..]] {
+            let mut decoder = FrameDecoder::new();
+            for byte in wire.iter().chain(tail) {
+                decoder.push(std::slice::from_ref(byte));
+                loop {
+                    let ready = decoder.frame_ready();
+                    let got = decoder.next_message_sized();
+                    assert_eq!(ready, !matches!(got, Ok(None) | Err(CodecError::Poisoned)));
+                    if !matches!(got, Ok(Some(_))) {
+                        break;
+                    }
+                }
+            }
+            assert!(decoder.is_poisoned() && !decoder.frame_ready());
+        }
+    }
+
+    #[test]
+    fn verdict_code_5_is_unassigned() {
+        use verdict_code::*;
+        let assigned = [
+            OK,
+            BAD_MAC,
+            REPLAYED_NONCE,
+            NONCE_MISMATCH,
+            DIGEST_MISMATCH,
+            INADMISSIBLE_EDGE,
+            UNPROVEN_SITE,
+            CHAIN_MISMATCH,
+        ];
+        assert_eq!(assigned, [0, 1, 2, 3, 4, 6, 7, 8]);
+        assert_eq!(name(5), "unknown_code");
+        assert!(assigned.iter().all(|&code| name(code) != "unknown_code"));
     }
 
     #[test]

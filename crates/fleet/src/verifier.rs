@@ -14,9 +14,11 @@
 //! stages ran.
 //!
 //! All verifier state is per device, so a fleet may split its devices
-//! across verifiers sharing one tracer and event log.
+//! across verifiers. They can share one event log; `run_fleet` gives
+//! each its own tracer and sums the tracers' registries after the run
+//! (`Counters::absorb`, `Histograms::absorb`).
 //!
-//! Everything observable lands in the shared `tytan-trace` registries:
+//! Everything observable lands in the verifier's `tytan-trace` registries:
 //! `fleet_*` counters for totals and each rejection class, the
 //! `lat_fleet_verify` / `lat_fleet_batch` histograms (nanoseconds) for
 //! the latency tables, per-stage cost attribution (`lat_fleet_stage_*`:
@@ -374,7 +376,9 @@ impl FleetVerifier {
         decoder.push(bytes);
         let mut decoded = Vec::new();
         let mut failure = None;
-        loop {
+        // Most chunks complete no frame: read the clock only for a decode
+        // that can succeed. A poisoned decoder buffers nothing.
+        while decoder.frame_ready() {
             let decode_began = Instant::now();
             match decoder.next_message_sized() {
                 Ok(Some(sized)) => {

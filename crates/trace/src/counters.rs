@@ -137,6 +137,18 @@ impl Counters {
             v.store(0, Ordering::Relaxed);
         }
     }
+
+    /// Folds `other`'s counts into this registry: every name `other`
+    /// registered is registered here too, in `other`'s order and even
+    /// at zero, and each non-zero value is added (saturating).
+    pub fn absorb(&self, other: &Counters) {
+        for (name, value) in other.snapshot() {
+            let id = self.register(&name);
+            if value != 0 {
+                self.add(id, value);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -228,5 +240,27 @@ mod tests {
         assert_eq!(c.value(x), 0);
         assert_eq!(c.value(y), 0);
         assert_eq!(c.len(), 2, "names survive a reset");
+    }
+
+    #[test]
+    fn absorb_adds_values_saturating_and_registers_zero_names() {
+        let (into, from) = (Counters::new(), Counters::new());
+        let mine = into.register("shared");
+        into.add(mine, u64::MAX - 1);
+        let theirs = from.register("shared");
+        from.add(theirs, 5);
+        from.register("zero");
+        let only = from.register("only_there");
+        from.add(only, 3);
+        into.absorb(&from);
+        assert_eq!(
+            into.snapshot(),
+            vec![
+                ("shared".to_string(), u64::MAX),
+                ("zero".to_string(), 0),
+                ("only_there".to_string(), 3),
+            ]
+        );
+        assert_eq!(from.get("shared"), Some(5), "the source is unchanged");
     }
 }

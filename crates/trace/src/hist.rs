@@ -9,9 +9,13 @@
 //! array of relaxed atomics: recording is lock-free, allocation-free, and
 //! guest-cycle-neutral like the rest of the observation plane.
 //!
-//! [`Histograms`] is the shared registry mirroring [`crate::Counters`]:
-//! register a name once, copy the [`HistId`] into the recording path, and
-//! degrade to a discard slot past capacity instead of aborting.
+//! [`Histograms`] is the registry mirroring [`crate::Counters`]: register
+//! a name once, copy the [`HistId`] into the recording path, and degrade
+//! to a discard id past capacity instead of aborting. A histogram's bins
+//! are allocated when its name is registered, so an empty registry costs
+//! a few KiB, not one 8 KiB bin array per possible slot. Registries
+//! kept apart (one per thread, say) fold into one with
+//! [`Histograms::absorb`].
 //!
 //! # Examples
 //!
@@ -30,7 +34,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Values below this record exactly (one bin per value).
 const LINEAR_LIMIT: u64 = 16;
@@ -40,8 +44,8 @@ const SUB_BUCKETS: usize = 16;
 pub const NUM_BUCKETS: usize = LINEAR_LIMIT as usize + (64 - 4) * SUB_BUCKETS;
 
 /// Maximum number of registered histograms. Registration past this point
-/// returns [`HistId::DISCARD`]; recordings land in a sink slot that is
-/// never reported — observability degrades, it never aborts the platform.
+/// returns [`HistId::DISCARD`], whose recordings are dropped and never
+/// reported — observability degrades, it never aborts the platform.
 pub const MAX_HISTOGRAMS: usize = 64;
 
 /// Bin index for a value: identity below 16, then log-linear.
@@ -119,19 +123,36 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating sum: a wrapped total would corrupt every derived mean.
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self
-                .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
+        self.add_sum(v);
+        self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Saturating sum: a wrapped total would corrupt every derived mean.
+    fn add_sum(&self, v: u64) {
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(v))
+            });
+    }
+
+    /// Adds `other`'s recordings to this histogram, as if every value
+    /// `other` recorded had been recorded here too. Empty bins are
+    /// skipped: most of the bin array of a latency histogram is empty,
+    /// and an atomic add per bin would cost more than the merge needs.
+    fn absorb(&self, other: &Histogram) {
+        if other.is_empty() {
+            return;
+        }
+        for (dst, src) in self.counts.iter().zip(&other.counts) {
+            let n = src.load(Ordering::Relaxed);
+            if n != 0 {
+                dst.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.add_sum(other.sum());
+        self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
     /// Number of recorded values.
@@ -206,19 +227,24 @@ impl Histogram {
 pub struct HistId(usize);
 
 impl HistId {
-    /// The overflow slot: recordings land in a histogram that is never
-    /// snapshotted by name.
+    /// The overflow id: recordings through it are dropped, and nothing is
+    /// ever snapshotted under it.
     pub const DISCARD: HistId = HistId(MAX_HISTOGRAMS);
 }
 
 /// A registry of named histograms, mirroring [`crate::Counters`]:
 /// registration is idempotent by name, capacity overflow degrades to
-/// [`HistId::DISCARD`], recording is lock-free.
+/// [`HistId::DISCARD`], recording is lock-free and allocation-free.
+///
+/// A histogram's bins (about 8 KiB) are allocated when its name is
+/// registered; an empty registry holds none, so a tracer made for a
+/// short run costs only what that run registers.
 #[derive(Debug)]
 pub struct Histograms {
     names: Mutex<Vec<String>>,
-    // One extra slot receives recordings through `HistId::DISCARD`.
-    hists: Vec<Histogram>,
+    // Slot `i` is filled, under the `names` lock, when the `i`th name
+    // registers; `HistId::DISCARD` indexes past the end.
+    hists: [OnceLock<Histogram>; MAX_HISTOGRAMS],
 }
 
 impl Default for Histograms {
@@ -232,7 +258,7 @@ impl Histograms {
     pub fn new() -> Self {
         Histograms {
             names: Mutex::new(Vec::new()),
-            hists: (0..=MAX_HISTOGRAMS).map(|_| Histogram::new()).collect(),
+            hists: [const { OnceLock::new() }; MAX_HISTOGRAMS],
         }
     }
 
@@ -247,7 +273,9 @@ impl Histograms {
             return HistId::DISCARD;
         }
         names.push(name.to_string());
-        HistId(names.len() - 1)
+        let i = names.len() - 1;
+        self.hists[i].get_or_init(Histogram::new);
+        HistId(i)
     }
 
     /// Number of registered histograms.
@@ -260,22 +288,25 @@ impl Histograms {
         self.len() == 0
     }
 
-    /// Records one value into the histogram behind `id`.
-    #[inline]
-    pub fn record(&self, id: HistId, v: u64) {
-        self.hists[id.0].record(v);
+    /// The histogram behind `id`; `None` only for [`HistId::DISCARD`].
+    fn slot(&self, id: HistId) -> Option<&Histogram> {
+        self.hists.get(id.0).and_then(OnceLock::get)
     }
 
-    /// The histogram behind `id` (the discard slot for `DISCARD`).
-    pub fn hist(&self, id: HistId) -> &Histogram {
-        &self.hists[id.0]
+    /// Records one value into the histogram behind `id` (dropped for
+    /// [`HistId::DISCARD`]).
+    #[inline]
+    pub fn record(&self, id: HistId, v: u64) {
+        if let Some(h) = self.slot(id) {
+            h.record(v);
+        }
     }
 
     /// Looks a histogram up by name, if registered.
     pub fn get(&self, name: &str) -> Option<&Histogram> {
         let names = self.names.lock().expect("histogram registry lock");
         let i = names.iter().position(|n| n == name)?;
-        Some(&self.hists[i])
+        self.hists[i].get()
     }
 
     /// Summaries of every *non-empty* registered histogram, in
@@ -285,16 +316,34 @@ impl Histograms {
         let names = self.names.lock().expect("histogram registry lock");
         names
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.hists[*i].is_empty())
-            .map(|(i, n)| (n.clone(), self.hists[i].summary()))
+            .zip(&self.hists)
+            .filter_map(|(n, slot)| {
+                let h = slot.get().filter(|h| !h.is_empty())?;
+                Some((n.clone(), h.summary()))
+            })
             .collect()
     }
 
     /// Resets every histogram (names stay registered).
     pub fn reset(&self) {
-        for h in &self.hists {
+        for h in self.hists.iter().filter_map(OnceLock::get) {
             h.reset();
+        }
+    }
+
+    /// Folds `other`'s recordings into this registry. Every name `other`
+    /// registered is registered here too, in `other`'s order and whether
+    /// or not it recorded anything; each histogram's bins and count add,
+    /// its sum adds saturating, and the larger max is kept. Quantiles of
+    /// the result are those of one histogram that recorded both streams.
+    pub fn absorb(&self, other: &Histograms) {
+        // A copy of the names, so absorbing never holds both locks.
+        let names = other.names.lock().expect("histogram registry lock").clone();
+        for (name, src) in names.iter().zip(&other.hists) {
+            let id = self.register(name);
+            if let (Some(dst), Some(src)) = (self.slot(id), src.get()) {
+                dst.absorb(src);
+            }
         }
     }
 }
@@ -420,5 +469,102 @@ mod tests {
         r.reset();
         assert!(r.snapshot().is_empty());
         assert_eq!(r.len(), 2, "names survive a reset");
+    }
+
+    #[test]
+    fn bins_are_allocated_on_registration() {
+        let r = Histograms::new();
+        assert!(r.hists.iter().all(|slot| slot.get().is_none()));
+        let a = r.register("a");
+        r.register("b");
+        r.register("a");
+        let filled = r.hists.iter().filter(|slot| slot.get().is_some()).count();
+        assert_eq!(filled, 2, "one histogram per registered name");
+        r.record(a, 3);
+        assert_eq!(r.get("a").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn discard_recordings_are_dropped_and_never_snapshotted() {
+        let r = Histograms::new();
+        r.record(HistId::DISCARD, 1);
+        assert!(r.snapshot().is_empty() && r.is_empty());
+        for i in 0..MAX_HISTOGRAMS {
+            r.register(&format!("h{i}"));
+        }
+        let spill = r.register("spill");
+        assert_eq!(spill, HistId::DISCARD);
+        for v in [5, 77, u64::MAX] {
+            r.record(spill, v);
+        }
+        assert!(r.snapshot().is_empty(), "nothing recorded under a name");
+        assert!(r.get("spill").is_none());
+        assert!(r.hists.iter().all(|slot| slot.get().unwrap().is_empty()));
+    }
+
+    #[test]
+    fn absorb_sums_counts_and_sums_and_keeps_the_larger_max() {
+        let (a, b) = (Histograms::new(), Histograms::new());
+        let (ia, ib) = (a.register("lat"), b.register("lat"));
+        for v in [3, 40, 1_000] {
+            a.record(ia, v);
+        }
+        for v in [7, 90_000] {
+            b.record(ib, v);
+        }
+        a.absorb(&b);
+        let s = a.get("lat").unwrap().summary();
+        assert_eq!(
+            (s.count, s.sum, s.max),
+            (5, 3 + 40 + 1_000 + 7 + 90_000, 90_000)
+        );
+        assert_eq!(b.get("lat").unwrap().count(), 2, "the source is unchanged");
+
+        // The sum saturates instead of wrapping; the max stays the larger.
+        let big = Histograms::new();
+        big.record(big.register("lat"), u64::MAX - 1);
+        a.absorb(&big);
+        let s = a.get("lat").unwrap().summary();
+        assert_eq!((s.count, s.sum, s.max), (6, u64::MAX, u64::MAX - 1));
+    }
+
+    #[test]
+    fn merged_quantiles_equal_one_histogram_of_both_streams() {
+        let (left, right, both) = (Histograms::new(), Histograms::new(), Histograms::new());
+        let (l, r, b) = (left.register("x"), right.register("x"), both.register("x"));
+        for i in 0..5_000u64 {
+            // Two differently shaped streams: small linear, wide geometric.
+            let (u, v) = (i % 37, 100 + (i * i) % 1_000_003);
+            left.record(l, u);
+            right.record(r, v);
+            both.record(b, u);
+            both.record(b, v);
+        }
+        left.absorb(&right);
+        let merged = left.get("x").unwrap();
+        let single = both.get("x").unwrap();
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(merged.quantile(q), single.quantile(q), "q={q}");
+        }
+        assert_eq!(merged.summary(), single.summary());
+    }
+
+    #[test]
+    fn absorb_registers_names_that_recorded_nothing() {
+        let (into, from) = (Histograms::new(), Histograms::new());
+        into.register("mine");
+        from.register("quiet");
+        let loud = from.register("loud");
+        from.record(loud, 9);
+        into.absorb(&from);
+        assert_eq!(into.len(), 3);
+        assert!(into.get("quiet").unwrap().is_empty());
+        assert_eq!(into.get("loud").unwrap().count(), 1);
+        let names: Vec<String> = into.snapshot().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            vec!["loud".to_string()],
+            "empty ones stay unreported"
+        );
     }
 }

@@ -204,8 +204,11 @@ impl Tracer {
         }
     }
 
-    /// A disabled tracer ([`NullSink`] + empty registry). Counters still
-    /// count — they are cheap — but no events are recorded.
+    /// A disabled tracer ([`NullSink`] + empty registries). Counters and
+    /// histograms still record — they are cheap — but no events are
+    /// recorded. Making one allocates no histogram bins: those come with
+    /// each [`Histograms::register`], so a tracer per thread or per run
+    /// costs what it registers.
     pub fn null() -> Self {
         Tracer::new(Arc::new(NullSink))
     }
