@@ -1179,6 +1179,11 @@ impl Machine {
     /// Returns the [`Fault`] that stopped the instruction; `EIP` is left at
     /// the faulting instruction.
     pub fn step(&mut self) -> Result<(), Fault> {
+        self.step_retired().map(|_| ())
+    }
+
+    /// [`Machine::step`], returning the instruction it retired.
+    pub(crate) fn step_retired(&mut self) -> Result<Instr, Fault> {
         let eip = self.eip;
         let first = self.read_word(eip).map_err(|_| Fault::Decode { eip })?;
         let needs_ext = sp32::encoded_len_words(first) == 2;
@@ -1342,7 +1347,7 @@ impl Machine {
                 }
                 self.eip = fallthrough;
                 self.dispatch_interrupt(vector, eip)?;
-                return Ok(());
+                return Ok(instr);
             }
             Instr::Iret => {
                 let new_eip = self.pop_word()?;
@@ -1404,7 +1409,7 @@ impl Machine {
             }
         }
         self.eip = next;
-        Ok(())
+        Ok(instr)
     }
 
     /// Runs guest code until an [`Event`] occurs or `max_cycles` elapse.

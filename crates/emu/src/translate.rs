@@ -3,36 +3,50 @@
 //!
 //! Basic blocks are discovered at execution time with the same boundary
 //! rules the static linter uses ([`sp32::cfg`]) and "compiled" into
-//! threaded code: one [`TOp`] per instruction, holding a handler
-//! function pointer, pre-decoded operands, the memoised taken /
-//! not-taken cycle costs, and the EA-MPU work pre-resolved under the
-//! current configuration. Compiled blocks live in a translation cache
-//! keyed by entry address.
+//! threaded code: one [`TOp`] per instruction, holding a one-byte op
+//! kind, pre-decoded operands, the memoised taken / not-taken cycle
+//! costs, the cycles its block charges before it, and the EA-MPU work
+//! pre-resolved under the current configuration. Compiled blocks live in
+//! a translation cache keyed by entry address.
 //!
 //! Cold entries run through [`Machine::step`]: the first arrival at an
 //! entry only marks it in the cache and interprets one instruction, and
 //! the second arrival compiles the block. Code a device runs once —
 //! boot, task load, straight-line setup — so never pays for a compile.
+//! Only arrivals that could start a block leave a mark: a run entry, a
+//! taken transfer, a block end, an interrupt dispatch or return. Falling
+//! through a stepped instruction that does not end a block leaves none,
+//! so a long straight line costs one mark, not one per instruction.
 //!
 //! # Identity contract
 //!
 //! The engine is bit-identical to [`Machine::run_legacy`] — every
 //! charged cycle, every architectural state transition, every EA-MPU
-//! decision-log record, every trace span. Three mechanisms keep it so:
+//! decision-log record, every trace span. Four mechanisms keep it so:
 //!
 //! - **Boundary preservation.** The outer loop of
 //!   [`Machine::run_translated`] performs the legacy loop's poll →
 //!   deliver → trap → halt → budget sequence, but polls devices only
 //!   at the cached device deadline, which [`Device::next_event`]
 //!   guarantees is the first boundary where a poll could matter. Between
-//!   boundaries it executes blocks, checking the batch-break conditions
-//!   after every retired op. Blocks end at every control transfer and
+//!   boundaries it executes blocks, breaking the batch as soon as a
+//!   retired op reaches the step limit or moves a device deadline or
+//!   queues an SMC range. Blocks end at every control transfer and
 //!   stop before firmware-trap addresses, so a boundary can never be
 //!   crossed mid-block. A halted core crosses its idle stretch in one
 //!   move, to the first 8-cycle idle step at or past the earlier of the
 //!   device deadline and the budget: the clock value, poll and return
 //!   the legacy loop's one-step-per-turn idle reaches, with the same
 //!   [`CycleObserver::idle`] total.
+//! - **Block-entry budget.** Only a block's terminator can be taken, so
+//!   the cycles a block charges before each op are fixed at compile time
+//!   ([`TOp::prefix`]), and so is its worst-case charge
+//!   ([`TBlock::max_cost`]). A pass that starts more than `max_cost`
+//!   cycles short of the step limit cannot reach it on any op, so it
+//!   runs without per-op clock, retirement or `EIP` bookkeeping and
+//!   rebuilds all three from the prefix wherever it stops. Everything
+//!   else runs the exact per-op loop, which stops on the very op the
+//!   legacy loop stops after.
 //! - **Pre-resolution soundness.** EA-MPU work is specialised at
 //!   compile time: a statically-resolvable check compiles to either
 //!   nothing (allowed and unobserved) or a [`EaMpu::replay_transfer`] /
@@ -73,7 +87,7 @@
 //!
 //! The control-flow monitor needs no interpreter of its own: a block
 //! ends at every control transfer, so its only taken edge is its
-//! terminator, which the block loop records where [`Machine::step`]
+//! terminator, which the block loops record where [`Machine::step`]
 //! does — after the transfer check succeeds.
 //!
 //! Anything a block cannot express — `Int`/`Iret` (interrupt frames,
@@ -156,9 +170,9 @@ enum PreCheck {
 enum AccessMode {
     /// No check and no record: MPU disabled, or no rules and unobserved.
     Quiet,
-    /// No rules but observed: replay the (always-allowed) record with
-    /// the runtime address.
-    Replay(AccessDecision),
+    /// No rules but observed: replay the record, always
+    /// [`AccessDecision::AllowedUnprotected`], with the runtime address.
+    Replay,
     /// Rules exist and decisions are observed: live check every access,
     /// so every trace counter and decision-log record is the legacy
     /// loop's.
@@ -179,50 +193,113 @@ type Window = (u32, u32);
 
 const EMPTY_WINDOW: Window = (1, 0);
 
-/// How an op hands control back to the block loop.
-enum OpExit {
-    /// Retired normally: `(next_eip, branch_taken)`. The block loop
-    /// runs the shared epilogue (transfer check, cost, counters).
-    Cont(u32, bool),
-    /// The op ran via [`Machine::step`], which already did its own
-    /// epilogue; control may have transferred anywhere, end the block.
-    Done,
+/// What an op does: the one-byte dispatch key of [`exec_op`] and
+/// [`run_op`]. The kinds that reach memory come last, so testing for
+/// one is a single compare.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum OpKind {
+    Nop,
+    Hlt,
+    Sti,
+    Cli,
+    MovReg,
+    MovImm,
+    Add,
+    AddImm,
+    Sub,
+    Mul,
+    And,
+    Or,
+    Xor,
+    Not,
+    Shl,
+    Shr,
+    Cmp,
+    CmpImm,
+    Jmp,
+    Jcc,
+    JmpReg,
+    Ldw,
+    Ldb,
+    Stw,
+    Stb,
+    Push,
+    Pop,
+    Call,
+    Ret,
+    /// Runs through [`Machine::step`], which does its own accounting:
+    /// `Int`/`Iret`, and any instruction whose cost does not fit
+    /// [`MAX_OP_COST`]. Always the last op of its block.
+    Step,
 }
 
-type Handler = fn(&mut Machine, &TOp) -> Result<OpExit, Fault>;
+impl OpKind {
+    /// Whether the op reaches memory or devices, and so can fault on an
+    /// access, let a device observe the clock, queue an SMC dirty range
+    /// or move a device deadline.
+    #[inline(always)]
+    fn touches_memory(self) -> bool {
+        self as u8 >= OpKind::Ldw as u8
+    }
+}
 
-/// One threaded-code op: a handler plus everything it needs, flattened.
+/// Largest per-instruction cost a [`TOp`] holds; a costlier instruction
+/// compiles to [`OpKind::Step`]. [`MAX_OPS`] ops at this cost keep a
+/// block's [`TOp::prefix`] and [`TBlock::max_cost`] within `u32`.
+const MAX_OP_COST: u64 = (u32::MAX / MAX_OPS as u32) as u64;
+
+/// One threaded-code op: an op kind plus everything it needs, flattened.
 pub(crate) struct TOp {
-    run: Handler,
-    pc: u32,
-    fallthrough: u32,
-    /// Static branch target (`Jmp`/`Jcc`/`Call`); 0 otherwise.
-    target: u32,
+    kind: OpKind,
     /// First register operand (`rd`).
     a: u8,
     /// Second register operand (`rs`).
     b: u8,
-    /// Pre-sign-extended immediate / displacement.
-    imm: u32,
     /// Condition for `Jcc` (placeholder elsewhere).
     cond: Cond,
-    cost_not_taken: u64,
-    cost_taken: u64,
     /// [`instr_class`] index for the per-class retirement counters.
     class: u8,
-    /// Whether this op can queue an SMC dirty range or move a device
-    /// deadline (memory ops); checked after the op retires.
-    may_dirty: bool,
+    pc: u32,
+    fallthrough: u32,
+    /// Static branch target (`Jmp`/`Jcc`/`Call`); 0 otherwise.
+    target: u32,
+    /// Pre-sign-extended immediate / displacement.
+    imm: u32,
+    cost_not_taken: u32,
+    cost_taken: u32,
+    /// Cycles the block charges before this op: the not-taken costs of
+    /// the ops ahead of it, since only a block's last op can be taken.
+    prefix: u32,
     /// Epilogue check on the not-taken / fall-through edge.
     pre_ft: PreCheck,
     /// Epilogue check on the taken edge.
     pre_br: PreCheck,
     /// Data-access check mode (memory ops).
     access: AccessMode,
-    /// True when the op cannot fault, cannot touch memory/devices, and
-    /// both edges are [`PreCheck::Quiet`] — eligible for the lean loop,
-    /// whose cycle/instruction accounting stays in host registers.
-    lean: bool,
+}
+
+impl TOp {
+    /// An op that runs the instruction at `pc` through [`Machine::step`].
+    fn step_fallback(pc: u32, instr: &Instr) -> TOp {
+        TOp {
+            kind: OpKind::Step,
+            a: 0,
+            b: 0,
+            cond: Cond::Z,
+            class: instr_class(instr) as u8,
+            pc,
+            fallthrough: 0,
+            target: 0,
+            imm: 0,
+            cost_not_taken: 0,
+            cost_taken: 0,
+            prefix: 0,
+            pre_ft: PreCheck::Quiet,
+            pre_br: PreCheck::Quiet,
+            access: AccessMode::Quiet,
+        }
+    }
 }
 
 /// One compiled basic block.
@@ -230,6 +307,14 @@ pub(crate) struct TBlock {
     entry: u32,
     /// Exclusive end of the code bytes the block was compiled from.
     end: u32,
+    /// The most cycles one pass can charge: the last op's prefix plus
+    /// its dearer edge.
+    max_cost: u64,
+    /// Whether every pass must take the exact loop: the block ends in a
+    /// step op, or an op before its last has a fall-through check to
+    /// perform (an observed decision log, or a fall-through into the
+    /// middle of a protected region).
+    exact_only: bool,
     ops: Vec<TOp>,
 }
 
@@ -288,7 +373,7 @@ impl GranuleMap {
 
     /// Bitmap word `index` (granules `64 * index ..`); 0 on a page that
     /// was never set.
-    #[inline]
+    #[inline(always)]
     fn word(&self, index: usize) -> u64 {
         match self.pages.get(index / PAGE_WORDS) {
             Some(Some(page)) => page[index % PAGE_WORDS],
@@ -317,7 +402,7 @@ impl GranuleMap {
     }
 
     /// Whether the granule holding byte `addr` is set.
-    #[inline]
+    #[inline(always)]
     fn contains(&self, addr: u32) -> bool {
         let granule = (addr >> GRANULE_SHIFT) as usize;
         self.word(granule / 64) >> (granule % 64) & 1 != 0
@@ -390,7 +475,7 @@ impl TransState {
     /// Notes a RAM write of `len` bytes at `addr` (called from the
     /// machine's write paths). Queues a dirty range when the write
     /// touches a granule covered by compiled code.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn note_code_write(&mut self, addr: u32, len: usize) {
         if len == 4 && addr.is_multiple_of(4) {
             // An aligned word is exactly one granule: one bit test.
@@ -404,6 +489,8 @@ impl TransState {
 
     /// [`TransState::note_code_write`] for any other size or alignment:
     /// walks every granule the write covers.
+    #[cold]
+    #[inline(never)]
     fn note_range_write(&mut self, addr: u32, len: usize) {
         // A zero-length write touches no bytes; `len - 1` below would
         // underflow into a whole-address-space range.
@@ -531,7 +618,7 @@ impl Machine {
     fn resolve_access(&self, observed: bool) -> AccessMode {
         match (self.mpu_enabled, self.mpu.has_rules(), observed) {
             (false, _, _) | (true, false, false) => AccessMode::Quiet,
-            (true, false, true) => AccessMode::Replay(AccessDecision::AllowedUnprotected),
+            (true, false, true) => AccessMode::Replay,
             (true, true, true) => AccessMode::Checked,
             (true, true, false) => AccessMode::Memo(Cell::new(EMPTY_WINDOW)),
         }
@@ -545,6 +632,7 @@ impl Machine {
         let observed = self.mpu.traced() || self.mpu.log_enabled();
         let mut ops: Vec<TOp> = Vec::new();
         let mut pc = entry;
+        let mut prefix = 0;
         loop {
             if ops.len() >= MAX_OPS {
                 break;
@@ -567,255 +655,215 @@ impl Machine {
                 // run loop (see `TransState::rewritten`).
                 break;
             }
-            if matches!(fetched.instr, Instr::Int { .. } | Instr::Iret) {
+            let instr = &fetched.instr;
+            let (cost_not_taken, cost_taken) = (
+                self.cycle_model.cost(instr, false),
+                self.cycle_model.cost(instr, true),
+            );
+            if matches!(instr, Instr::Int { .. } | Instr::Iret)
+                || cost_not_taken.max(cost_taken) > MAX_OP_COST
+            {
                 // Interrupt machinery (frames, resume latches, IRQ
-                // trace spans) runs through the shared step path.
-                ops.push(self.step_fallback_op(pc, &fetched.instr));
+                // trace spans) runs through the shared step path, as
+                // does a cost too large to hold.
+                ops.push(TOp::step_fallback(pc, instr));
                 pc = fallthrough;
                 break;
             }
-            ops.push(self.compile_op(pc, fallthrough, &fetched.instr, observed));
+            let mut op = self.compile_op(pc, fallthrough, instr, observed);
+            // Both costs are at most `MAX_OP_COST`.
+            op.cost_not_taken = cost_not_taken as u32;
+            op.cost_taken = cost_taken as u32;
+            op.prefix = prefix;
+            prefix += op.cost_not_taken;
+            ops.push(op);
             pc = fallthrough;
-            if ends_block(&fetched.instr) {
+            if ends_block(instr) {
                 break;
             }
         }
-        if ops.is_empty() {
-            return None;
-        }
+        let (last, body) = ops.split_last()?;
+        let max_cost = u64::from(last.prefix + last.cost_taken.max(last.cost_not_taken));
+        let exact_only = last.kind == OpKind::Step
+            || body.iter().any(|op| !matches!(op.pre_ft, PreCheck::Quiet));
         Some(TBlock {
             entry,
             end: pc,
+            max_cost,
+            exact_only,
             ops,
         })
     }
 
-    fn step_fallback_op(&self, pc: u32, instr: &Instr) -> TOp {
-        TOp {
-            run: op_step_fallback,
-            pc,
-            fallthrough: 0,
-            target: 0,
+    /// Compiles one instruction; `compile_block` fills in its costs and
+    /// prefix.
+    fn compile_op(&self, pc: u32, fallthrough: u32, instr: &Instr, observed: bool) -> TOp {
+        let mut op = TOp {
+            kind: OpKind::Nop,
             a: 0,
             b: 0,
-            imm: 0,
             cond: Cond::Z,
-            cost_not_taken: 0,
-            cost_taken: 0,
             class: instr_class(instr) as u8,
-            may_dirty: true,
-            pre_ft: PreCheck::Quiet,
-            pre_br: PreCheck::Quiet,
-            access: AccessMode::Quiet,
-            lean: false,
-        }
-    }
-
-    fn compile_op(&self, pc: u32, fallthrough: u32, instr: &Instr, observed: bool) -> TOp {
-        let ft_edge = self.resolve_edge(pc, Some(fallthrough), observed);
-        let mut op = TOp {
-            run: op_nop,
             pc,
             fallthrough,
             target: 0,
-            a: 0,
-            b: 0,
             imm: 0,
-            cond: Cond::Z,
-            cost_not_taken: self.cycle_model.cost(instr, false),
-            cost_taken: self.cycle_model.cost(instr, true),
-            class: instr_class(instr) as u8,
-            may_dirty: false,
-            pre_ft: ft_edge,
+            cost_not_taken: 0,
+            cost_taken: 0,
+            prefix: 0,
+            pre_ft: self.resolve_edge(pc, Some(fallthrough), observed),
             pre_br: PreCheck::Quiet,
             access: AccessMode::Quiet,
-            lean: false,
         };
-        let mem = |op: &mut TOp| {
-            op.may_dirty = true;
-            op.access = self.resolve_access(observed);
-        };
-        match *instr {
-            Instr::Nop => op.run = op_nop,
-            Instr::Hlt => op.run = op_hlt,
+        let reg = |r: Reg| r.index() as u8;
+        op.kind = match *instr {
+            Instr::Nop => OpKind::Nop,
+            Instr::Hlt => OpKind::Hlt,
             Instr::MovReg { rd, rs } => {
-                op.run = op_mov_reg;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
+                (op.a, op.b) = (reg(rd), reg(rs));
+                OpKind::MovReg
             }
             Instr::MovImm { rd, imm } => {
-                op.run = op_mov_imm;
-                op.a = rd.index() as u8;
-                op.imm = imm;
-            }
-            Instr::Add { rd, rs } => {
-                op.run = op_add;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
+                (op.a, op.imm) = (reg(rd), imm);
+                OpKind::MovImm
             }
             Instr::AddImm { rd, imm } => {
-                op.run = op_add_imm;
-                op.a = rd.index() as u8;
-                op.imm = imm as i32 as u32;
-            }
-            Instr::Sub { rd, rs } => {
-                op.run = op_sub;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::Mul { rd, rs } => {
-                op.run = op_mul;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::And { rd, rs } => {
-                op.run = op_and;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::Or { rd, rs } => {
-                op.run = op_or;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::Xor { rd, rs } => {
-                op.run = op_xor;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::Not { rd } => {
-                op.run = op_not;
-                op.a = rd.index() as u8;
-            }
-            Instr::Shl { rd, rs } => {
-                op.run = op_shl;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::Shr { rd, rs } => {
-                op.run = op_shr;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-            }
-            Instr::Cmp { rd, rs } => {
-                op.run = op_cmp;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
+                (op.a, op.imm) = (reg(rd), imm as i32 as u32);
+                OpKind::AddImm
             }
             Instr::CmpImm { rd, imm } => {
-                op.run = op_cmp_imm;
-                op.a = rd.index() as u8;
-                op.imm = imm as i32 as u32;
+                (op.a, op.imm) = (reg(rd), imm as i32 as u32);
+                OpKind::CmpImm
             }
-            Instr::Ldw { rd, rs, disp } => {
-                op.run = op_ldw;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-                op.imm = disp as i32 as u32;
-                mem(&mut op);
+            Instr::Add { rd, rs }
+            | Instr::Sub { rd, rs }
+            | Instr::Mul { rd, rs }
+            | Instr::And { rd, rs }
+            | Instr::Or { rd, rs }
+            | Instr::Xor { rd, rs }
+            | Instr::Shl { rd, rs }
+            | Instr::Shr { rd, rs }
+            | Instr::Cmp { rd, rs } => {
+                (op.a, op.b) = (reg(rd), reg(rs));
+                match *instr {
+                    Instr::Add { .. } => OpKind::Add,
+                    Instr::Sub { .. } => OpKind::Sub,
+                    Instr::Mul { .. } => OpKind::Mul,
+                    Instr::And { .. } => OpKind::And,
+                    Instr::Or { .. } => OpKind::Or,
+                    Instr::Xor { .. } => OpKind::Xor,
+                    Instr::Shl { .. } => OpKind::Shl,
+                    Instr::Shr { .. } => OpKind::Shr,
+                    _ => OpKind::Cmp,
+                }
             }
-            Instr::Ldb { rd, rs, disp } => {
-                op.run = op_ldb;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-                op.imm = disp as i32 as u32;
-                mem(&mut op);
+            Instr::Not { rd } => {
+                op.a = reg(rd);
+                OpKind::Not
             }
-            Instr::Stw { rd, rs, disp } => {
-                op.run = op_stw;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-                op.imm = disp as i32 as u32;
-                mem(&mut op);
-            }
-            Instr::Stb { rd, rs, disp } => {
-                op.run = op_stb;
-                op.a = rd.index() as u8;
-                op.b = rs.index() as u8;
-                op.imm = disp as i32 as u32;
-                mem(&mut op);
-            }
-            Instr::Jmp { target } => {
-                op.run = op_jmp;
-                op.target = target;
-                op.pre_br = self.resolve_edge(pc, Some(target), observed);
-            }
-            Instr::Jcc { cond, target } => {
-                op.run = op_jcc;
-                op.cond = cond;
-                op.target = target;
-                op.pre_br = self.resolve_edge(pc, Some(target), observed);
-            }
-            Instr::JmpReg { rs } => {
-                op.run = op_jmp_reg;
-                op.b = rs.index() as u8;
-                op.pre_br = self.resolve_edge(pc, None, observed);
-            }
-            Instr::Call { target } => {
-                op.run = op_call;
-                op.target = target;
-                op.pre_br = self.resolve_edge(pc, Some(target), observed);
-                mem(&mut op);
-            }
-            Instr::Ret => {
-                op.run = op_ret;
-                op.pre_br = self.resolve_edge(pc, None, observed);
-                mem(&mut op);
+            Instr::Ldw { rd, rs, disp }
+            | Instr::Ldb { rd, rs, disp }
+            | Instr::Stw { rd, rs, disp }
+            | Instr::Stb { rd, rs, disp } => {
+                (op.a, op.b, op.imm) = (reg(rd), reg(rs), disp as i32 as u32);
+                match *instr {
+                    Instr::Ldw { .. } => OpKind::Ldw,
+                    Instr::Ldb { .. } => OpKind::Ldb,
+                    Instr::Stw { .. } => OpKind::Stw,
+                    _ => OpKind::Stb,
+                }
             }
             Instr::Push { rs } => {
-                op.run = op_push;
-                op.b = rs.index() as u8;
-                mem(&mut op);
+                op.b = reg(rs);
+                OpKind::Push
             }
             Instr::Pop { rd } => {
-                op.run = op_pop;
-                op.a = rd.index() as u8;
-                mem(&mut op);
+                op.a = reg(rd);
+                OpKind::Pop
             }
-            Instr::Sti => op.run = op_sti,
-            Instr::Cli => op.run = op_cli,
+            Instr::Sti => OpKind::Sti,
+            Instr::Cli => OpKind::Cli,
+            Instr::Jmp { target } => {
+                op.target = target;
+                OpKind::Jmp
+            }
+            Instr::Jcc { cond, target } => {
+                (op.cond, op.target) = (cond, target);
+                OpKind::Jcc
+            }
+            Instr::JmpReg { rs } => {
+                op.b = reg(rs);
+                OpKind::JmpReg
+            }
+            Instr::Call { target } => {
+                op.target = target;
+                OpKind::Call
+            }
+            Instr::Ret => OpKind::Ret,
             // Compiled via the step fallback, never through here.
             Instr::Int { .. } | Instr::Iret => unreachable!("step-fallback instruction"),
+        };
+        let to = match op.kind {
+            OpKind::Jmp | OpKind::Jcc | OpKind::Call => Some(Some(op.target)),
+            // Dynamic target.
+            OpKind::JmpReg | OpKind::Ret => Some(None),
+            _ => None,
+        };
+        if let Some(to) = to {
+            op.pre_br = self.resolve_edge(pc, to, observed);
         }
-        op.lean = !op.may_dirty
-            && matches!(op.pre_ft, PreCheck::Quiet)
-            && matches!(op.pre_br, PreCheck::Quiet);
+        if op.kind.touches_memory() {
+            op.access = self.resolve_access(observed);
+        }
         op
     }
 
     /// Executes at `self.eip`: a cached block, or a block compiled now
-    /// on the entry's second arrival. A first arrival only marks the
-    /// entry and runs one [`Machine::step`], so code that runs once (boot
-    /// and load paths, straight-line setup) never pays for a compile; a
-    /// single step also runs wherever no block can start.
-    fn exec_at(&mut self, blocks: &mut BlockMap, step_limit: u64) -> Result<(), Fault> {
+    /// on the entry's second arrival. A first arrival only runs one
+    /// [`Machine::step`], so code that runs once (boot and load paths,
+    /// straight-line setup) never pays for a compile; a single step also
+    /// runs wherever no block can start.
+    ///
+    /// A first arrival leaves a mark unless `fell_in`: control came by
+    /// falling through the non-terminator `step` ran last, so `EIP` is
+    /// the middle of a straight line, and a mark per stepped instruction
+    /// would flood the map. Returns whether the next arrival falls in so.
+    fn exec_at(
+        &mut self,
+        blocks: &mut BlockMap,
+        step_limit: u64,
+        fell_in: bool,
+    ) -> Result<bool, Fault> {
         let eip = self.eip;
         match blocks.get_mut(&eip) {
             Some(Some(block)) => {
                 if let Some(t) = &self.trace {
                     t.tracer.counters().incr(t.block_hit);
                 }
-                exec_block(self, block, step_limit)
+                exec_block(self, block, step_limit)?;
+                return Ok(false);
             }
-            Some(slot) => match self.compile_block(eip) {
-                Some(block) => {
+            Some(slot) => {
+                if let Some(block) = self.compile_block(eip) {
                     if let Some(t) = &self.trace {
                         t.tracer.counters().incr(t.block_compile);
                     }
                     self.tcache.code.set(block.entry, block.end - 1, true);
-                    exec_block(self, slot.insert(block), step_limit)
+                    exec_block(self, slot.insert(block), step_limit)?;
+                    return Ok(false);
                 }
-                None => self.step(),
-            },
-            None => {
+            }
+            None if !fell_in => {
                 if blocks.len() >= MAX_BLOCKS {
                     blocks.clear();
                     self.tcache.code.clear();
                 }
                 blocks.insert(eip, None);
-                self.step()
             }
+            None => {}
         }
+        let instr = self.step_retired()?;
+        Ok(!ends_block(&instr) && !matches!(instr, Instr::Int { .. }))
     }
 
     /// The translated run loop: boundary-identical to
@@ -839,6 +887,10 @@ impl Machine {
     fn run_translated_inner(&mut self, max_cycles: u64, blocks: &mut BlockMap) -> Event {
         debug_assert_eq!(self.engine, EngineKind::Translated);
         let deadline = self.clock.saturating_add(max_cycles);
+        // Whether control reaches `EIP` by falling through a stepped
+        // instruction (see `exec_at`); run entry and interrupt dispatch
+        // arrive otherwise.
+        let mut fell_in = false;
         loop {
             if self.device_deadline_dirty {
                 self.recompute_device_deadline();
@@ -852,6 +904,7 @@ impl Machine {
                 if let Some(&vector) = self.pending_irqs.iter().next() {
                     self.pending_irqs.remove(&vector);
                     let origin = self.eip;
+                    fell_in = false;
                     if let Err(fault) = self.dispatch_interrupt(vector, origin) {
                         self.stats.faults += 1;
                         self.note_fault();
@@ -895,6 +948,7 @@ impl Machine {
                 // deliverable at the very next boundary, which a block
                 // cannot honour mid-run. Step one instruction at a time
                 // until the set drains.
+                fell_in = false;
                 loop {
                     if let Err(fault) = self.step() {
                         self.stats.faults += 1;
@@ -917,10 +971,13 @@ impl Machine {
                 // only the remaining batch-break conditions matter.
                 loop {
                     self.drain_dirty(blocks);
-                    if let Err(fault) = self.exec_at(blocks, step_limit) {
-                        self.stats.faults += 1;
-                        self.note_fault();
-                        return Event::Fault(fault);
+                    match self.exec_at(blocks, step_limit, fell_in) {
+                        Ok(next_fell_in) => fell_in = next_fell_in,
+                        Err(fault) => {
+                            self.stats.faults += 1;
+                            self.note_fault();
+                            return Event::Fault(fault);
+                        }
                     }
                     if self.halted
                         || self.device_deadline_dirty
@@ -964,184 +1021,365 @@ fn apply_pre(m: &mut Machine, op: &TOp, pre: PreCheck, next: u32) -> Result<(), 
     }
 }
 
-/// Runs `block` until it ends, faults, or hits a batch-break condition.
-/// On `Err` the machine's `EIP` is exactly where [`Machine::step`] would
-/// leave it: compiled handlers never move `EIP` (the epilogue maintains
-/// the invariant `EIP == op.pc` while a handler runs, matching `step`'s
-/// convention of updating `EIP` only after success), and the step
-/// fallback defers to `step` itself — which *does* advance `EIP` before
-/// a faulting `Int` dispatch, so the fault path must not roll it back.
-///
-/// Two refinements keep the hot path hot, neither observable:
-///
-/// - **Local accounting.** With no tracer and no observer attached, the
-///   clock and retirement count accumulate in host registers and are
-///   flushed to the machine before any op that could read them (memory
-///   ops reach devices, which poll the clock; the step fallback is
-///   `step` itself) and at every exit. Lean ops cannot fault, so the
-///   flushed state is exact wherever it is observable.
-/// - **Self-loop chaining.** When the block's terminator lands back on
-///   its own entry and no batch-break condition fired, the block is
-///   re-entered directly. Sound because every condition the batch loop
-///   would re-check is already known clear: not halted (`Hlt` exits via
-///   `next != entry`), no dirty ranges and no device-deadline movement
-///   (memory ops break out via `may_dirty`), budget remaining (checked
-///   per op), no firmware trap at the entry (the trap set cannot change
-///   mid-run, and the entry was vetted when the block was first
-///   entered), and no deliverable IRQ (none was pending, and devices
-///   only raise at poll boundaries, which sit past `step_limit`).
-fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fault> {
-    if m.trace.is_some() || m.observer.is_some() {
-        return exec_block_observed(m, block, step_limit);
-    }
-    let mut clock = m.clock;
-    let mut retired = 0u64;
-    let mut eip = m.eip;
-    let result = 'run: loop {
-        for op in &block.ops {
-            // Step-fallback ops (the only ones with `fallthrough == 0`)
-            // manage EIP through `Machine::step`; all others rely on it.
-            debug_assert!(op.fallthrough == 0 || eip == op.pc);
-            if op.lean {
-                let Ok(OpExit::Cont(next, taken)) = (op.run)(m, op) else {
-                    unreachable!("lean ops retire normally");
-                };
-                if taken {
-                    record_edge(m, op.pc, next);
-                }
-                clock += if taken {
-                    op.cost_taken
-                } else {
-                    op.cost_not_taken
-                };
-                retired += 1;
-                eip = next;
-                if clock >= step_limit {
-                    break 'run Ok(());
-                }
-            } else {
-                // Devices read the clock; the step fallback (the sole op
-                // with `fallthrough == 0`) reads EIP and the stats. Lean
-                // handlers read none of those, so inside a lean streak
-                // all three live in host registers only.
-                m.clock = clock;
-                if op.fallthrough == 0 {
-                    m.eip = eip;
-                    m.stats.instructions += retired;
-                    retired = 0;
-                }
-                match (op.run)(m, op) {
-                    Err(fault) => {
-                        // The step fallback does its own accounting even
-                        // on the fault path (e.g. a faulting `Int`
-                        // dispatch still charges cycles and may move
-                        // EIP); pick both up. For compiled ops the
-                        // syncs are no-ops: the machine state was just
-                        // flushed and the handler failed without moving
-                        // it, leaving EIP at the faulting `op.pc` as the
-                        // step convention requires.
-                        clock = m.clock;
-                        if op.fallthrough == 0 {
-                            eip = m.eip;
-                        }
-                        break 'run Err(fault);
-                    }
-                    Ok(OpExit::Done) => {
-                        clock = m.clock;
-                        eip = m.eip;
-                        break 'run Ok(());
-                    }
-                    Ok(OpExit::Cont(next, taken)) => {
-                        let (pre, cost) = if taken {
-                            (op.pre_br, op.cost_taken)
-                        } else {
-                            (op.pre_ft, op.cost_not_taken)
-                        };
-                        if let Err(fault) = apply_pre(m, op, pre, next) {
-                            break 'run Err(fault);
-                        }
-                        if taken {
-                            record_edge(m, op.pc, next);
-                        }
-                        clock += cost;
-                        retired += 1;
-                        eip = next;
-                        if clock >= step_limit {
-                            break 'run Ok(());
-                        }
-                        if op.may_dirty && (m.device_deadline_dirty || !m.tcache.dirty.is_empty()) {
-                            break 'run Ok(());
-                        }
-                    }
-                }
-            }
-        }
-        if eip != block.entry {
-            break Ok(());
-        }
-    };
-    m.eip = eip;
-    m.clock = clock;
-    m.stats.instructions += retired;
-    result
+/// Whether the batch must end before the next block: a device deadline
+/// moved or an SMC range is queued. Only memory ops can cause either.
+#[inline(always)]
+fn batch_broken(m: &Machine) -> bool {
+    m.device_deadline_dirty || !m.tcache.dirty.is_empty()
 }
 
-/// The fully instrumented block loop: per-op clock/stat updates, class
-/// counters, and observer callbacks, exactly as [`Machine::step`] does
-/// them. Chosen whenever a tracer or cycle observer is attached.
-fn exec_block_observed(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fault> {
-    for op in &block.ops {
-        debug_assert!(op.fallthrough == 0 || m.eip == op.pc);
-        match (op.run)(m, op) {
-            Err(fault) => return Err(fault),
-            Ok(OpExit::Done) => return Ok(()),
-            Ok(OpExit::Cont(next, taken)) => {
-                let (pre, cost) = if taken {
-                    (op.pre_br, op.cost_taken)
-                } else {
-                    (op.pre_ft, op.cost_not_taken)
-                };
-                apply_pre(m, op, pre, next)?;
-                if taken {
-                    record_edge(m, op.pc, next);
-                }
-                m.clock += cost;
-                m.stats.instructions += 1;
-                if let Some(t) = &m.trace {
-                    t.tracer.counters().incr(t.class[op.class as usize]);
-                }
-                if let Some(o) = &m.observer {
-                    o.instruction(op.pc, cost);
-                }
-                m.eip = next;
-                if m.clock >= step_limit {
-                    return Ok(());
-                }
-                if op.may_dirty && (m.device_deadline_dirty || !m.tcache.dirty.is_empty()) {
-                    return Ok(());
-                }
+/// Runs `block` until it ends, faults, or hits a batch-break condition,
+/// re-entering it while its terminator lands back on its own entry. On
+/// `Err` the machine's `EIP` is exactly where [`Machine::step`] would
+/// leave it: at the faulting op's `pc` for compiled ops, and wherever
+/// `step` itself leaves it for the step fallback — which *does* advance
+/// `EIP` before a faulting `Int` dispatch.
+///
+/// Each pass takes one of two loops:
+///
+/// - **Budgeted** ([`run_budgeted`]): with no tracer and no observer
+///   attached, in a block that needs no exact pass, and when the pass's
+///   worst-case charge stays below `step_limit`. No op can reach the
+///   step limit, so the body runs without per-op clock, retirement or
+///   `EIP` bookkeeping.
+/// - **Exact** ([`run_exact`]): everything else — observation, a pass
+///   that could reach `step_limit`, a step-fallback op, a fall-through
+///   check to perform.
+///
+/// **Self-loop chaining.** When the block's terminator lands back on
+/// its own entry and no batch-break condition fired, the block is
+/// re-entered directly; unobserved only, since a tracer counts every
+/// block hit. Sound because every condition the batch loop would
+/// re-check is already known clear: not halted (`Hlt` exits via
+/// `next != entry`), no dirty ranges and no device-deadline movement
+/// (both loops break on them after every memory op), budget remaining
+/// (the budgeted loop cannot reach it, the exact one checks per op), no
+/// firmware trap at the entry (the trap set cannot change mid-run, and
+/// the entry was vetted when the block was first entered), and no
+/// deliverable IRQ (none was pending, and devices only raise at poll
+/// boundaries, which sit past `step_limit`).
+fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fault> {
+    let unobserved = m.trace.is_none() && m.observer.is_none();
+    let budgeted = unobserved && !block.exact_only;
+    loop {
+        let again = if budgeted && m.clock.saturating_add(block.max_cost) < step_limit {
+            run_budgeted(m, block, step_limit)?
+        } else {
+            run_exact(m, block, step_limit)?
+        };
+        if !(again && unobserved) {
+            return Ok(());
+        }
+    }
+}
+
+/// Passes of `block` whose every charge stays below `step_limit`,
+/// chained while the block loops back to its entry with budget for
+/// another. The clock and the retirement count live in locals across
+/// the passes. Memory ops set the machine clock to the pass's entry
+/// clock plus their prefix first, because a device access observes it;
+/// wherever the passes stop — a fault, a batch break, the block's exit
+/// or the budget — the clock, the retirement count and `EIP` are
+/// rebuilt from the stopping op's prefix and index. The last op, the
+/// only one that can be taken, runs with its epilogue through
+/// [`run_last`]. Returns whether the block may chain on: it ended on its
+/// entry with no batch break.
+#[inline(always)]
+fn run_budgeted(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<bool, Fault> {
+    let (last, body) = block.ops.split_last().expect("a block holds an op");
+    let mut entry = m.clock;
+    let mut retired = 0;
+    let settle = |m: &mut Machine, clock: u64, retired: u64, eip: u32| {
+        m.clock = clock;
+        m.stats.instructions += retired;
+        m.eip = eip;
+    };
+    loop {
+        for (i, op) in body.iter().enumerate() {
+            if !op.kind.touches_memory() {
+                // Register-only ops cannot fault.
+                let _ = exec_op(m, op);
+                continue;
+            }
+            let clock = entry + u64::from(op.prefix);
+            m.clock = clock;
+            if let Err(fault) = exec_op(m, op) {
+                settle(m, clock, retired + i as u64, op.pc);
+                return Err(fault);
+            }
+            if batch_broken(m) {
+                let clock = clock + u64::from(op.cost_not_taken);
+                settle(m, clock, retired + i as u64 + 1, op.fallthrough);
+                return Ok(false);
             }
         }
+        let clock = entry + u64::from(last.prefix);
+        if last.kind.touches_memory() {
+            m.clock = clock;
+        }
+        let (next, cost) = match run_last(m, last) {
+            Ok(exit) => exit,
+            Err(fault) => {
+                settle(m, clock, retired + body.len() as u64, last.pc);
+                return Err(fault);
+            }
+        };
+        entry = clock + u64::from(cost);
+        retired += block.ops.len() as u64;
+        let again = next == block.entry && !(last.kind.touches_memory() && batch_broken(m));
+        if !again || entry.saturating_add(block.max_cost) >= step_limit {
+            settle(m, entry, retired, next);
+            return Ok(again);
+        }
+    }
+}
+
+/// [`run_op`] for the last op of a budgeted pass: a `jmp` or `jcc` with
+/// no edge to check, what ends most loops, runs inline; everything else
+/// calls out, which keeps the budgeted loop's hot code small.
+#[inline(always)]
+fn run_last(m: &mut Machine, op: &TOp) -> Result<(u32, u32), Fault> {
+    let quiet = matches!(op.pre_br, PreCheck::Quiet);
+    match op.kind {
+        OpKind::Jmp if quiet => {}
+        OpKind::Jcc if quiet && matches!(op.pre_ft, PreCheck::Quiet) => {
+            if !op.cond.holds(m.eflags) {
+                return Ok((op.fallthrough, op.cost_not_taken));
+            }
+        }
+        _ => return run_op_call(m, op),
+    }
+    record_edge(m, op.pc, op.target);
+    Ok((op.target, op.cost_taken))
+}
+
+/// [`run_op`], out of line.
+#[inline(never)]
+fn run_op_call(m: &mut Machine, op: &TOp) -> Result<(u32, u32), Fault> {
+    run_op(m, op)
+}
+
+/// One pass of `block` that retires op by op, with per-op clock/stat
+/// updates, class counters and observer callbacks, exactly as
+/// [`Machine::step`] does them, stopping after the op that reaches
+/// `step_limit`. Returns whether the pass may chain, as
+/// [`run_budgeted`] does. Kept out of line, so the budgeted loop
+/// compiles on its own.
+#[inline(never)]
+fn run_exact(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<bool, Fault> {
+    for op in &block.ops {
+        debug_assert_eq!(m.eip, op.pc);
+        if op.kind == OpKind::Step {
+            m.step()?;
+            return Ok(false);
+        }
+        let (next, cost) = run_op(m, op)?;
+        let cost = u64::from(cost);
+        m.clock += cost;
+        m.stats.instructions += 1;
+        if let Some(t) = &m.trace {
+            t.tracer.counters().incr(t.class[op.class as usize]);
+        }
+        if let Some(o) = &m.observer {
+            o.instruction(op.pc, cost);
+        }
+        m.eip = next;
+        if m.clock >= step_limit || (op.kind.touches_memory() && batch_broken(m)) {
+            return Ok(false);
+        }
+    }
+    Ok(m.eip == block.entry)
+}
+
+/// Executes one op up to its accounting, as [`Machine::step`] does:
+/// the op, its epilogue transfer check, and the record of a taken edge.
+/// Returns the next `EIP` and the cycles the op charges. On `Err` the
+/// clock, the counters and `EIP` are as they were.
+#[inline(always)]
+fn run_op(m: &mut Machine, op: &TOp) -> Result<(u32, u32), Fault> {
+    let (next, taken) = match op.kind {
+        OpKind::Jmp => (op.target, true),
+        OpKind::Jcc if op.cond.holds(m.eflags) => (op.target, true),
+        OpKind::Jcc => (op.fallthrough, false),
+        OpKind::JmpReg => (m.regs[usize::from(op.b & 7)], true),
+        OpKind::Call => {
+            let sp = m.regs[Reg::SP.index()].wrapping_sub(4);
+            access_check(m, op, sp, AccessKind::Write)?;
+            m.push_word(op.fallthrough)?;
+            (op.target, true)
+        }
+        OpKind::Ret => {
+            access_check(m, op, m.regs[Reg::SP.index()], AccessKind::Read)?;
+            (m.pop_word()?, true)
+        }
+        _ => {
+            exec_op(m, op)?;
+            (op.fallthrough, false)
+        }
+    };
+    let (pre, cost) = if taken {
+        (op.pre_br, op.cost_taken)
+    } else {
+        (op.pre_ft, op.cost_not_taken)
+    };
+    apply_pre(m, op, pre, next)?;
+    if taken {
+        record_edge(m, op.pc, next);
+    }
+    Ok((next, cost))
+}
+
+/// Executes an op that falls through: every kind but the transfers and
+/// the step fallback. Each arm reproduces the matching arm of
+/// [`Machine::step`]; the caller does the epilogue. Word loads and
+/// stores and every register-only kind, what guest loops retire, are
+/// dispatched here; byte and stack accesses go through the out-of-line
+/// [`exec_other`], so the block loops' hot code stays small.
+#[inline(always)]
+fn exec_op(m: &mut Machine, op: &TOp) -> Result<(), Fault> {
+    // Register indices are below 8; the mask drops the bounds checks.
+    let (a, b) = (usize::from(op.a & 7), usize::from(op.b & 7));
+    match op.kind {
+        OpKind::Ldw => {
+            let addr = m.regs[b].wrapping_add(op.imm);
+            access_check(m, op, addr, AccessKind::Read)?;
+            m.regs[a] = m.read_word(addr)?;
+        }
+        OpKind::Stw => {
+            let addr = m.regs[a].wrapping_add(op.imm);
+            access_check(m, op, addr, AccessKind::Write)?;
+            m.write_word(addr, m.regs[b])?;
+        }
+        OpKind::AddImm => {
+            let (v, c) = m.regs[a].overflowing_add(op.imm);
+            m.regs[a] = v;
+            m.set_arith_flags(v, c);
+        }
+        OpKind::Nop => {}
+        OpKind::Hlt => m.halted = true,
+        OpKind::MovReg => m.regs[a] = m.regs[b],
+        OpKind::MovImm => m.regs[a] = op.imm,
+        OpKind::Add => {
+            let (v, c) = m.regs[a].overflowing_add(m.regs[b]);
+            m.regs[a] = v;
+            m.set_arith_flags(v, c);
+        }
+        OpKind::Sub => {
+            let (v, borrow) = m.regs[a].overflowing_sub(m.regs[b]);
+            m.regs[a] = v;
+            m.set_arith_flags(v, borrow);
+        }
+        OpKind::Mul => {
+            let v = m.regs[a].wrapping_mul(m.regs[b]);
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::And => {
+            let v = m.regs[a] & m.regs[b];
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::Or => {
+            let v = m.regs[a] | m.regs[b];
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::Xor => {
+            let v = m.regs[a] ^ m.regs[b];
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::Not => {
+            let v = !m.regs[a];
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::Shl => {
+            let v = m.regs[a] << (m.regs[b] & 31);
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::Shr => {
+            let v = m.regs[a] >> (m.regs[b] & 31);
+            m.regs[a] = v;
+            m.set_zs_flags(v);
+        }
+        OpKind::Cmp => {
+            let (v, borrow) = m.regs[a].overflowing_sub(m.regs[b]);
+            m.set_arith_flags(v, borrow);
+        }
+        OpKind::CmpImm => {
+            let (v, borrow) = m.regs[a].overflowing_sub(op.imm);
+            m.set_arith_flags(v, borrow);
+        }
+        OpKind::Sti => m.eflags |= sp32::EFLAGS_IF,
+        OpKind::Cli => m.eflags &= !sp32::EFLAGS_IF,
+        _ => return exec_other(m, op),
     }
     Ok(())
 }
 
-#[inline]
+/// [`exec_op`] for byte and stack accesses.
+#[inline(never)]
+fn exec_other(m: &mut Machine, op: &TOp) -> Result<(), Fault> {
+    // Register indices are below 8; the mask drops the bounds checks.
+    let (a, b) = (usize::from(op.a & 7), usize::from(op.b & 7));
+    match op.kind {
+        OpKind::Ldb => {
+            let addr = m.regs[b].wrapping_add(op.imm);
+            access_check(m, op, addr, AccessKind::Read)?;
+            m.regs[a] = u32::from(m.read_byte(addr)?);
+        }
+        OpKind::Stb => {
+            let addr = m.regs[a].wrapping_add(op.imm);
+            access_check(m, op, addr, AccessKind::Write)?;
+            m.write_byte(addr, m.regs[b] as u8)?;
+        }
+        OpKind::Push => {
+            let sp = m.regs[Reg::SP.index()].wrapping_sub(4);
+            access_check(m, op, sp, AccessKind::Write)?;
+            m.push_word(m.regs[b])?;
+        }
+        OpKind::Pop => {
+            access_check(m, op, m.regs[Reg::SP.index()], AccessKind::Read)?;
+            m.regs[a] = m.pop_word()?;
+        }
+        _ => unreachable!("inline, transfer and step kinds run elsewhere"),
+    }
+    Ok(())
+}
+
+/// The data-access check of a memory op: inline for the two modes that
+/// need no call, an address inside a memoised window or no check at
+/// all; out of line for the rest.
+#[inline(always)]
 fn access_check(m: &mut Machine, op: &TOp, addr: u32, kind: AccessKind) -> Result<(), Fault> {
     match &op.access {
+        AccessMode::Memo(window)
+            if {
+                let (lo, hi) = window.get();
+                lo <= addr && addr <= hi
+            } =>
+        {
+            Ok(())
+        }
         AccessMode::Quiet => Ok(()),
-        AccessMode::Replay(decision) => {
-            m.mpu.replay_access(op.pc, addr, kind, *decision);
+        _ => access_check_call(m, op, addr, kind),
+    }
+}
+
+/// [`access_check`] for an access that needs a call.
+#[inline(never)]
+fn access_check_call(m: &mut Machine, op: &TOp, addr: u32, kind: AccessKind) -> Result<(), Fault> {
+    match &op.access {
+        AccessMode::Quiet => Ok(()),
+        AccessMode::Replay => {
+            m.mpu
+                .replay_access(op.pc, addr, kind, AccessDecision::AllowedUnprotected);
             Ok(())
         }
         AccessMode::Checked => m.check(op.pc, addr, kind),
-        AccessMode::Memo(window) => {
-            let (lo, hi) = window.get();
-            if lo <= addr && addr <= hi {
-                return Ok(());
-            }
-            check_and_memoise(m, op.pc, window, addr, kind)
-        }
+        AccessMode::Memo(window) => check_and_memoise(m, op.pc, window, addr, kind),
     }
 }
 
@@ -1160,201 +1398,6 @@ fn check_and_memoise(
     m.check(pc, addr, kind)?;
     window.set(m.mpu.latched_allow(pc, kind).unwrap_or(EMPTY_WINDOW));
     Ok(())
-}
-
-// ---------------------------------------------------------- op handlers
-//
-// Each handler reproduces the matching arm of `Machine::step` exactly;
-// the shared epilogue (transfer check, cost, counters, EIP update) runs
-// in `exec_block`.
-
-fn op_step_fallback(m: &mut Machine, _op: &TOp) -> Result<OpExit, Fault> {
-    m.step()?;
-    Ok(OpExit::Done)
-}
-
-fn op_nop(_m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let _ = op;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_hlt(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    m.halted = true;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_mov_reg(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    m.regs[op.a as usize] = m.regs[op.b as usize];
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_mov_imm(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    m.regs[op.a as usize] = op.imm;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_add(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let (v, c) = m.regs[op.a as usize].overflowing_add(m.regs[op.b as usize]);
-    m.regs[op.a as usize] = v;
-    m.set_arith_flags(v, c);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_add_imm(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let (v, c) = m.regs[op.a as usize].overflowing_add(op.imm);
-    m.regs[op.a as usize] = v;
-    m.set_arith_flags(v, c);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_sub(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let (v, borrow) = m.regs[op.a as usize].overflowing_sub(m.regs[op.b as usize]);
-    m.regs[op.a as usize] = v;
-    m.set_arith_flags(v, borrow);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_mul(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = m.regs[op.a as usize].wrapping_mul(m.regs[op.b as usize]);
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_and(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = m.regs[op.a as usize] & m.regs[op.b as usize];
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_or(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = m.regs[op.a as usize] | m.regs[op.b as usize];
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_xor(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = m.regs[op.a as usize] ^ m.regs[op.b as usize];
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_not(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = !m.regs[op.a as usize];
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_shl(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = m.regs[op.a as usize] << (m.regs[op.b as usize] & 31);
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_shr(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let v = m.regs[op.a as usize] >> (m.regs[op.b as usize] & 31);
-    m.regs[op.a as usize] = v;
-    m.set_zs_flags(v);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_cmp(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let (v, borrow) = m.regs[op.a as usize].overflowing_sub(m.regs[op.b as usize]);
-    m.set_arith_flags(v, borrow);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_cmp_imm(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let (v, borrow) = m.regs[op.a as usize].overflowing_sub(op.imm);
-    m.set_arith_flags(v, borrow);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_ldw(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let addr = m.regs[op.b as usize].wrapping_add(op.imm);
-    access_check(m, op, addr, AccessKind::Read)?;
-    m.regs[op.a as usize] = m.read_word(addr)?;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_ldb(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let addr = m.regs[op.b as usize].wrapping_add(op.imm);
-    access_check(m, op, addr, AccessKind::Read)?;
-    m.regs[op.a as usize] = u32::from(m.read_byte(addr)?);
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_stw(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let addr = m.regs[op.a as usize].wrapping_add(op.imm);
-    access_check(m, op, addr, AccessKind::Write)?;
-    m.write_word(addr, m.regs[op.b as usize])?;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_stb(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let addr = m.regs[op.a as usize].wrapping_add(op.imm);
-    access_check(m, op, addr, AccessKind::Write)?;
-    m.write_byte(addr, m.regs[op.b as usize] as u8)?;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_jmp(_m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    Ok(OpExit::Cont(op.target, true))
-}
-
-fn op_jcc(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    if op.cond.holds(m.eflags) {
-        Ok(OpExit::Cont(op.target, true))
-    } else {
-        Ok(OpExit::Cont(op.fallthrough, false))
-    }
-}
-
-fn op_jmp_reg(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    Ok(OpExit::Cont(m.regs[op.b as usize], true))
-}
-
-fn op_call(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let sp = m.regs[Reg::SP.index()].wrapping_sub(4);
-    access_check(m, op, sp, AccessKind::Write)?;
-    m.push_word(op.fallthrough)?;
-    Ok(OpExit::Cont(op.target, true))
-}
-
-fn op_ret(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    access_check(m, op, m.regs[Reg::SP.index()], AccessKind::Read)?;
-    let next = m.pop_word()?;
-    Ok(OpExit::Cont(next, true))
-}
-
-fn op_push(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    let sp = m.regs[Reg::SP.index()].wrapping_sub(4);
-    access_check(m, op, sp, AccessKind::Write)?;
-    let value = m.regs[op.b as usize];
-    m.push_word(value)?;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_pop(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    access_check(m, op, m.regs[Reg::SP.index()], AccessKind::Read)?;
-    let value = m.pop_word()?;
-    m.regs[op.a as usize] = value;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_sti(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    m.eflags |= sp32::EFLAGS_IF;
-    Ok(OpExit::Cont(op.fallthrough, false))
-}
-
-fn op_cli(m: &mut Machine, op: &TOp) -> Result<OpExit, Fault> {
-    m.eflags &= !sp32::EFLAGS_IF;
-    Ok(OpExit::Cont(op.fallthrough, false))
 }
 
 #[cfg(test)]
@@ -1385,10 +1428,12 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_threaded_op_stays_96_bytes() {
-        // The memoised window lives inside `AccessMode`, not beside it.
-        assert_eq!(std::mem::size_of::<AccessMode>(), 16);
-        assert_eq!(std::mem::size_of::<TOp>(), 96);
+    fn a_threaded_op_stays_80_bytes() {
+        // The memoised window lives inside `AccessMode`, not beside it,
+        // and `Jcc`'s condition inside the one-byte op kind.
+        assert_eq!(std::mem::size_of::<AccessMode>(), 12);
+        assert_eq!(std::mem::size_of::<OpKind>(), 1);
+        assert_eq!(std::mem::size_of::<TOp>(), 80);
     }
 
     /// The distinct access windows of memoising ops, by pc (blocks that
@@ -1553,51 +1598,161 @@ mod tests {
 
     #[test]
     fn a_block_compiles_on_its_second_entry_not_its_first() {
-        // `main` and the `hlt` run once; `loop` runs twice.
-        let source = "main:\n movi r1, 0\nloop:\n addi r1, 1\n cmpi r1, 2\n jnz loop\nend:\n hlt\n";
-        let (mut m, tracer) = translated(source);
-        m.run(10_000);
-        assert!(m.is_halted());
-        let program = assemble(source, 0x1000).expect("assemble");
-        let (main, end) = (0x1000, program.symbols["end"]);
-        let looped = program.symbols["loop"];
-        assert!(
-            matches!(m.tcache.blocks.get(&main), Some(None)),
-            "main compiled"
-        );
-        assert!(
-            matches!(m.tcache.blocks.get(&end), Some(None)),
-            "hlt compiled"
-        );
-        assert!(matches!(m.tcache.blocks.get(&looped), Some(Some(_))));
-        let c = tracer.counters();
-        assert_eq!(c.get("emu_block_compile"), Some(1));
-        assert_eq!(c.get("emu_block_hit"), Some(0));
-        // The interpreted first pass and the compiled second one end in
-        // the legacy engine's state.
-        let mut legacy = Machine::new(MachineConfig {
-            engine: EngineKind::Legacy,
-            ..MachineConfig::default()
-        });
-        legacy.load_image(0x1000, &program.bytes).expect("load");
-        legacy.set_eip(0x1000);
-        legacy.run(10_000);
-        assert_eq!(m.snapshot(), legacy.snapshot());
-        assert_eq!(m.ram_digest(), legacy.ram_digest());
+        // `main` and the `hlt` run once; `loop` runs twice. Entered by the
+        // `jmp`, it compiles on its second entry. Entered by falling
+        // through the stepped `movi`, which leaves no mark, it is first
+        // marked by the `jnz` back, and two laps compile nothing.
+        for (into_loop, compiles) in [(" jmp loop\n", 1), ("", 0)] {
+            let source = format!(
+                "main:\n movi r1, 0\n{into_loop}loop:\n addi r1, 1\n cmpi r1, 2\n jnz loop\nend:\n hlt\n"
+            );
+            let (mut m, tracer) = translated(&source);
+            m.run(10_000);
+            assert!(m.is_halted());
+            let program = assemble(&source, 0x1000).expect("assemble");
+            let (main, end) = (0x1000, program.symbols["end"]);
+            let looped = program.symbols["loop"];
+            assert!(
+                matches!(m.tcache.blocks.get(&main), Some(None)),
+                "main compiled"
+            );
+            assert!(
+                matches!(m.tcache.blocks.get(&end), Some(None)),
+                "hlt compiled"
+            );
+            assert_eq!(
+                matches!(m.tcache.blocks.get(&looped), Some(Some(_))),
+                compiles == 1
+            );
+            let c = tracer.counters();
+            assert_eq!(c.get("emu_block_compile"), Some(compiles));
+            assert_eq!(c.get("emu_block_hit"), Some(0));
+            // The interpreted first pass and the compiled second one end
+            // in the legacy engine's state.
+            let mut legacy = Machine::new(MachineConfig {
+                engine: EngineKind::Legacy,
+                ..MachineConfig::default()
+            });
+            legacy.load_image(0x1000, &program.bytes).expect("load");
+            legacy.set_eip(0x1000);
+            legacy.run(10_000);
+            assert_eq!(m.snapshot(), legacy.snapshot());
+            assert_eq!(m.ram_digest(), legacy.ram_digest());
+        }
     }
 
     #[test]
     fn once_entered_code_keeps_the_map_within_max_blocks() {
-        // Every `nop` of the straight line is a first entry, so each one
-        // leaves a mark; the marks overflow the map and flush it.
+        // The straight line is entered once, at `main`: every later `nop`
+        // is reached by falling through a stepped `nop`, so only `main`
+        // is marked.
         let source = format!("main:\n{}hlt\n", " nop\n".repeat(MAX_BLOCKS + 100));
         let (mut m, tracer) = translated(&source);
         m.run(1_000_000);
         assert!(m.is_halted());
         assert_eq!(m.stats().instructions, MAX_BLOCKS as u64 + 101);
         assert!(m.tcache.blocks.len() <= MAX_BLOCKS);
-        assert_eq!(m.tcache.blocks.len(), 101, "the overflow flushed the map");
+        assert_eq!(m.tcache.blocks.len(), 1, "only the run entry is marked");
         assert_eq!(tracer.counters().get("emu_block_compile"), Some(0));
+    }
+
+    #[test]
+    fn a_loop_longer_than_the_map_compiles() {
+        // A marked entry per stepped `nop` would flood the map with more
+        // marks than it holds, flush it on every pass, and compile
+        // nothing. Marked only at block starts, the body compiles one
+        // `MAX_OPS` chunk further each pass, from its entry on.
+        let nops = MAX_BLOCKS + 100;
+        let source = format!(
+            "main:\n movi r1, 0\nloop:\n{} addi r1, 1\n cmpi r1, 80\n jnz loop\n hlt\n",
+            " nop\n".repeat(nops)
+        );
+        let (mut m, tracer) = translated(&source);
+        m.run(100_000_000);
+        assert!(m.is_halted());
+        assert_eq!(m.reg(Reg::R1), 80);
+        let chunks = (nops + 3).div_ceil(MAX_OPS) as u64;
+        assert_eq!(tracer.counters().get("emu_block_compile"), Some(chunks));
+        assert!(m.tcache.blocks.len() <= MAX_BLOCKS);
+        let program = assemble(&source, 0x1000).expect("assemble");
+        let mut legacy = Machine::new(MachineConfig {
+            engine: EngineKind::Legacy,
+            ..MachineConfig::default()
+        });
+        legacy.load_image(0x1000, &program.bytes).expect("load");
+        legacy.set_eip(0x1000);
+        legacy.run(100_000_000);
+        assert_eq!(m.snapshot(), legacy.snapshot());
+    }
+
+    #[test]
+    fn a_block_compiled_after_a_map_flush_sees_stores_over_its_code() {
+        // `main` and the hops fill the map with marks, so the mark for
+        // `loop` flushes it. `loop` and `patch` then compile, and the
+        // store of `hlt` over `patch` must drop its block, as at any
+        // other time, for the core to halt when the legacy engine does.
+        let hlt = assemble("hlt\n", 0).expect("assemble");
+        let hlt_word = u32::from_le_bytes(hlt.bytes[0..4].try_into().expect("a word"));
+        let hops: String = (0..MAX_BLOCKS - 1)
+            .map(|i| format!("hop{i}:\n jmp hop{}\n", i + 1))
+            .collect();
+        let source = format!(
+            "main:\n movi r1, patch\n movi r2, {hlt_word:#010x}\n movi r3, 0\n jmp hop0\n\
+             {hops}hop{}:\n jmp loop\n\
+             loop:\n addi r3, 1\n cmpi r3, 40\n jz store\n\
+             patch:\n jmp loop\n\
+             store:\n stw [r1], r2\n jmp loop\n",
+            MAX_BLOCKS - 1
+        );
+        let (mut m, tracer) = translated(&source);
+        m.run(1_000_000);
+        assert!(m.is_halted(), "the stale `jmp` kept running");
+        assert_eq!(m.reg(Reg::R3), 41);
+        let c = tracer.counters();
+        assert_eq!(c.get("emu_block_invalidate_smc"), Some(1));
+        assert!(m.tcache.blocks.len() < 8, "the map was not flushed");
+        let program = assemble(&source, 0x1000).expect("assemble");
+        let mut legacy = Machine::new(MachineConfig {
+            engine: EngineKind::Legacy,
+            ..MachineConfig::default()
+        });
+        legacy.load_image(0x1000, &program.bytes).expect("load");
+        legacy.set_eip(0x1000);
+        legacy.run(1_000_000);
+        assert_eq!(m.snapshot(), legacy.snapshot());
+        assert_eq!(m.ram_digest(), legacy.ram_digest());
+    }
+
+    #[test]
+    fn a_cost_too_large_for_a_block_runs_through_step() {
+        // A load costing more than `MAX_OP_COST` compiles to a step op
+        // that ends its block; the legacy engine charges it the same.
+        let source = "main:\n movi r1, 0x9000\nloop:\n addi r2, 1\n ldw r3, [r1]\n jmp loop\n";
+        let program = assemble(source, 0x1000).expect("assemble");
+        let costly = |engine| {
+            let mut m = Machine::new(MachineConfig {
+                engine,
+                cycle_model: crate::CycleModel {
+                    mem: MAX_OP_COST + 1,
+                    ..crate::CycleModel::default()
+                },
+                ..MachineConfig::default()
+            });
+            m.load_image(0x1000, &program.bytes).expect("load");
+            m.set_eip(0x1000);
+            m
+        };
+        let (mut m, mut legacy) = (costly(EngineKind::Translated), costly(EngineKind::Legacy));
+        for _ in 0..8 {
+            assert_eq!(m.run(3 * MAX_OP_COST), legacy.run(3 * MAX_OP_COST));
+            assert_eq!(m.snapshot(), legacy.snapshot());
+        }
+        let block = m.tcache.blocks[&0x1008].as_ref().expect("compiled");
+        assert!(block.exact_only);
+        assert!(matches!(
+            block.ops.iter().map(|op| op.kind).collect::<Vec<_>>()[..],
+            [OpKind::AddImm, OpKind::Step]
+        ));
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! cached text, breakpoint (firmware trap) add/remove mid-run, EA-MPU
 //! rule mutation between two identical accesses, and an EA-MPU window
 //! reconfiguration between two executions of the same translated block.
+//!
+//! The `block_budget_*` tests slice runs at every residue of a block's
+//! worst-case charge, so the translator's budgeted and exact block
+//! loops both stop, fault and break the batch at every op of a block.
 
 use eampu::{AccessKind, EaMpu, Perms, Region, Rule};
 use sp32::asm::assemble;
@@ -61,8 +65,9 @@ fn label(m: &Machine) -> String {
 /// machines, then executes `chunks` budget slices of `budget` cycles
 /// each, asserting identical events and machine state after every slice.
 ///
-/// One translated machine runs bare (the lean block loop), the other
-/// with an event recorder attached (the instrumented block loop), so
+/// One translated machine runs bare (the budgeted block loop where a
+/// pass cannot reach the budget), the other with an event recorder
+/// attached (the exact block loop throughout), so
 /// every lockstep test also proves the tracing layer cycle-neutral: if
 /// recording an event or bumping a counter ever touched the model, these
 /// snapshots would diverge.
@@ -811,8 +816,8 @@ fn cf_monitor_chains_are_engine_invariant() {
         m.attach_cf_monitor(Region::new(0x1000, 0x100));
         m
     };
-    // Legacy reference, then the translator bare (lean block loop) and
-    // traced (instrumented block loop).
+    // Legacy reference, then the translator bare (budgeted block loop)
+    // and traced (exact block loop).
     let mut machines: Vec<Machine> = [
         EngineKind::Legacy,
         EngineKind::Translated,
@@ -880,4 +885,257 @@ fn cf_monitor_chains_are_engine_invariant() {
     for m in &machines[1..] {
         assert_eq!(snapshot(m), s0, "{}: state diverged", label(m));
     }
+}
+
+/// Runs `setup` on the legacy reference and on a bare and a traced
+/// translator, each with a control-flow monitor over 0x1000..0x1100,
+/// in slices of every budget in `budgets` until `total` cycles have run
+/// or the guest faults. Events and snapshots must agree after every
+/// slice; RAM digests and the monitors' edge runs and chain heads at
+/// the end. Slices of 1 to 2× a block's worst-case charge end passes at
+/// every residue of the block, so both sides of the block-entry budget
+/// — the budgeted pass and the exact one — stop, fault and break on
+/// every op.
+fn boundary_lockstep(
+    setup: impl Fn(&mut Machine),
+    budgets: std::ops::RangeInclusive<u64>,
+    total: u64,
+) {
+    for budget in budgets {
+        let mut machines: Vec<Machine> = [
+            EngineKind::Legacy,
+            EngineKind::Translated,
+            EngineKind::Translated,
+        ]
+        .into_iter()
+        .map(|engine| {
+            let mut m = Machine::new(config(engine));
+            setup(&mut m);
+            m.attach_cf_monitor(Region::new(0x1000, 0x100));
+            m
+        })
+        .collect();
+        machines[2].attach_tracer(Tracer::new(Arc::new(RingRecorder::new(64))));
+        let (reference, others) = machines.split_first_mut().expect("three machines");
+        let mut slice = 0;
+        while reference.cycles() < total {
+            let event = reference.run(budget);
+            for m in others.iter_mut() {
+                let engine = label(m);
+                assert_eq!(
+                    m.run(budget),
+                    event,
+                    "{engine}: event, budget {budget} slice {slice}"
+                );
+                assert_eq!(
+                    m.snapshot(),
+                    reference.snapshot(),
+                    "{engine}: state, budget {budget} slice {slice}"
+                );
+            }
+            if matches!(event, Event::Fault(_)) {
+                break;
+            }
+            slice += 1;
+        }
+        let monitor = reference.cf_monitor().expect("monitor armed");
+        for m in others.iter() {
+            let engine = label(m);
+            assert_eq!(
+                m.ram_digest(),
+                reference.ram_digest(),
+                "{engine}: RAM, budget {budget}"
+            );
+            let other = m.cf_monitor().expect("monitor armed");
+            assert_eq!(
+                other.runs(),
+                monitor.runs(),
+                "{engine}: CF runs, budget {budget}"
+            );
+            assert_eq!(
+                other.chain_head(),
+                monitor.chain_head(),
+                "{engine}: CF chain, budget {budget}"
+            );
+        }
+    }
+}
+
+/// Loads `source` at 0x1000 with the EA-MPU on: the task's rule grants
+/// its code at 0x1000 the data at 0x9000..0x9100, another task's rule
+/// protects code at 0x2000 and data at 0x9180..0x9200, and a timer at
+/// 0xf000_0000 raises vector 32 into `handler`, if the source has one.
+fn secure_task(m: &mut Machine, source: &str) {
+    let program = assemble(source, 0x1000).unwrap();
+    m.load_image(0x1000, &program.bytes).unwrap();
+    m.set_eip(0x1000);
+    m.set_reg(Reg::R7, 0x8000);
+    m.set_mpu_enabled(true);
+    m.mpu_mut().set_rule(
+        0,
+        Rule::new(
+            Region::new(0x1000, 0x100),
+            0x1000,
+            Region::new(0x9000, 0x100),
+            Perms::RW,
+        ),
+    );
+    m.mpu_mut().set_rule(
+        1,
+        Rule::new(
+            Region::new(0x2000, 0x100),
+            0x2000,
+            Region::new(0x9180, 0x80),
+            Perms::RW,
+        ),
+    );
+    if let Some(handler) = program.symbol("handler") {
+        m.set_idt_base(0x40);
+        m.set_idt_entry(32, handler).unwrap();
+        m.add_device(Box::new(Timer::new(0xf000_0000, 32)));
+    }
+}
+
+#[test]
+fn block_budget_boundaries_match_legacy() {
+    // The fleet task's loop: `ldw; addi; stw; jmp` charges 16 cycles a
+    // pass, so budgets of 1..=32 end slices at every op of it. Then the
+    // same loop closed by a `jnz`, whose taken edge (4 cycles) costs more
+    // than its fall-through (2): the budget must count the dearer one.
+    for back_edge in ["jmp loop", "cmpi r3, 0\n jnz loop"] {
+        let source = format!(
+            "main:\n movi r1, 0x9000\n\
+             loop:\n ldw r3, [r1]\n addi r3, 1\n stw [r1], r3\n {back_edge}\n"
+        );
+        boundary_lockstep(|m| secure_task(m, &source), 1..=36, 400);
+    }
+}
+
+#[test]
+fn block_budget_denials_fault_at_every_op_index() {
+    // A six-op block walks `r1` out of the task's data into the other
+    // task's: its load, placed at each body index in turn, is denied at
+    // 0x9180. Then a block whose terminator is denied: a `jz` into the
+    // middle of the other task's code, taken on the ninth pass; and one
+    // whose terminator's fall-through is denied: a `jnz` on the last
+    // word of the task's code, falling into a third task's code below
+    // its entry on the ninth pass.
+    let fillers = ["addi r4, 1", "addi r1, 4", "addi r5, 2", "addi r6, 3"];
+    for index in 0..=fillers.len() {
+        let mut body: Vec<&str> = fillers.to_vec();
+        body.insert(index, "ldw r3, [r1]");
+        let source = format!(
+            "main:\n movi r1, 0x9100\nloop:\n {}\n jmp loop\n",
+            body.join("\n ")
+        );
+        boundary_lockstep(|m| secure_task(m, &source), 1..=40, 600);
+        let mut m = Machine::new(config(EngineKind::Legacy));
+        secure_task(&mut m, &source);
+        assert_eq!(
+            m.run(600),
+            Event::Fault(Fault::MpuAccess {
+                eip: 0x1008 + 4 * index as u32,
+                addr: 0x9180,
+                kind: AccessKind::Read
+            }),
+            "load at index {index}"
+        );
+    }
+    let source = "main:\n movi r4, 0\nloop:\n addi r4, 1\n cmpi r4, 9\n jz 0x2008\n jmp loop\n";
+    boundary_lockstep(|m| secure_task(m, source), 1..=24, 400);
+    let mut m = Machine::new(config(EngineKind::Legacy));
+    secure_task(&mut m, source);
+    assert!(matches!(
+        m.run(400),
+        Event::Fault(Fault::MpuTransfer { to: 0x2008, .. })
+    ));
+    let (head, tail) = (
+        "main:\n movi r4, 0\n jmp loop\n",
+        "loop:\n addi r4, 1\n cmpi r4, 9\n jnz loop\nend:\n",
+    );
+    let unpadded = assemble(&format!("{head}{tail}"), 0x1000).unwrap();
+    let nop = assemble("nop\n", 0).unwrap().bytes.len() as u32;
+    let pad = " nop\n".repeat(((0x1100 - unpadded.symbols["end"]) / nop) as usize);
+    let source = format!("{head}{pad}{tail}");
+    assert_eq!(assemble(&source, 0x1000).unwrap().symbols["end"], 0x1100);
+    let fenced = |m: &mut Machine| {
+        secure_task(m, &source);
+        m.mpu_mut().set_rule(
+            2,
+            Rule::new(
+                Region::new(0x1100, 0x40),
+                0x1120,
+                Region::new(0x9200, 0x40),
+                Perms::RW,
+            ),
+        );
+    };
+    boundary_lockstep(fenced, 1..=24, 400);
+    let mut m = Machine::new(config(EngineKind::Legacy));
+    fenced(&mut m);
+    assert!(matches!(
+        m.run(400),
+        Event::Fault(Fault::MpuTransfer { to: 0x1100, .. })
+    ));
+}
+
+#[test]
+fn block_budget_mid_block_device_and_code_stores_match_legacy() {
+    // Mid-block, the loop reads the timer's count, the clock as the
+    // device sees it, and re-arms the timer, moving the device deadline
+    // to 41 cycles after the store's clock; the handler counts wake-ups.
+    // Each device access breaks the batch, so the loop's next pass
+    // starts well short of the deadline and runs under the budget.
+    let timed = |m: &mut Machine| {
+        secure_task(
+            m,
+            "main:\n movi r6, 0xf0000000\n movi r2, 41\n stw [r6+4], r2\n movi r2, 1\n sti\n\
+             loop:\n addi r3, 1\n ldw r4, [r6+8]\n addi r5, 1\n stw [r6], r2\n jmp loop\n\
+             handler:\n addi r0, 1\n iret\n",
+        );
+        m.mpu_mut().set_rule(
+            2,
+            Rule::new(
+                Region::new(0x1000, 0x100),
+                0x1000,
+                Region::new(0xf000_0000, 0x10),
+                Perms::RW,
+            ),
+        );
+    };
+    boundary_lockstep(timed, 1..=40, 800);
+    let mut m = Machine::new(config(EngineKind::Translated));
+    timed(&mut m);
+    m.run(800);
+    assert_ne!(m.reg(Reg::R4), 0, "the count was never read");
+    // Mid-block, the loop stores over its own next op, toggling it
+    // between `addi r5, 2` and `addi r5, 1` (no EA-MPU rule here: a
+    // task's rule would deny the write to its code).
+    let word = |source| {
+        let bytes = assemble(source, 0).unwrap().bytes;
+        u32::from_le_bytes(bytes[0..4].try_into().unwrap())
+    };
+    let (two, one) = (word("addi r5, 2\n"), word("addi r5, 1\n"));
+    let source = format!(
+        "main:\n movi r1, target\n movi r2, {two:#010x}\n movi r3, {:#010x}\n\
+         loop:\n addi r4, 1\n stw [r1], r2\n xor r2, r3\n\
+         target:\n addi r5, 1\n addi r6, 1\n jmp loop\n",
+        two ^ one
+    );
+    let patching = |m: &mut Machine| {
+        let program = assemble(&source, 0x1000).unwrap();
+        m.load_image(0x1000, &program.bytes).unwrap();
+        m.set_eip(0x1000);
+    };
+    boundary_lockstep(patching, 1..=40, 600);
+    let mut m = Machine::new(config(EngineKind::Translated));
+    patching(&mut m);
+    m.run(600);
+    // Every pass runs what its own store wrote: +2, +1, +2, ...
+    let (r5, r6) = (m.reg(Reg::R5), m.reg(Reg::R6));
+    assert!(r6 > 10, "the loop did not run");
+    assert!(
+        (3 * r6 / 2..=3 * r6 / 2 + 2).contains(&r5),
+        "a stale op ran: r5 {r5}, r6 {r6}"
+    );
 }

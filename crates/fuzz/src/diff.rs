@@ -163,10 +163,15 @@ fn compare_ram(at: &str, machines: &[Machine]) -> Result<(), String> {
 /// generated case seldom loops, so the first pass runs mostly
 /// interpreted; the second compiles the entries the first reached and
 /// runs them straight after compiling; the third runs those blocks from
-/// the cache, with the access windows the second pass memoised, and
-/// compiles what the second pass reached first (IRQ returns and chunk
-/// boundaries that moved with the clock).
-pub const PASSES: u32 = 3;
+/// the cache, with the access windows the second pass memoised. Only a
+/// transfer, a block end, an interrupt or a run entry marks an entry,
+/// so a resume point inside interpreted code (an IRQ return, a chunk
+/// boundary) compiles only once such an arrival has reached it twice,
+/// and those points move with the clock from pass to pass: the later
+/// passes compile and run them, which keeps the budgeted block loop and
+/// its device-deadline and SMC breaks under test in the interrupt-heavy
+/// scenarios.
+pub const PASSES: u32 = 6;
 
 /// Drives a fresh lockstep set through [`run_lockstep`] with nothing
 /// injected.
