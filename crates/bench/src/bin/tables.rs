@@ -7,16 +7,15 @@
 //! - `--json`: additionally emits the same data as JSON — paper value,
 //!   measured value, and unit per row, the host-cache counters, and the
 //!   latency histogram summaries of the observed workload — and writes it
-//!   to `BENCH_tables.json` in the current directory, exiting nonzero when
-//!   the file cannot be written.
+//!   to `BENCH_tables.json` in the current directory. Beside it, it writes
+//!   the golden `BENCH_tables.counts`: every deterministic metric of the
+//!   document, one `key value` line each (see `tytan_bench::render_counts`).
+//!   The counts file is tracked; a changed count shows as a `git diff`,
+//!   which CI fails on. Exits nonzero when either file cannot be written.
 //! - `--check`: validates the JSON document against the checked-in schema
 //!   (`crates/bench/schema/bench_tables.schema.json`) and exits nonzero on
 //!   any violation. Implies computing the document; combine with `--json`
 //!   to also write it.
-//! - `--baseline <path>`: compares the freshly computed document against a
-//!   previously written `BENCH_tables.json` at `<path>` (the regression
-//!   gate — see `tytan_bench::baseline`) and exits nonzero on any
-//!   tolerance violation. Implies computing the document.
 //! - `--trace`: runs the traced paper workload and writes its Chrome
 //!   `trace_event` export to `BENCH_trace.json` (load in `chrome://tracing`
 //!   or Perfetto).
@@ -30,14 +29,13 @@
 //!   least `<x>`, exiting nonzero otherwise. Implies computing the
 //!   document.
 
-use tytan_bench::{baseline, experiments, render, render_json, schema};
+use tytan_bench::{experiments, render, render_counts, render_json, schema};
 
 fn main() {
     let mut json_mode = false;
     let mut check_mode = false;
     let mut trace_mode = false;
     let mut profile_mode = false;
-    let mut baseline_path: Option<String> = None;
     let mut engine_floor: Option<f64> = None;
 
     let mut args = std::env::args().skip(1);
@@ -47,13 +45,6 @@ fn main() {
             "--check" => check_mode = true,
             "--trace" => trace_mode = true,
             "--profile" => profile_mode = true,
-            "--baseline" => match args.next() {
-                Some(path) => baseline_path = Some(path),
-                None => {
-                    eprintln!("--baseline requires a path argument");
-                    std::process::exit(2);
-                }
-            },
             "--engine-floor" => match args.next().as_deref().map(str::parse::<f64>) {
                 Some(Ok(floor)) => engine_floor = Some(floor),
                 _ => {
@@ -64,7 +55,7 @@ fn main() {
             _ => {
                 eprintln!(
                     "unknown flag {arg}; known flags: --json --check --trace --profile \
-                     --baseline <path> --engine-floor <x>"
+                     --engine-floor <x>"
                 );
                 std::process::exit(2);
             }
@@ -96,7 +87,7 @@ fn main() {
         eprint!("{}", report.top(15));
     }
 
-    if json_mode || check_mode || baseline_path.is_some() || engine_floor.is_some() {
+    if json_mode || check_mode || engine_floor.is_some() {
         let tables = experiments::all();
         let counters = experiments::fast_path_counters();
         let latency = experiments::latency_snapshot();
@@ -112,9 +103,15 @@ fn main() {
             eprintln!("schema check passed");
         }
         if json_mode {
-            if let Err(err) = std::fs::write("BENCH_tables.json", &json) {
-                eprintln!("error: could not write BENCH_tables.json: {err}");
-                std::process::exit(1);
+            let counts = render_counts(&tables, &counters, &latency);
+            for (path, contents) in [
+                ("BENCH_tables.json", &json),
+                ("BENCH_tables.counts", &counts),
+            ] {
+                if let Err(err) = std::fs::write(path, contents) {
+                    eprintln!("error: could not write {path}: {err}");
+                    std::process::exit(1);
+                }
             }
             print!("{json}");
         }
@@ -136,38 +133,6 @@ fn main() {
                 }
                 None => {
                     eprintln!("engine floor FAILED: no engine_throughput speedup row computed");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(path) = baseline_path {
-            let old = match std::fs::read_to_string(&path) {
-                Ok(contents) => contents,
-                Err(err) => {
-                    eprintln!("error: could not read baseline {path}: {err}");
-                    std::process::exit(1);
-                }
-            };
-            match baseline::compare_documents(&old, &json) {
-                Ok(cmp) => {
-                    for note in &cmp.skipped {
-                        eprintln!("skipped: {note}");
-                    }
-                    if cmp.passed() {
-                        eprintln!(
-                            "baseline check passed: {} metric(s) within tolerance of {path}",
-                            cmp.checked
-                        );
-                    } else {
-                        eprintln!("baseline check FAILED against {path}:");
-                        for violation in &cmp.violations {
-                            eprintln!("  - {violation}");
-                        }
-                        std::process::exit(1);
-                    }
-                }
-                Err(err) => {
-                    eprintln!("error: baseline comparison failed: {err}");
                     std::process::exit(1);
                 }
             }

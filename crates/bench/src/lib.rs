@@ -12,7 +12,6 @@
 //! — the reproduced claims are the *shapes*: which phases dominate, what
 //! scales linearly in what, and where real-time behaviour holds.
 
-pub mod baseline;
 pub mod experiments;
 pub mod schema;
 
@@ -194,6 +193,52 @@ pub fn render_json(
     out
 }
 
+/// Renders the deterministic metrics of the same data as the golden
+/// counts file (`tables --json` writes it to `BENCH_tables.counts`
+/// beside `BENCH_tables.json`; CI regenerates it and fails on any
+/// `git diff`, so every count is pinned exactly).
+///
+/// One `key value` line per metric, in emission order:
+/// `tables.<id>.<label>` for every row not measured in a wall-clock unit,
+/// then `counters.<name>`, then `latency.<name>.<field>` for `count`,
+/// `p50`, `p90`, `p99` and `max`. Labels may contain spaces and colons,
+/// but a value never contains a space, so the value is everything after
+/// the line's last space. Values are f64 `Display`, the shortest form
+/// that round-trips.
+pub fn render_counts(
+    tables: &[Table],
+    counters: &[(String, f64)],
+    latency: &[(String, Summary)],
+) -> String {
+    let mut out = String::new();
+    for table in tables {
+        for row in table.rows.iter().filter(|r| !is_wall_clock(r.unit)) {
+            let _ = writeln!(out, "tables.{}.{} {}", table.id, row.label, row.measured);
+        }
+    }
+    for (name, value) in counters {
+        let _ = writeln!(out, "counters.{name} {value}");
+    }
+    for (name, s) in latency {
+        for (field, v) in [
+            ("count", s.count),
+            ("p50", s.p50),
+            ("p90", s.p90),
+            ("p99", s.p99),
+            ("max", s.max),
+        ] {
+            let _ = writeln!(out, "latency.{name}.{field} {}", v as f64);
+        }
+    }
+    out
+}
+
+/// Row units that measure host wall-clock speed, not simulated cycles:
+/// they vary with the machine, so [`render_counts`] leaves them out.
+fn is_wall_clock(unit: &str) -> bool {
+    matches!(unit, "images/s" | "instr/s" | "speedup")
+}
+
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -357,6 +402,152 @@ mod tests {
         assert!(parsed.get("counters").is_some());
         // The rendered document honours the checked-in schema contract.
         schema::check_bench_tables(&json).expect("schema-valid");
+    }
+
+    /// The three sections `render_counts` reads.
+    type Doc = (Vec<Table>, Vec<(String, f64)>, Vec<(String, Summary)>);
+
+    /// A synthetic document: a table mixing cycle, kHz and wall-clock
+    /// rows (one label with spaces and a colon), two counters and two
+    /// latency distributions.
+    fn sample() -> Doc {
+        let table = Table {
+            id: "table2",
+            title: "demo",
+            note: "",
+            rows: vec![
+                Row::with_paper("overall", 95.0, 9500.0, "cycles"),
+                Row::measured_only("t0: rate at 2 tasks", 1.5, "kHz"),
+                Row::measured_only("throughput", 123_456.0, "instr/s"),
+                Row::measured_only("lint", 40.0, "images/s"),
+                Row::measured_only("translator speedup", 3.0, "speedup"),
+            ],
+        };
+        let counters = vec![
+            ("block_hit_rate".to_string(), 0.97),
+            ("emu_instr_alu".to_string(), 12345.0),
+        ];
+        let summary = |count, p50, max| Summary {
+            count,
+            sum: count * p50,
+            p50,
+            p90: p50 + 40,
+            p99: p50 + 80,
+            max,
+        };
+        let latency = vec![
+            ("lat_irq_entry".to_string(), summary(15, 180, 291)),
+            ("lat_ipc_rtt".to_string(), summary(1, 1280, 1300)),
+        ];
+        (vec![table], counters, latency)
+    }
+
+    fn counts_of(doc: &Doc) -> String {
+        render_counts(&doc.0, &doc.1, &doc.2)
+    }
+
+    /// Splits every counts line into key and value at its last space.
+    fn parse_counts(counts: &str) -> Vec<(&str, f64)> {
+        counts
+            .lines()
+            .map(|line| {
+                let (key, value) = line.rsplit_once(' ').expect("key value line");
+                (key, value.parse().expect("numeric value"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counts_leave_out_wall_clock_rows() {
+        let counts = counts_of(&sample());
+        for label in ["throughput", "lint", "translator speedup"] {
+            assert!(!counts.contains(label), "{label} in:\n{counts}");
+        }
+        assert!(counts
+            .starts_with("tables.table2.overall 9500\ntables.table2.t0: rate at 2 tasks 1.5\n"));
+    }
+
+    #[test]
+    fn counts_pin_every_counter_and_latency_field() {
+        let doc = sample();
+        let counts = counts_of(&doc);
+        let parsed = parse_counts(&counts);
+        let value = |key: &str| parsed.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        for (name, v) in &doc.1 {
+            assert_eq!(value(&format!("counters.{name}")), Some(*v), "{name}");
+        }
+        for (name, s) in &doc.2 {
+            for (field, v) in [
+                ("count", s.count),
+                ("p50", s.p50),
+                ("p90", s.p90),
+                ("p99", s.p99),
+                ("max", s.max),
+            ] {
+                assert_eq!(value(&format!("latency.{name}.{field}")), Some(v as f64));
+            }
+        }
+        // Two kept table rows, two counters, five fields per distribution.
+        assert_eq!(parsed.len(), 2 + 2 + 2 * 5);
+    }
+
+    #[test]
+    fn counts_keys_are_unique() {
+        let counts = counts_of(&sample());
+        let keys: Vec<&str> = parse_counts(&counts).into_iter().map(|(k, _)| k).collect();
+        let unique: std::collections::BTreeSet<&str> = keys.iter().copied().collect();
+        assert_eq!(unique.len(), keys.len(), "{counts}");
+    }
+
+    #[test]
+    fn counts_are_identical_for_identical_documents() {
+        assert_eq!(counts_of(&sample()), counts_of(&sample()));
+    }
+
+    #[test]
+    fn counts_change_when_a_metric_goes_missing() {
+        let golden = counts_of(&sample());
+        let mut missing = sample();
+        missing.1.pop();
+        assert_ne!(counts_of(&missing), golden);
+    }
+
+    #[test]
+    fn counts_change_when_a_metric_is_added_or_renamed() {
+        let golden = counts_of(&sample());
+        let mut added = sample();
+        added.1.push(("emu_instr_mem".to_string(), 7.0));
+        assert_ne!(counts_of(&added), golden);
+        let mut renamed = sample();
+        renamed.2[0].0 = "lat_irq_exit".to_string();
+        assert_ne!(counts_of(&renamed), golden);
+        let mut relabelled = sample();
+        relabelled.0[0].rows[0].label = "total".to_string();
+        assert_ne!(counts_of(&relabelled), golden);
+    }
+
+    #[test]
+    fn counts_change_when_a_table_row_moves_by_one() {
+        let golden = counts_of(&sample());
+        let mut slower = sample();
+        slower.0[0].rows[0].measured += 1.0;
+        assert_ne!(counts_of(&slower), golden);
+    }
+
+    #[test]
+    fn counts_change_when_a_quantile_improves_by_one() {
+        let golden = counts_of(&sample());
+        let mut faster = sample();
+        faster.2[0].1.p99 -= 1;
+        assert_ne!(counts_of(&faster), golden);
+    }
+
+    #[test]
+    fn counts_change_when_a_latency_quantile_moves_by_one() {
+        let golden = counts_of(&sample());
+        let mut slower = sample();
+        slower.2[1].1.p50 += 1;
+        assert_ne!(counts_of(&slower), golden);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! platform key and accessible only to the Remote Attest task (§3).
 
 use crate::rtm::MeasurementRecord;
+use std::borrow::Cow;
 use tytan_crypto::{HmacKey, HmacSchedule, RunRefolder, Sha1, SymmetricKey, TaskId};
 use tytan_lint::{AdmissibleEdgeSet, CfaViolation};
 
@@ -51,21 +52,6 @@ impl AttestationReport {
     ///
     /// Returns `None` on truncation.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if bytes.len() < n {
-                return None;
-            }
-            let (head, tail) = bytes.split_at(n);
-            *bytes = tail;
-            Some(head)
-        }
-        fn take_vec(bytes: &mut &[u8]) -> Option<Vec<u8>> {
-            let len = u32::from_le_bytes(take(bytes, 4)?.try_into().ok()?) as usize;
-            if len > 1 << 16 {
-                return None;
-            }
-            Some(take(bytes, len)?.to_vec())
-        }
         let mut rest = bytes;
         let id = TaskId::from_u64(u64::from_be_bytes(take(&mut rest, 8)?.try_into().ok()?));
         let digest = take_vec(&mut rest)?;
@@ -141,14 +127,21 @@ pub struct DeviceReport {
     pub mac: Vec<u8>,
 }
 
-fn device_mac_input(tasks: &[(TaskId, Vec<u8>)], nonce: &[u8]) -> Vec<u8> {
-    let mut input = Vec::new();
-    input.extend_from_slice(&(tasks.len() as u32).to_le_bytes());
+/// The canonical encoding of a task set, `count ‖ (id ‖ len ‖ digest)*`:
+/// a device report's "digest", covering every id and every digest.
+fn task_set_bytes(tasks: &[(TaskId, Vec<u8>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(tasks.len() as u32).to_le_bytes());
     for (id, digest) in tasks {
-        input.extend_from_slice(&id.to_bytes());
-        input.extend_from_slice(&(digest.len() as u32).to_le_bytes());
-        input.extend_from_slice(digest);
+        out.extend_from_slice(&id.to_bytes());
+        out.extend_from_slice(&(digest.len() as u32).to_le_bytes());
+        out.extend_from_slice(digest);
     }
+    out
+}
+
+fn device_mac_input(tasks: &[(TaskId, Vec<u8>)], nonce: &[u8]) -> Vec<u8> {
+    let mut input = task_set_bytes(tasks);
     input.extend_from_slice(&(nonce.len() as u32).to_le_bytes());
     input.extend_from_slice(nonce);
     input
@@ -179,31 +172,25 @@ impl RemoteVerifier {
     /// # Errors
     ///
     /// Returns [`VerifyError::BadMac`], [`VerifyError::NonceMismatch`],
-    /// or [`VerifyError::DigestMismatch`] if the task sets differ.
+    /// or [`VerifyError::DigestMismatch`] if the task sets differ
+    /// (checked in that order), carrying both task sets in their
+    /// canonical encoding.
     pub fn verify_device(
         &self,
         report: &DeviceReport,
         nonce: &[u8],
         expected: &[(TaskId, Vec<u8>)],
     ) -> Result<(), VerifyError> {
-        if !self
-            .schedule
-            .verify(&device_mac_input(&report.tasks, &report.nonce), &report.mac)
-        {
-            return Err(VerifyError::BadMac);
-        }
-        if report.nonce != nonce {
-            return Err(VerifyError::NonceMismatch);
-        }
         let mut expected = expected.to_vec();
         expected.sort_by_key(|(id, _)| *id);
-        if report.tasks != expected {
-            return Err(VerifyError::DigestMismatch {
-                expected: expected.iter().flat_map(|(_, d)| d.clone()).collect(),
-                reported: report.tasks.iter().flat_map(|(_, d)| d.clone()).collect(),
-            });
-        }
-        Ok(())
+        check(
+            &self.schedule,
+            Evidence::Device(report),
+            |got| nonce_equals(got, nonce),
+            &task_set_bytes(&expected),
+            &mut RunRefolder::new(),
+            None,
+        )
     }
 }
 
@@ -551,15 +538,18 @@ impl RemoteAttestor {
     }
 }
 
-/// One report as a verifier checks it: a plain measurement, or a
+/// One report as a verifier checks it: a plain measurement, a
 /// control-flow report with the admissible edge set its log replays
-/// against.
+/// against, or a device-level report over the whole task set.
 #[derive(Debug, Clone, Copy)]
 pub enum Evidence<'a> {
     /// A static measurement report.
     Plain(&'a AttestationReport),
     /// A control-flow-attested report and the edge set of its image.
     Cfa(&'a CfaReport, &'a AdmissibleEdgeSet),
+    /// A device-level report; its digest is the canonical encoding of
+    /// its id-sorted task set.
+    Device(&'a DeviceReport),
 }
 
 /// Nanosecond wall-clock cost of each verifier stage one report
@@ -620,8 +610,14 @@ fn check(
     mut stages: Option<&mut VerifyStageNanos>,
 ) -> Result<(), VerifyError> {
     let (input, mac, nonce, digest) = match evidence {
-        Evidence::Plain(r) => (r.mac_input(), &r.mac, &r.nonce, &r.digest),
-        Evidence::Cfa(r, _) => (r.mac_input(), &r.mac, &r.nonce, &r.digest),
+        Evidence::Plain(r) => (r.mac_input(), &r.mac, &r.nonce, Cow::Borrowed(&r.digest)),
+        Evidence::Cfa(r, _) => (r.mac_input(), &r.mac, &r.nonce, Cow::Borrowed(&r.digest)),
+        Evidence::Device(r) => (
+            device_mac_input(&r.tasks, &r.nonce),
+            &r.mac,
+            &r.nonce,
+            Cow::Owned(task_set_bytes(&r.tasks)),
+        ),
     };
     if !staged(&mut stages, |s| &mut s.mac, || schedule.verify(&input, mac)) {
         return Err(VerifyError::BadMac);
@@ -634,7 +630,7 @@ fn check(
             if digest.as_slice() != expected_digest {
                 return Err(VerifyError::DigestMismatch {
                     expected: expected_digest.to_vec(),
-                    reported: digest.clone(),
+                    reported: digest.into_owned(),
                 });
             }
             Ok(())
@@ -1078,6 +1074,36 @@ mod tests {
             verifier.verify_device(&report, b"other", &expected),
             Err(VerifyError::NonceMismatch)
         );
+    }
+
+    #[test]
+    fn device_report_check_order_is_mac_then_nonce_then_task_set() {
+        let (attestor, verifier) = keypair();
+        let a = record(vec![1u8; 20]);
+        let report = attestor.attest_device([a.clone()].iter(), b"n");
+        let wrong_set = vec![(a.id, vec![9u8; 20])];
+        // Wrong in MAC, nonce and task set: the MAC is judged first.
+        let mut forged = report.clone();
+        forged.mac[0] ^= 1;
+        assert_eq!(
+            verifier.verify_device(&forged, b"other", &wrong_set),
+            Err(VerifyError::BadMac)
+        );
+        // A good MAC with a wrong nonce and task set: freshness next.
+        assert_eq!(
+            verifier.verify_device(&report, b"other", &wrong_set),
+            Err(VerifyError::NonceMismatch)
+        );
+        // The task-set comparison covers ids as well as digests.
+        let wrong_id = vec![(TaskId::from_u64(a.id.as_u64() ^ 1), a.digest.clone())];
+        assert!(matches!(
+            verifier.verify_device(&report, b"n", &wrong_id),
+            Err(VerifyError::DigestMismatch { .. })
+        ));
+        assert!(matches!(
+            verifier.verify_device(&report, b"n", &wrong_set),
+            Err(VerifyError::DigestMismatch { .. })
+        ));
     }
 
     #[test]
