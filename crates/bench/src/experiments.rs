@@ -1193,7 +1193,7 @@ pub fn fast_path_counters() -> Vec<(String, f64)> {
     out
 }
 
-/// Runs the traced workload with a recording sink and exports the event
+/// Runs the traced workload with an event recorder and exports the event
 /// stream as Chrome `trace_event` JSON (one pid per layer, spans for IRQ
 /// entry/exit, loader, IPC, and attestation phases) — loadable in
 /// `chrome://tracing` or Perfetto. `tables --trace` writes this to
@@ -1432,5 +1432,25 @@ mod tests {
             pids.contains(&f64::from(tytan_trace::Layer::Core.pid())),
             "core loader/attestation markers missing"
         );
+    }
+
+    #[test]
+    fn chrome_trace_carries_the_scheduler_track() {
+        use tytan_trace::json::{parse, Value};
+
+        // `tables --trace` is the only export of the kernel's scheduling
+        // decisions: dispatch instants and the tick counter track.
+        let doc = parse(&chrome_trace_use_case()).expect("export is valid JSON");
+        let rtos = f64::from(tytan_trace::Layer::Rtos.pid());
+        let scheduler: Vec<(&str, &str)> = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("pid").and_then(Value::as_number) == Some(rtos))
+            .filter_map(|e| Some((e.get("name")?.as_str()?, e.get("ph")?.as_str()?)))
+            .collect();
+        assert!(scheduler.contains(&("dispatch", "i")), "dispatch marks");
+        assert!(scheduler.contains(&("tick", "C")), "tick counter track");
     }
 }

@@ -520,10 +520,10 @@ impl<D: Digest> Platform<D> {
 
     // ----- accessors -----
 
-    /// Attaches the shared cross-layer trace sink to every layer at once:
+    /// Attaches the shared cross-layer tracer to every layer at once:
     /// the machine (instruction classes, block cache, MMIO, IRQ spans)
     /// and through it the EA-MPU (decision-cache hits, denials), the
-    /// kernel's scheduling trace (forwarded as `rtos`-layer events), and
+    /// kernel (scheduling decisions as `rtos`-layer events), and
     /// the platform itself (`core`-layer loader spans, IPC-proxy spans,
     /// and attestation phase markers).
     ///
@@ -533,8 +533,8 @@ impl<D: Digest> Platform<D> {
     /// Attaching also registers the platform's latency histograms
     /// (`lat_irq_entry`, `lat_ctx_save`, `lat_ctx_restore`, `lat_ipc_rtt`,
     /// `lat_attest`, and the `lat_load_*` phase family) in the tracer's
-    /// shared registry; they record even when the sink is a
-    /// [`tytan_trace::NullSink`].
+    /// shared registry; they record even when the tracer records no
+    /// events ([`Tracer::null`]).
     pub fn attach_tracer(&mut self, tracer: Tracer) {
         let h = tracer.histograms();
         self.lat = Some(LatencyIds {
@@ -552,7 +552,7 @@ impl<D: Digest> Platform<D> {
             load_register: h.register("lat_load_register"),
         });
         self.machine.attach_tracer(tracer.clone());
-        self.kernel.trace_mut().set_sink(tracer.clone());
+        self.kernel.attach_tracer(tracer.clone());
         self.tracer = Some(tracer);
     }
 
@@ -1685,7 +1685,7 @@ mod tests {
         assert_eq!(core(EventKind::Enter("remote_attest_device")), 1);
         assert_eq!(core(EventKind::Mark("local_attest")), 1);
 
-        // The kernel's scheduling trace forwards onto the same sink...
+        // The kernel reports its scheduling decisions to the same recorder...
         assert!(events.iter().any(|e| e.layer == Layer::Rtos));
         // ...and the machine + EA-MPU counters are registered and counting.
         // (The block counters move only on the default engine; the CI

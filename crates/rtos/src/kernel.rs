@@ -5,11 +5,11 @@ use crate::queue::{MessageQueue, QueueError, QueueId, QueueOp};
 use crate::sync::{SemOp, Semaphore, SemaphoreId};
 use crate::tcb::{TaskHandle, TaskKind, TaskState, Tcb, TcbParams};
 use crate::timer::{SoftTimer, TimerAction, TimerId};
-use crate::trace::{SchedEventKind, SchedTrace};
 use sp32::{Reg, EFLAGS_IF};
 use sp_emu::{Fault, Machine};
 use std::collections::VecDeque;
 use std::fmt;
+use tytan_trace::{EventKind, Layer, Tracer};
 
 /// Invocation-reason values passed to a secure task's entry routine in
 /// `r0` (§4: "TyTAN provides this information in a CPU register, which is
@@ -123,7 +123,9 @@ pub enum SyscallOutcome {
 /// The RTOS kernel.
 ///
 /// Owns the task table, per-priority ready queues, the tick counter,
-/// message queues, software timers, and the scheduling trace. All
+/// message queues and software timers. Scheduling decisions are reported
+/// as `rtos`-layer events to the tracer attached with
+/// [`Kernel::attach_tracer`]; without one nothing is recorded. All
 /// operations are bounded-time in the number of tasks/timers (paper §4,
 /// requirement 3).
 #[derive(Debug)]
@@ -136,7 +138,7 @@ pub struct Kernel {
     queues: Vec<MessageQueue>,
     semaphores: Vec<Semaphore>,
     timers: Vec<SoftTimer>,
-    trace: SchedTrace,
+    tracer: Option<Tracer>,
 }
 
 impl Kernel {
@@ -162,7 +164,7 @@ impl Kernel {
             queues: Vec::new(),
             semaphores: Vec::new(),
             timers: Vec::new(),
-            trace: SchedTrace::new(),
+            tracer: None,
         }
     }
 
@@ -211,14 +213,23 @@ impl Kernel {
         })
     }
 
-    /// The scheduling trace.
-    pub fn trace(&self) -> &SchedTrace {
-        &self.trace
+    /// Reports every subsequent scheduling decision to `tracer` as an
+    /// `rtos`-layer event: dispatches and task lifecycle marks
+    /// (`dispatch`, `task_created`, `task_deleted`, `task_blocked`,
+    /// `task_suspended`, `task_resumed`) on the task's track, `tick`
+    /// values and `idle` marks on track 0.
+    pub fn attach_tracer(&mut self, tracer: Tracer) {
+        self.tracer = Some(tracer);
     }
 
-    /// Mutable access to the scheduling trace (enable/disable, clear).
-    pub fn trace_mut(&mut self) -> &mut SchedTrace {
-        &mut self.trace
+    fn emit(&self, tid: u32, cycle: u64, kind: EventKind) {
+        if let Some(tracer) = &self.tracer {
+            tracer.emit(Layer::Rtos, tid, cycle, kind);
+        }
+    }
+
+    fn mark_task(&self, handle: TaskHandle, cycle: u64, name: &'static str) {
+        self.emit(handle.index() as u32, cycle, EventKind::Mark(name));
     }
 
     // ----- task lifecycle -----
@@ -263,8 +274,7 @@ impl Kernel {
             }
         };
         self.make_ready(handle)?;
-        self.trace
-            .record(machine.cycles(), SchedEventKind::Created(handle));
+        self.mark_task(handle, machine.cycles(), "task_created");
         Ok(handle)
     }
 
@@ -300,7 +310,7 @@ impl Kernel {
         for semaphore in &mut self.semaphores {
             semaphore.forget_task(handle);
         }
-        self.trace.record(now, SchedEventKind::Deleted(handle));
+        self.mark_task(handle, now, "task_deleted");
         Ok(tcb)
     }
 
@@ -318,7 +328,7 @@ impl Kernel {
             self.current = None;
         }
         self.task_mut(handle).expect("checked above").state = TaskState::Suspended;
-        self.trace.record(now, SchedEventKind::Suspended(handle));
+        self.mark_task(handle, now, "task_suspended");
         Ok(())
     }
 
@@ -331,7 +341,7 @@ impl Kernel {
         match self.task(handle) {
             Some(tcb) if tcb.state == TaskState::Suspended => {
                 self.make_ready(handle)?;
-                self.trace.record(now, SchedEventKind::Resumed(handle));
+                self.mark_task(handle, now, "task_resumed");
                 Ok(())
             }
             Some(_) => Ok(()),
@@ -400,7 +410,7 @@ impl Kernel {
     /// timers.
     pub fn on_tick(&mut self, now: u64) {
         self.tick += 1;
-        self.trace.record(now, SchedEventKind::Tick(self.tick));
+        self.emit(0, now, EventKind::Value("tick", self.tick));
 
         let tick = self.tick;
         let woken: Vec<TaskHandle> = self
@@ -457,7 +467,7 @@ impl Kernel {
         if let Some(tcb) = self.task_mut(handle) {
             tcb.state = state;
         }
-        self.trace.record(now, SchedEventKind::Blocked(handle));
+        self.mark_task(handle, now, "task_blocked");
     }
 
     /// Handles a syscall trap from `caller`. Arguments arrive in the live
@@ -589,7 +599,7 @@ impl Kernel {
             machine.set_reg(Reg::SP, self.config.kernel_stack_top);
             machine.set_eflags(EFLAGS_IF);
             machine.set_eip(self.config.idle_addr);
-            self.trace.record(machine.cycles(), SchedEventKind::Idle);
+            self.emit(0, machine.cycles(), EventKind::Mark("idle"));
             return Ok(());
         };
 
@@ -607,8 +617,7 @@ impl Kernel {
             )
         };
         self.current = Some(handle);
-        self.trace
-            .record(machine.cycles(), SchedEventKind::Dispatched(handle));
+        self.mark_task(handle, machine.cycles(), "dispatch");
         match kind {
             TaskKind::Normal => {
                 if let Some(value) = pending {
@@ -669,8 +678,7 @@ impl Kernel {
             tcb.started = true;
         }
         self.current = Some(handle);
-        self.trace
-            .record(machine.cycles(), SchedEventKind::Dispatched(handle));
+        self.mark_task(handle, machine.cycles(), "dispatch");
         machine.set_regs([0; 8]);
         machine.set_reg(Reg::R0, entry_reason::MESSAGE);
         machine.set_reg(Reg::SP, if started { saved_sp } else { stack_top });
@@ -1051,5 +1059,63 @@ mod tests {
             .unwrap();
         assert_eq!(k.find_by_code_addr(0x4080), Some(h));
         assert_eq!(k.find_by_code_addr(0x9000), None);
+    }
+
+    #[test]
+    fn tracer_receives_rtos_layer_events() {
+        use crate::runner::{Runner, RunnerConfig, StaticTask};
+        use std::sync::Arc;
+        use tytan_trace::RingRecorder;
+
+        let sleeper = |name: &str| StaticTask {
+            name: name.into(),
+            priority: 1,
+            source: format!(
+                "main:\n movi r1, {op}\n movi r2, 2\n int {vec:#x}\n jmp main\n",
+                op = syscall::DELAY,
+                vec = layout::SYSCALL_VECTOR,
+            ),
+            stack_len: 256,
+        };
+        let ring = Arc::new(RingRecorder::new(4096));
+        let mut r = Runner::new(RunnerConfig::default()).unwrap();
+        r.kernel_mut().attach_tracer(Tracer::new(ring.clone()));
+        let a = r.add_task(sleeper("a")).unwrap();
+        let b = r.add_task(sleeper("b")).unwrap();
+        r.start().unwrap();
+        r.run_for(20 * 32_000).unwrap();
+
+        let events = ring.events();
+        assert_eq!(ring.dropped(), 0);
+        assert!(events.iter().all(|e| e.layer == Layer::Rtos));
+        let marks = |name: &'static str| -> Vec<u32> {
+            events
+                .iter()
+                .filter(|e| e.kind == EventKind::Mark(name))
+                .map(|e| e.tid)
+                .collect()
+        };
+        let tracks = [a.index() as u32, b.index() as u32];
+
+        let dispatched = marks("dispatch");
+        assert!(dispatched.iter().all(|tid| tracks.contains(tid)));
+        assert!(tracks.iter().all(|tid| dispatched.contains(tid)));
+        let idles = marks("idle");
+        assert!(!idles.is_empty() && idles.iter().all(|&tid| tid == 0));
+        assert_eq!(marks("task_created"), tracks);
+        let blocked = marks("task_blocked");
+        assert!(tracks.iter().all(|tid| blocked.contains(tid)));
+
+        // One `tick` value per kernel tick, none lost or repeated.
+        let ticks: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Value("tick", n) if e.tid == 0 => Some(n),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<u64> = (1..=r.kernel().tick_count()).collect();
+        assert!(expected.len() >= 10);
+        assert_eq!(ticks, expected);
     }
 }

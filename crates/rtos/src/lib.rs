@@ -8,6 +8,12 @@
 //! and time-outs ([`SoftTimer`]), (6) real-time queuing ([`MessageQueue`]),
 //! and (7) delaying/suspending of tasks.
 //!
+//! The kernel keeps no event history of its own. Deadline analysis reads
+//! scheduling decisions from the shared cross-layer tracer: with one
+//! attached ([`Kernel::attach_tracer`]), every dispatch, idle entry, tick
+//! and task lifecycle change is an `rtos`-layer event on the same Chrome
+//! trace as the emulator's IRQ spans and the core layer's loader markers.
+//!
 //! The kernel is *trusted-firmware style* code: it runs host-side when the
 //! machine pauses at the kernel trap address, manipulates guest state
 //! through the [`sp_emu::Machine`] API, and charges its modelled cycle
@@ -51,7 +57,6 @@ pub mod runner;
 pub mod stubs;
 pub mod sync;
 pub mod timer;
-pub mod trace;
 
 mod tcb;
 
@@ -61,4 +66,3 @@ pub use runner::{Runner, RunnerConfig, RunnerError, StaticTask};
 pub use sync::{SemOp, Semaphore, SemaphoreId};
 pub use tcb::{TaskHandle, TaskKind, TaskState, Tcb, TcbParams};
 pub use timer::{SoftTimer, TimerAction, TimerId};
-pub use trace::{SchedEvent, SchedEventKind, SchedTrace};

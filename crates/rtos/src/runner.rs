@@ -327,7 +327,8 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::kernel::syscall;
-    use crate::trace::SchedEventKind;
+    use std::sync::Arc;
+    use tytan_trace::{EventKind, Layer, RingRecorder, Tracer};
 
     /// A task that increments a counter forever.
     fn counter_task(name: &str, priority: u8) -> StaticTask {
@@ -431,15 +432,15 @@ mod tests {
             stack_len: 256,
         };
         let mut r = Runner::new(RunnerConfig::default()).unwrap();
+        let ring = Arc::new(RingRecorder::new(4096));
+        r.kernel_mut().attach_tracer(Tracer::new(ring.clone()));
         r.add_task(sleeper).unwrap();
         r.start().unwrap();
         r.run_for(500_000).unwrap();
-        let idles = r
-            .kernel()
-            .trace()
+        let idles = ring
             .events()
             .iter()
-            .filter(|e| matches!(e.kind, SchedEventKind::Idle))
+            .filter(|e| e.layer == Layer::Rtos && e.kind == EventKind::Mark("idle"))
             .count();
         assert!(idles > 0, "platform idled while the task slept");
     }

@@ -8,10 +8,11 @@
 //!
 //! - [`TraceEvent`]: a cycle-stamped event tagged with the [`Layer`] that
 //!   emitted it and a logical track id (task, vector, or concern).
-//! - [`TraceSink`]: where events go. [`NullSink`] ignores everything and is
-//!   the default — an unattached layer pays one `Option` branch, nothing
-//!   more. [`RingRecorder`] keeps the newest events in a [`Ring`], the
-//!   one bounded drop-oldest ring every trace in the workspace uses.
+//! - [`Tracer`]: the handle every layer reports through. Events go to an
+//!   attached [`RingRecorder`], which keeps the newest events in a
+//!   [`Ring`], the one bounded drop-oldest ring every trace in the
+//!   workspace uses. [`Tracer::null`] has no recorder: an unattached
+//!   layer pays one `Option` branch, nothing more.
 //! - [`Counters`]: a monotonic, saturating counter registry shared across
 //!   layers via relaxed atomics (lock-free on the increment path).
 //! - [`chrome`]: Chrome `trace_event` JSON export (one pid per layer, one
@@ -40,7 +41,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tytan_trace::{EventKind, Layer, RingRecorder, TraceSink, Tracer};
+//! use tytan_trace::{EventKind, Layer, RingRecorder, Tracer};
 //!
 //! let ring = Arc::new(RingRecorder::new(1024));
 //! let tracer = Tracer::new(ring.clone());
@@ -148,37 +149,12 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Where events go. Implementations must tolerate being called from any
-/// layer at any time; `record` takes `&self` so sinks can be shared.
-pub trait TraceSink: Send + Sync {
-    /// Whether recording is active. Layers may use this to skip building
-    /// events entirely; `false` makes `record` a dead call.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Accepts one event.
-    fn record(&self, event: TraceEvent);
-}
-
-/// The no-op sink: disabled, records nothing, compiles to nothing on the
-/// hot path (an `enabled()` check folds to `false`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _event: TraceEvent) {}
-}
-
-/// A cheaply-cloneable handle pairing a shared sink with a shared counter
-/// registry. Layers hold a `Tracer` (or none at all) and report through it.
+/// A cheaply-cloneable handle pairing an optional shared event recorder
+/// with shared counter and histogram registries. Layers hold a `Tracer`
+/// (or none at all) and report through it.
 #[derive(Clone)]
 pub struct Tracer {
-    sink: Arc<dyn TraceSink>,
+    ring: Option<Arc<RingRecorder>>,
     counters: Arc<Counters>,
     hists: Arc<Histograms>,
 }
@@ -194,28 +170,31 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// Builds a tracer around `sink` with fresh counter and histogram
-    /// registries.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
+    /// Builds a tracer recording events into `ring`, with fresh counter
+    /// and histogram registries.
+    pub fn new(ring: Arc<RingRecorder>) -> Self {
+        Tracer::with_ring(Some(ring))
+    }
+
+    /// A tracer that records no events, with empty registries. Counters
+    /// and histograms still record — they are cheap. Making one allocates
+    /// no histogram bins: those come with each [`Histograms::register`],
+    /// so a tracer per thread or per run costs what it registers.
+    pub fn null() -> Self {
+        Tracer::with_ring(None)
+    }
+
+    fn with_ring(ring: Option<Arc<RingRecorder>>) -> Self {
         Tracer {
-            sink,
+            ring,
             counters: Arc::new(Counters::new()),
             hists: Arc::new(Histograms::new()),
         }
     }
 
-    /// A disabled tracer ([`NullSink`] + empty registries). Counters and
-    /// histograms still record — they are cheap — but no events are
-    /// recorded. Making one allocates no histogram bins: those come with
-    /// each [`Histograms::register`], so a tracer per thread or per run
-    /// costs what it registers.
-    pub fn null() -> Self {
-        Tracer::new(Arc::new(NullSink))
-    }
-
-    /// Whether the sink is recording events.
+    /// Whether events are being recorded.
     pub fn enabled(&self) -> bool {
-        self.sink.enabled()
+        self.ring.is_some()
     }
 
     /// The shared counter registry.
@@ -224,17 +203,17 @@ impl Tracer {
     }
 
     /// The shared latency histogram registry. Like counters, histograms
-    /// record even when the sink is disabled — they are cheap, and the
+    /// record even when no events are recorded — they are cheap, and the
     /// latency tables should not depend on event recording being on.
     pub fn histograms(&self) -> &Arc<Histograms> {
         &self.hists
     }
 
-    /// Records one event if the sink is enabled.
+    /// Records one event if a recorder is attached.
     #[inline]
     pub fn emit(&self, layer: Layer, tid: u32, cycle: u64, kind: EventKind) {
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent {
+        if let Some(ring) = &self.ring {
+            ring.record(TraceEvent {
                 cycle,
                 layer,
                 tid,

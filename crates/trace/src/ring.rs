@@ -1,6 +1,6 @@
 //! The bounded drop-oldest ring and the event recorder built on it.
 
-use crate::{TraceEvent, TraceSink};
+use crate::TraceEvent;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -8,8 +8,7 @@ use std::sync::Mutex;
 /// older ones are dropped and counted. Long-running workloads can
 /// therefore record forever in constant memory; consumers that care
 /// about loss read [`Ring::dropped`]. Every bounded trace in the
-/// workspace (trace events, structured log events, scheduling events)
-/// is one of these.
+/// workspace (trace events, structured log events) is one of these.
 ///
 /// # Examples
 ///
@@ -86,14 +85,14 @@ impl<T> Ring<T> {
     }
 }
 
-/// A shared [`Ring`] of [`TraceEvent`]s: the [`TraceSink`] that keeps
+/// A shared [`Ring`] of [`TraceEvent`]s: where a [`crate::Tracer`] keeps
 /// the newest events. Recording is a few stores under a lock that is
 /// never held across user code.
 ///
 /// # Examples
 ///
 /// ```
-/// use tytan_trace::{EventKind, Layer, RingRecorder, TraceEvent, TraceSink};
+/// use tytan_trace::{EventKind, Layer, RingRecorder, TraceEvent};
 ///
 /// let ring = RingRecorder::new(2);
 /// for cycle in 0..5 {
@@ -154,10 +153,9 @@ impl RingRecorder {
     pub fn clear(&self) {
         self.ring().clear();
     }
-}
 
-impl TraceSink for RingRecorder {
-    fn record(&self, event: TraceEvent) {
+    /// Appends one event, dropping (and counting) the oldest if full.
+    pub fn record(&self, event: TraceEvent) {
         self.ring().push(event);
     }
 }

@@ -2,10 +2,12 @@
 //! that every TyTAN component is interruptible or bounded, so concurrent
 //! tasks keep their deadlines no matter what the trust anchor is doing.
 
+use std::sync::Arc;
 use tytan::platform::{LoadStatus, PlatformConfig};
 use tytan::usecase::CruiseControl;
 use tytan::Platform;
 use tytan_integration::{boot, counter_task, load, read_counter};
+use tytan_trace::{EventKind, Layer, RingRecorder, Tracer};
 
 /// Measures a task's progress over a window, in iterations.
 fn progress_over(
@@ -56,20 +58,23 @@ fn rtm_slice_size_bounds_preemption_latency() {
 
     let big = tytan::usecase::radar_monitor_source(tytan_crypto::TaskId::from_u64(1));
     let load_token = platform.begin_load(&big, 2);
-    platform.kernel_mut().trace_mut().clear();
+    let ring = Arc::new(RingRecorder::new(1 << 16));
+    platform
+        .kernel_mut()
+        .attach_tracer(Tracer::new(ring.clone()));
     platform.run_for(2_000_000).unwrap();
     let _ = platform.load_status(load_token).unwrap();
 
     // Max gap between consecutive dispatches of the high-priority task.
-    let dispatch_cycles: Vec<u64> = platform
-        .kernel()
-        .trace()
+    let dispatch_cycles: Vec<u64> = ring
         .events()
         .iter()
-        .filter_map(|e| match e.kind {
-            rtos::SchedEventKind::Dispatched(h) if h == wh => Some(e.cycle),
-            _ => None,
+        .filter(|e| {
+            e.layer == Layer::Rtos
+                && e.tid == wh.index() as u32
+                && e.kind == EventKind::Mark("dispatch")
         })
+        .map(|e| e.cycle)
         .collect();
     assert!(dispatch_cycles.len() > 10, "task dispatched repeatedly");
     let max_gap = dispatch_cycles
