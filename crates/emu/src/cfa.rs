@@ -86,15 +86,13 @@ impl CfMonitor {
     /// rebased pair; boundary-crossing edges record an
     /// [`OUT_OF_REGION`] sentinel endpoint; edges entirely outside are
     /// ignored. Called from the interpreter's retire path; must stay
-    /// cycle-free.
+    /// cycle-free. The translator's budgeted loop records the back edge
+    /// of a self-loop chain once per chain, through
+    /// [`CfMonitor::record_repeat`].
     #[inline]
     pub(crate) fn record(&mut self, from: u32, to: u32) {
-        let base = self.region.start();
-        let (from, to) = match (self.region.contains(from), self.region.contains(to)) {
-            (true, true) => (from - base, to - base),
-            (true, false) => (from - base, OUT_OF_REGION),
-            (false, true) => (OUT_OF_REGION, to - base),
-            (false, false) => return,
+        let Some((from, to)) = self.rebase(from, to) else {
+            return;
         };
         if self.edges as usize >= CF_LOG_CAP {
             self.truncated = true;
@@ -111,6 +109,50 @@ impl CfMonitor {
             }
         }
         self.edges += 1;
+    }
+
+    /// Records the taken edge `from -> to` `n` times in a row: the same
+    /// log, chain and truncation as `n` calls of [`CfMonitor::record`],
+    /// so a cap reached partway keeps the edges that fit and marks the
+    /// log truncated.
+    pub(crate) fn record_repeat(&mut self, from: u32, to: u32, n: u64) {
+        let Some((from, to)) = self.rebase(from, to) else {
+            return;
+        };
+        let room = (CF_LOG_CAP as u64).saturating_sub(self.edges);
+        if n > room {
+            self.truncated = true;
+        }
+        let mut n = n.min(room);
+        self.edges += n;
+        while n > 0 {
+            match self.runs.last_mut() {
+                Some((f, t, count)) if *f == from && *t == to && *count < u32::MAX => {
+                    let more = n.min(u64::from(u32::MAX - *count));
+                    *count += more as u32;
+                    n -= more;
+                }
+                _ => {
+                    if let Some(&(f, t, count)) = self.runs.last() {
+                        self.chain.fold_run(f, t, count);
+                    }
+                    self.runs.push((from, to, 0));
+                }
+            }
+        }
+    }
+
+    /// The edge as the log holds it: rebased, with a sentinel for an
+    /// endpoint outside the region; `None` when both are outside.
+    #[inline]
+    fn rebase(&self, from: u32, to: u32) -> Option<(u32, u32)> {
+        let base = self.region.start();
+        match (self.region.contains(from), self.region.contains(to)) {
+            (true, true) => Some((from - base, to - base)),
+            (true, false) => Some((from - base, OUT_OF_REGION)),
+            (false, true) => Some((OUT_OF_REGION, to - base)),
+            (false, false) => None,
+        }
     }
 
     /// The task-relative edge log recorded so far, as canonical maximal
@@ -150,6 +192,8 @@ impl CfMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn records_rebased_edges_and_boundary_sentinels() {
@@ -198,6 +242,51 @@ mod tests {
         m.record(0, 4);
         assert_eq!(m.runs(), &[(0, 4, 2)]);
         assert_eq!(m.chain_head(), CfChain::fold_runs([(0, 4, 2)]));
+    }
+
+    /// A first batch of up to 70,000 repeats, then short `(from, to,
+    /// n)` batches over a small region: in-region edges, a crossing edge
+    /// and an outside one, so most cases cross `CF_LOG_CAP` partway
+    /// through a batch.
+    fn batches() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
+        let end = || prop_oneof![Just(0u32), Just(4u32), Just(8u32), Just(0x200u32)];
+        let first = (end(), end(), 0u64..70_000);
+        let rest = collection::vec((end(), end(), 0u64..5_000), 0..10);
+        (first, rest).prop_map(|(first, rest)| std::iter::once(first).chain(rest).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn record_repeat_equals_n_records(batches in batches()) {
+            let mut once = CfMonitor::new(Region::new(0, 0x100));
+            let mut each = once.clone();
+            for &(from, to, n) in &batches {
+                once.record_repeat(from, to, n);
+                for _ in 0..n {
+                    each.record(from, to);
+                }
+                prop_assert_eq!(once.runs(), each.runs());
+                prop_assert_eq!(once.edges(), each.edges());
+                prop_assert_eq!(once.truncated(), each.truncated());
+                prop_assert_eq!(once.chain_head(), each.chain_head());
+            }
+        }
+    }
+
+    #[test]
+    fn record_repeat_stops_at_the_cap() {
+        let mut m = CfMonitor::new(Region::new(0, 0x100));
+        m.record(8, 0);
+        m.record_repeat(0, 4, CF_LOG_CAP as u64);
+        assert!(m.truncated());
+        assert_eq!(m.edges(), CF_LOG_CAP as u64);
+        assert_eq!(m.runs(), &[(8, 0, 1), (0, 4, CF_LOG_CAP as u32 - 1)]);
+        // Zero repeats record nothing, even at the cap.
+        let mut fresh = CfMonitor::new(Region::new(0, 0x100));
+        fresh.record_repeat(0, 4, 0);
+        assert!(fresh.runs().is_empty() && !fresh.truncated());
     }
 
     #[test]

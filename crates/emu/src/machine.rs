@@ -340,6 +340,8 @@ struct EmuTrace {
     /// alu / mem / branch / system.
     class: [CounterId; 4],
     block_compile: CounterId,
+    /// Load-op-store triples fused in the blocks compiled.
+    block_fused: CounterId,
     block_hit: CounterId,
     block_invalidate_smc: CounterId,
     block_invalidate_mpu: CounterId,
@@ -450,6 +452,7 @@ impl Machine {
                 c.register("emu_instr_system"),
             ],
             block_compile: c.register("emu_block_compile"),
+            block_fused: c.register("emu_block_fused"),
             block_hit: c.register("emu_block_hit"),
             block_invalidate_smc: c.register("emu_block_invalidate_smc"),
             block_invalidate_mpu: c.register("emu_block_invalidate_mpu"),

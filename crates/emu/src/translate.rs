@@ -22,7 +22,7 @@
 //!
 //! The engine is bit-identical to [`Machine::run_legacy`] — every
 //! charged cycle, every architectural state transition, every EA-MPU
-//! decision-log record, every trace span. Four mechanisms keep it so:
+//! decision-log record, every trace span. Five mechanisms keep it so:
 //!
 //! - **Boundary preservation.** The outer loop of
 //!   [`Machine::run_translated`] performs the legacy loop's poll →
@@ -44,9 +44,20 @@
 //!   ([`TBlock::max_cost`]). A pass that starts more than `max_cost`
 //!   cycles short of the step limit cannot reach it on any op, so it
 //!   runs without per-op clock, retirement or `EIP` bookkeeping and
-//!   rebuilds all three from the prefix wherever it stops. Everything
-//!   else runs the exact per-op loop, which stops on the very op the
-//!   legacy loop stops after.
+//!   rebuilds all three from the prefix wherever it stops. A pass that
+//!   loops back always charges the same, so a chain of such passes is
+//!   counted on entry and counted down. Everything else runs the exact
+//!   per-op loop, which stops on the very op the legacy loop stops
+//!   after.
+//! - **Fused triples.** A body `ldw rX, [rB+d]; <op> rX; stw [rB+d], rX`
+//!   with `rB != rX` is marked at compile time ([`TOp::fused`]) and its
+//!   three ops are kept. In a budgeted pass it runs in one step when
+//!   neither access needs a check call (its mode is quiet, or its window
+//!   holds the address) and the word is in RAM: the load, the op, the
+//!   store and the SMC note, minus the machine-clock store only a device
+//!   would observe. Every other case — a window miss, a device, a bus
+//!   fault, the exact loop — runs the three ops as they are, so it faults
+//!   and breaks the batch where they do.
 //! - **Pre-resolution soundness.** EA-MPU work is specialised at
 //!   compile time: a statically-resolvable check compiles to either
 //!   nothing (allowed and unobserved) or a [`EaMpu::replay_transfer`] /
@@ -87,8 +98,14 @@
 //!
 //! The control-flow monitor needs no interpreter of its own: a block
 //! ends at every control transfer, so its only taken edge is its
-//! terminator, which the block loops record where [`Machine::step`]
-//! does — after the transfer check succeeds.
+//! terminator. The exact loop and every checked terminator record it
+//! where [`Machine::step`] does, after the transfer check succeeds. A
+//! budgeted chain counts the back edges its inline `jmp`/`jcc` takes
+//! and records them at once, with [`CfMonitor::record_repeat`], wherever
+//! the chain stops: nothing outside the chain reads the monitor before
+//! then, and the log is the one the per-pass records would build.
+//!
+//! [`CfMonitor::record_repeat`]: crate::cfa::CfMonitor::record_repeat
 //!
 //! Anything a block cannot express — `Int`/`Iret` (interrupt frames,
 //! resume latches, IRQ trace spans), undecodable or unfetchable code,
@@ -242,6 +259,12 @@ impl OpKind {
     fn touches_memory(self) -> bool {
         self as u8 >= OpKind::Ldw as u8
     }
+
+    /// Whether the op's only effects are on its first register operand
+    /// and the flags: the middle op a load-op-store triple may fuse.
+    fn writes_only_rd(self) -> bool {
+        (OpKind::MovReg as u8..=OpKind::Shr as u8).contains(&(self as u8))
+    }
 }
 
 /// Largest per-instruction cost a [`TOp`] holds; a costlier instruction
@@ -277,6 +300,10 @@ pub(crate) struct TOp {
     pre_br: PreCheck,
     /// Data-access check mode (memory ops).
     access: AccessMode,
+    /// Whether this `ldw` heads a load-op-store triple the budgeted loop
+    /// may run in one step ([`fuses`], [`run_fused`]). The triple's three
+    /// ops stay as they are for every other path.
+    fused: bool,
 }
 
 impl TOp {
@@ -298,6 +325,7 @@ impl TOp {
             pre_ft: PreCheck::Quiet,
             pre_br: PreCheck::Quiet,
             access: AccessMode::Quiet,
+            fused: false,
         }
     }
 }
@@ -682,6 +710,10 @@ impl Machine {
                 break;
             }
         }
+        // Triples fuse only in the body: the last op runs on its own.
+        for i in 3..ops.len() {
+            ops[i - 3].fused = fuses(&ops[i - 3], &ops[i - 2], &ops[i - 1]);
+        }
         let (last, body) = ops.split_last()?;
         let max_cost = u64::from(last.prefix + last.cost_taken.max(last.cost_not_taken));
         let exact_only = last.kind == OpKind::Step
@@ -714,6 +746,7 @@ impl Machine {
             pre_ft: self.resolve_edge(pc, Some(fallthrough), observed),
             pre_br: PreCheck::Quiet,
             access: AccessMode::Quiet,
+            fused: false,
         };
         let reg = |r: Reg| r.index() as u8;
         op.kind = match *instr {
@@ -846,7 +879,9 @@ impl Machine {
             Some(slot) => {
                 if let Some(block) = self.compile_block(eip) {
                     if let Some(t) = &self.trace {
+                        let fused = block.ops.iter().filter(|op| op.fused).count();
                         t.tracer.counters().incr(t.block_compile);
+                        t.tracer.counters().add(t.block_fused, fused as u64);
                     }
                     self.tcache.code.set(block.entry, block.end - 1, true);
                     exec_block(self, slot.insert(block), step_limit)?;
@@ -1021,6 +1056,20 @@ fn apply_pre(m: &mut Machine, op: &TOp, pre: PreCheck, next: u32) -> Result<(), 
     }
 }
 
+/// Whether `load`, `alu`, `store` form a load-op-store triple:
+/// `ldw rX, [rB+d]`, an op whose only effects are on `rX` and the flags,
+/// then `stw [rB+d], rX`, with `rB != rX`, so the store writes the word
+/// the load read.
+fn fuses(load: &TOp, alu: &TOp, store: &TOp) -> bool {
+    let (x, base) = (load.a, load.b);
+    load.kind == OpKind::Ldw
+        && x != base
+        && alu.kind.writes_only_rd()
+        && alu.a == x
+        && store.kind == OpKind::Stw
+        && (store.a, store.b, store.imm) == (base, x, load.imm)
+}
+
 /// Whether the batch must end before the next block: a device deadline
 /// moved or an SMC range is queued. Only memory ops can cause either.
 #[inline(always)]
@@ -1041,7 +1090,8 @@ fn batch_broken(m: &Machine) -> bool {
 ///   attached, in a block that needs no exact pass, and when the pass's
 ///   worst-case charge stays below `step_limit`. No op can reach the
 ///   step limit, so the body runs without per-op clock, retirement or
-///   `EIP` bookkeeping.
+///   `EIP` bookkeeping, fused triples run in one step, and a chain's
+///   back edges are recorded once.
 /// - **Exact** ([`run_exact`]): everything else — observation, a pass
 ///   that could reach `step_limit`, a step-fallback op, a fall-through
 ///   check to perform.
@@ -1078,38 +1128,66 @@ fn exec_block(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<(), Fa
 /// another. The clock and the retirement count live in locals across
 /// the passes. Memory ops set the machine clock to the pass's entry
 /// clock plus their prefix first, because a device access observes it;
-/// wherever the passes stop — a fault, a batch break, the block's exit
-/// or the budget — the clock, the retirement count and `EIP` are
-/// rebuilt from the stopping op's prefix and index. The last op, the
-/// only one that can be taken, runs with its epilogue through
+/// a fused triple that stays in RAM skips that store, since RAM observes
+/// no clock. Wherever the passes stop — a fault, a batch break, the
+/// block's exit or the budget — the clock, the retirement count and
+/// `EIP` are rebuilt from the stopping op's prefix and index, and the
+/// chain's inline back edges are recorded, all at once. The last op,
+/// the only one that can be taken, runs with its epilogue through
 /// [`run_last`]. Returns whether the block may chain on: it ended on its
 /// entry with no batch break.
+///
+/// A pass that loops back took its last op, so it charges `last.prefix
+/// + last.cost_taken`: how many passes start more than `max_cost` short
+/// of `step_limit` is known on entry, and the passes count down from it.
 #[inline(always)]
 fn run_budgeted(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<bool, Fault> {
     let (last, body) = block.ops.split_last().expect("a block holds an op");
     let mut entry = m.clock;
     let mut retired = 0;
-    let settle = |m: &mut Machine, clock: u64, retired: u64, eip: u32| {
+    // Pass `k` starts at `entry + k * lap`; the caller checked pass 0.
+    let lap = u64::from(last.prefix + last.cost_taken);
+    let slack = step_limit - entry - block.max_cost - 1;
+    let mut passes = slack.checked_div(lap).map_or(u64::MAX, |k| k + 1);
+    // Back edges `last` took inline and the monitor has yet to record.
+    let mut edges = 0;
+    let settle = |m: &mut Machine, clock: u64, retired: u64, eip: u32, edges: u64| {
         m.clock = clock;
         m.stats.instructions += retired;
         m.eip = eip;
+        if edges > 0 {
+            if let Some(monitor) = &mut m.cf_monitor {
+                monitor.record_repeat(last.pc, last.target, edges);
+            }
+        }
     };
     loop {
-        for (i, op) in body.iter().enumerate() {
+        let mut ops = body.iter().enumerate();
+        while let Some((i, op)) = ops.next() {
             if !op.kind.touches_memory() {
                 // Register-only ops cannot fault.
                 let _ = exec_op(m, op);
                 continue;
             }
+            if op.fused && run_fused(m, op, &body[i + 1], &body[i + 2]) {
+                let store = &body[i + 2];
+                if batch_broken(m) {
+                    let clock = entry + u64::from(store.prefix + store.cost_not_taken);
+                    settle(m, clock, retired + i as u64 + 3, store.fallthrough, edges);
+                    return Ok(false);
+                }
+                ops.nth(1);
+                continue;
+            }
             let clock = entry + u64::from(op.prefix);
             m.clock = clock;
             if let Err(fault) = exec_op(m, op) {
-                settle(m, clock, retired + i as u64, op.pc);
+                settle(m, clock, retired + i as u64, op.pc, edges);
                 return Err(fault);
             }
             if batch_broken(m) {
                 let clock = clock + u64::from(op.cost_not_taken);
-                settle(m, clock, retired + i as u64 + 1, op.fallthrough);
+                settle(m, clock, retired + i as u64 + 1, op.fallthrough, edges);
                 return Ok(false);
             }
         }
@@ -1117,28 +1195,56 @@ fn run_budgeted(m: &mut Machine, block: &TBlock, step_limit: u64) -> Result<bool
         if last.kind.touches_memory() {
             m.clock = clock;
         }
-        let (next, cost) = match run_last(m, last) {
+        let (next, cost) = match run_last(m, last, &mut edges) {
             Ok(exit) => exit,
             Err(fault) => {
-                settle(m, clock, retired + body.len() as u64, last.pc);
+                settle(m, clock, retired + body.len() as u64, last.pc, edges);
                 return Err(fault);
             }
         };
         entry = clock + u64::from(cost);
         retired += block.ops.len() as u64;
+        passes -= 1;
         let again = next == block.entry && !(last.kind.touches_memory() && batch_broken(m));
-        if !again || entry.saturating_add(block.max_cost) >= step_limit {
-            settle(m, entry, retired, next);
+        debug_assert!(next != block.entry || u64::from(cost) + u64::from(last.prefix) == lap);
+        if !again || passes == 0 {
+            settle(m, entry, retired, next, edges);
             return Ok(again);
         }
     }
 }
 
+/// Runs the load-op-store triple `load`, `alu`, `store` in one step, or
+/// returns `false` having done nothing: when either access needs a check
+/// call, or the word is not in RAM. The ops are those of
+/// [`exec_op`] in order, minus the machine-clock store, which only a
+/// device would observe. The caller checks for a batch break, as after
+/// the store it replaces.
+#[inline(always)]
+fn run_fused(m: &mut Machine, load: &TOp, alu: &TOp, store: &TOp) -> bool {
+    let addr = m.regs[usize::from(load.b & 7)].wrapping_add(load.imm);
+    if !(allowed_inline(load, addr) && allowed_inline(store, addr)) {
+        return false;
+    }
+    let Some(word) = m.ram.read_word(addr) else {
+        return false;
+    };
+    let x = usize::from(load.a & 7);
+    m.regs[x] = word;
+    // Register-only: cannot fault.
+    let _ = exec_op(m, alu);
+    let stored = m.ram.write_word(addr, m.regs[x]);
+    debug_assert!(stored, "a word read from RAM is writable");
+    m.tcache.note_code_write(addr, 4);
+    true
+}
+
 /// [`run_op`] for the last op of a budgeted pass: a `jmp` or `jcc` with
-/// no edge to check, what ends most loops, runs inline; everything else
+/// no edge to check, what ends most loops, runs inline and counts its
+/// taken edge in `edges` for the caller to record; everything else
 /// calls out, which keeps the budgeted loop's hot code small.
 #[inline(always)]
-fn run_last(m: &mut Machine, op: &TOp) -> Result<(u32, u32), Fault> {
+fn run_last(m: &mut Machine, op: &TOp, edges: &mut u64) -> Result<(u32, u32), Fault> {
     let quiet = matches!(op.pre_br, PreCheck::Quiet);
     match op.kind {
         OpKind::Jmp if quiet => {}
@@ -1149,7 +1255,7 @@ fn run_last(m: &mut Machine, op: &TOp) -> Result<(u32, u32), Fault> {
         }
         _ => return run_op_call(m, op),
     }
-    record_edge(m, op.pc, op.target);
+    *edges += 1;
     Ok((op.target, op.cost_taken))
 }
 
@@ -1349,22 +1455,27 @@ fn exec_other(m: &mut Machine, op: &TOp) -> Result<(), Fault> {
     Ok(())
 }
 
-/// The data-access check of a memory op: inline for the two modes that
-/// need no call, an address inside a memoised window or no check at
-/// all; out of line for the rest.
+/// The data-access check of a memory op: inline where
+/// [`allowed_inline`] holds, out of line for the rest.
 #[inline(always)]
 fn access_check(m: &mut Machine, op: &TOp, addr: u32, kind: AccessKind) -> Result<(), Fault> {
+    if allowed_inline(op, addr) {
+        return Ok(());
+    }
+    access_check_call(m, op, addr, kind)
+}
+
+/// Whether `op` may access `addr` with no check call: its mode checks
+/// nothing, or its memoised window holds the address.
+#[inline(always)]
+fn allowed_inline(op: &TOp, addr: u32) -> bool {
     match &op.access {
-        AccessMode::Memo(window)
-            if {
-                let (lo, hi) = window.get();
-                lo <= addr && addr <= hi
-            } =>
-        {
-            Ok(())
+        AccessMode::Quiet => true,
+        AccessMode::Memo(window) => {
+            let (lo, hi) = window.get();
+            lo <= addr && addr <= hi
         }
-        AccessMode::Quiet => Ok(()),
-        _ => access_check_call(m, op, addr, kind),
+        _ => false,
     }
 }
 
@@ -1495,6 +1606,50 @@ mod tests {
         );
         // Traced: checked, never memoised.
         assert_eq!(windows(&secure_task(true, true)), vec![]);
+    }
+
+    #[test]
+    fn only_load_op_store_triples_before_the_terminator_fuse() {
+        // Each loop compiles one block; `fused` lists the indices of the
+        // ops marked as triple heads.
+        let cases = [
+            ("ldw r2, [r1]\n addi r2, 1\n stw [r1], r2", vec![0]),
+            ("ldw r3, [r1+8]\n add r3, r2\n stw [r1+8], r3\n addi r2, 1", vec![0]),
+            ("nop\n ldw r3, [r1]\n not r3\n stw [r1], r3\n ldw r3, [r1]\n shl r3, r2\n stw [r1], r3", vec![1, 4]),
+            // The base is the destination; the store is one word off;
+            // the middle op writes another register or none.
+            ("ldw r1, [r1]\n addi r1, 4\n stw [r1], r1", vec![]),
+            ("ldw r2, [r1]\n addi r2, 1\n stw [r1+4], r2", vec![]),
+            ("ldw r2, [r1]\n addi r3, 1\n stw [r1], r2", vec![]),
+            ("ldw r2, [r1]\n cmpi r2, 1\n stw [r1], r2", vec![]),
+            ("ldw r2, [r1]\n addi r2, 1\n stw [r2], r1", vec![]),
+        ];
+        let looped = |body: &str| {
+            let source = format!("main:\n movi r1, 0x9000\n jmp loop\nloop:\n{body} jmp loop\n");
+            let entry = assemble(&source, 0x1000).expect("assemble").symbols["loop"];
+            let (mut m, tracer) = translated(&source);
+            m.run(2_000);
+            (m, tracer, entry)
+        };
+        for (body, fused) in cases {
+            let (m, tracer, entry) = looped(&format!(" {body}\n"));
+            let block = m.tcache.blocks[&entry].as_ref().expect("compiled");
+            let heads: Vec<usize> = (0..block.ops.len())
+                .filter(|&i| block.ops[i].fused)
+                .collect();
+            assert_eq!(heads, fused, "{body}");
+            let counted = tracer.counters().get("emu_block_fused");
+            assert_eq!(counted, Some(fused.len() as u64), "{body}");
+        }
+        // A triple that ends the block, here at `MAX_OPS`, is its last op,
+        // which runs on its own.
+        let (m, _, entry) = looped(&format!(
+            "{} ldw r2, [r1]\n addi r2, 1\n stw [r1], r2\n",
+            " nop\n".repeat(MAX_OPS - 3)
+        ));
+        let block = m.tcache.blocks[&entry].as_ref().expect("compiled");
+        assert_eq!(block.ops.len(), MAX_OPS);
+        assert!(block.ops.iter().all(|op| !op.fused));
     }
 
     #[test]

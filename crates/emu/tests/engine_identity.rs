@@ -901,6 +901,20 @@ fn boundary_lockstep(
     budgets: std::ops::RangeInclusive<u64>,
     total: u64,
 ) {
+    restarting_lockstep(setup, |_| {}, 0, budgets, total);
+}
+
+/// [`boundary_lockstep`], where up to `restarts` faults do not end the
+/// run: after each, `restart` puts every machine back at its loop, as a
+/// supervisor restarts a faulted task, and the run goes on over the
+/// blocks the translator compiled and the windows it memoised.
+fn restarting_lockstep(
+    setup: impl Fn(&mut Machine),
+    restart: impl Fn(&mut Machine),
+    restarts: usize,
+    budgets: std::ops::RangeInclusive<u64>,
+    total: u64,
+) {
     for budget in budgets {
         let mut machines: Vec<Machine> = [
             EngineKind::Legacy,
@@ -918,6 +932,7 @@ fn boundary_lockstep(
         machines[2].attach_tracer(Tracer::new(Arc::new(RingRecorder::new(64))));
         let (reference, others) = machines.split_first_mut().expect("three machines");
         let mut slice = 0;
+        let mut faults = 0;
         while reference.cycles() < total {
             let event = reference.run(budget);
             for m in others.iter_mut() {
@@ -934,7 +949,12 @@ fn boundary_lockstep(
                 );
             }
             if matches!(event, Event::Fault(_)) {
-                break;
+                if faults == restarts {
+                    break;
+                }
+                faults += 1;
+                restart(reference);
+                others.iter_mut().for_each(&restart);
             }
             slice += 1;
         }
@@ -1138,4 +1158,277 @@ fn block_budget_mid_block_device_and_code_stores_match_legacy() {
         (3 * r6 / 2..=3 * r6 / 2 + 2).contains(&r5),
         "a stale op ran: r5 {r5}, r6 {r6}"
     );
+}
+
+/// The assembled word of the one-word instruction `source`.
+fn word_of(source: &str) -> u32 {
+    let bytes = assemble(source, 0).unwrap().bytes;
+    u32::from_le_bytes(bytes[0..4].try_into().unwrap())
+}
+
+/// Puts the machine back at `loop`, the fourth word of the programs
+/// below, with `r1` at `pointer`.
+fn restart_at(pointer: u32) -> impl Fn(&mut Machine) {
+    move |m: &mut Machine| {
+        m.set_reg(Reg::R1, pointer);
+        m.set_eip(0x1008);
+    }
+}
+
+#[test]
+fn fused_triples_fault_where_legacy_denies_the_load() {
+    // The fused triple walks `r1` up from `from` until its load is
+    // denied. Each restart runs the walk again over windows the last run
+    // memoised.
+    let walk = |from: u32| {
+        format!(
+            "main:\n movi r1, {from:#x}\n\
+             loop:\n ldw r3, [r1]\n addi r3, 1\n stw [r1], r3\n addi r1, 4\n jmp loop\n"
+        )
+    };
+    // From the task's data, through unprotected RAM, into the other
+    // task's data at 0x9180.
+    let into_other = walk(0x90e0);
+    // The task may write all its data but read only the lower half, so
+    // the store's window reaches past the load's: at 0x9080 only the
+    // load's own check denies the triple.
+    let past_reads = walk(0x9040);
+    let write_wider = |m: &mut Machine| {
+        secure_task(m, &past_reads);
+        let task = |data: Region, perms| Rule::new(Region::new(0x1000, 0x100), 0x1000, data, perms);
+        m.mpu_mut()
+            .set_rule(0, task(Region::new(0x9000, 0x100), Perms::W));
+        m.mpu_mut()
+            .set_rule(2, task(Region::new(0x9000, 0x80), Perms::R));
+    };
+    restarting_lockstep(
+        |m| secure_task(m, &into_other),
+        restart_at(0x90e0),
+        3,
+        1..=24,
+        1_200,
+    );
+    restarting_lockstep(write_wider, restart_at(0x9040), 3, 1..=24, 1_200);
+    let denied_at = |addr| {
+        Event::Fault(Fault::MpuAccess {
+            eip: 0x1008,
+            addr,
+            kind: AccessKind::Read,
+        })
+    };
+    let mut m = Machine::new(config(EngineKind::Translated));
+    secure_task(&mut m, &into_other);
+    assert_eq!(m.run(1_200), denied_at(0x9180));
+    let mut m = Machine::new(config(EngineKind::Translated));
+    write_wider(&mut m);
+    for _ in 0..3 {
+        assert_eq!(m.run(1_200), denied_at(0x9080));
+        restart_at(0x9040)(&mut m);
+    }
+}
+
+#[test]
+fn fused_triples_fault_where_legacy_denies_the_store() {
+    // The task's data is read-only: every run loads, then faults on the
+    // store. From the third run on the load's window holds the address
+    // and only the store's check stands between the triple and RAM.
+    let source = "main:\n movi r1, 0x9040\n\
+                  loop:\n ldw r3, [r1]\n addi r3, 1\n stw [r1], r3\n jmp loop\n";
+    let read_only = |m: &mut Machine| {
+        secure_task(m, source);
+        m.mpu_mut().set_rule(
+            0,
+            Rule::new(
+                Region::new(0x1000, 0x100),
+                0x1000,
+                Region::new(0x9000, 0x100),
+                Perms::R,
+            ),
+        );
+    };
+    restarting_lockstep(read_only, restart_at(0x9040), 6, 1..=24, 600);
+    let mut m = Machine::new(config(EngineKind::Translated));
+    read_only(&mut m);
+    for _ in 0..4 {
+        assert_eq!(
+            m.run(600),
+            Event::Fault(Fault::MpuAccess {
+                eip: 0x1010,
+                addr: 0x9040,
+                kind: AccessKind::Write
+            })
+        );
+        restart_at(0x9040)(&mut m);
+    }
+    assert_eq!(m.read_word(0x9040), Ok(0), "a denied store landed");
+}
+
+#[test]
+fn fused_triples_over_device_registers_match_legacy() {
+    // The triple reads the timer's count, the cycles since it last
+    // fired, as the device sees the clock, and writes it back, which the
+    // timer ignores. No rule covers the timer, so neither access needs a
+    // check and only the word's place keeps the triple off the fused
+    // path. The timer fires every 300 cycles, so most passes start far
+    // from the device deadline, in the budgeted loop.
+    let timed = |m: &mut Machine| {
+        let program = assemble(
+            "main:\n movi r6, 0xf0000000\n movi r2, 300\n stw [r6+4], r2\n movi r2, 1\n\
+             stw [r6], r2\n sti\n\
+             loop:\n addi r4, 1\n ldw r3, [r6+8]\n addi r3, 1\n stw [r6+8], r3\n addi r5, 1\n jmp loop\n\
+             handler:\n addi r0, 1\n iret\n",
+            0x1000,
+        )
+        .unwrap();
+        m.load_image(0x1000, &program.bytes).unwrap();
+        m.set_eip(0x1000);
+        m.set_reg(Reg::R7, 0x8000);
+        m.set_mpu_enabled(true);
+        m.set_idt_base(0x40);
+        m.set_idt_entry(32, program.symbol("handler").unwrap())
+            .unwrap();
+        m.add_device(Box::new(Timer::new(0xf000_0000, 32)));
+    };
+    boundary_lockstep(timed, 1..=40, 800);
+    boundary_lockstep(timed, 700..=720, 2_000);
+    let mut m = Machine::new(config(EngineKind::Translated));
+    timed(&mut m);
+    m.run(2_000);
+    assert!(m.reg(Reg::R0) > 2, "the timer did not fire");
+    assert!(m.reg(Reg::R5) > 50, "the loop did not run");
+}
+
+#[test]
+fn fused_triples_storing_into_their_own_block_match_legacy() {
+    // The triple toggles `target`, an op later in its own block, between
+    // `addi r5, 1` and `addi r5, 2`: every pass must run what the last
+    // pass's store wrote.
+    let (one, two) = (word_of("addi r5, 1\n"), word_of("addi r5, 2\n"));
+    let source = format!(
+        "main:\n movi r1, target\n movi r3, {:#010x}\n\
+         loop:\n ldw r2, [r1]\n xor r2, r3\n stw [r1], r2\n\
+         target:\n addi r5, 1\n addi r6, 1\n jmp loop\n",
+        one ^ two
+    );
+    let patching = |m: &mut Machine| {
+        let program = assemble(&source, 0x1000).unwrap();
+        m.load_image(0x1000, &program.bytes).unwrap();
+        m.set_eip(0x1000);
+    };
+    boundary_lockstep(patching, 1..=40, 600);
+    let mut m = Machine::new(config(EngineKind::Translated));
+    patching(&mut m);
+    m.run(600);
+    // The first pass writes `+2`, the next `+1`, and so on.
+    let (r5, r6) = (m.reg(Reg::R5), m.reg(Reg::R6));
+    assert!(r6 > 10, "the loop did not run");
+    assert!(
+        (3 * r6 / 2..=3 * r6 / 2 + 2).contains(&r5),
+        "a stale op ran: r5 {r5}, r6 {r6}"
+    );
+}
+
+#[test]
+fn fused_triples_over_page_straddling_words_match_legacy() {
+    // The word at 0x9ffe spans two RAM pages; the one two bytes short of
+    // the end of RAM leaves it, so its load is a bus fault.
+    let end = MachineConfig::default().ram_size;
+    let straddle = |pointer: u32| {
+        format!(
+            "main:\n movi r1, {pointer:#x}\n\
+             loop:\n ldw r2, [r1]\n addi r2, 0x7fff\n stw [r1], r2\n jmp loop\n"
+        )
+    };
+    for pointer in [0x9ffe, end - 2] {
+        let source = straddle(pointer);
+        let straddling = |m: &mut Machine| {
+            let program = assemble(&source, 0x1000).unwrap();
+            m.load_image(0x1000, &program.bytes).unwrap();
+            m.set_eip(0x1000);
+            m.set_mpu_enabled(true);
+        };
+        restarting_lockstep(straddling, restart_at(pointer), 2, 1..=24, 400);
+    }
+    // Three passes carry into the word's second page.
+    let mut m = Machine::new(config(EngineKind::Translated));
+    let program = assemble(&straddle(0x9ffe), 0x1000).unwrap();
+    m.load_image(0x1000, &program.bytes).unwrap();
+    m.set_eip(0x1000);
+    m.run(16 * 100);
+    assert_ne!(
+        m.read_byte(0xa000),
+        Ok(0),
+        "no store reached the second page"
+    );
+}
+
+#[test]
+fn triples_that_must_not_fuse_match_legacy() {
+    // The load's base is its destination, so the store goes to the
+    // address the load read: `r1` chases a list laid out one word apart.
+    // Then a store one word past the load: the triple never writes the
+    // word it read.
+    let chase = |m: &mut Machine| {
+        secure_task(
+            m,
+            "main:\n movi r1, 0x9000\n\
+             loop:\n ldw r1, [r1]\n addi r1, 4\n stw [r1], r1\n jmp loop\n",
+        );
+        m.write_word(0x9000, 0x9000).unwrap();
+    };
+    boundary_lockstep(chase, 1..=24, 600);
+    let shifted = |m: &mut Machine| {
+        secure_task(
+            m,
+            "main:\n movi r1, 0x9000\n\
+             loop:\n ldw r2, [r1]\n addi r2, 1\n stw [r1+4], r2\n addi r1, 4\n jmp loop\n",
+        );
+    };
+    boundary_lockstep(shifted, 1..=24, 600);
+    let mut m = Machine::new(config(EngineKind::Translated));
+    shifted(&mut m);
+    m.run(400);
+    assert_eq!(m.read_word(0x9010), Ok(4), "each word holds its index");
+}
+
+#[test]
+fn a_counted_chain_stops_exactly_at_the_step_limit() {
+    // The fleet task's loop charges 16 cycles a pass, and so at most 16:
+    // budgets around a multiple of 16 end the chain's last budgeted pass
+    // on the step limit, one cycle short of it, or mid-pass past it.
+    let source = "main:\n movi r1, 0x9000\n\
+                  loop:\n ldw r3, [r1]\n addi r3, 1\n stw [r1], r3\n jmp loop\n";
+    for budget in 16 * 40 - 17..=16 * 40 + 17 {
+        let mut machines: Vec<Machine> = ALL_ENGINES
+            .into_iter()
+            .map(|engine| {
+                let mut m = Machine::new(config(engine));
+                secure_task(&mut m, source);
+                m.attach_cf_monitor(Region::new(0x1000, 0x100));
+                // `movi` and three passes: the loop is compiled, and the
+                // next run starts a chain on a pass boundary.
+                assert_eq!(m.run(2 + 3 * 16), Event::BudgetExhausted);
+                assert_eq!((m.cycles(), m.eip()), (50, 0x1008));
+                m
+            })
+            .collect();
+        let events: Vec<Event> = machines.iter_mut().map(|m| m.run(budget)).collect();
+        assert_eq!(events[1], events[0], "budget {budget}");
+        assert_eq!(
+            machines[1].snapshot(),
+            machines[0].snapshot(),
+            "budget {budget}"
+        );
+        let [legacy, translated] = &machines[..] else {
+            unreachable!("two engines")
+        };
+        if budget % 16 == 0 {
+            assert_eq!(legacy.cycles(), 50 + budget, "budget {budget}");
+        }
+        assert_eq!(
+            translated.cf_monitor().unwrap().runs(),
+            legacy.cf_monitor().unwrap().runs(),
+            "budget {budget}"
+        );
+    }
 }

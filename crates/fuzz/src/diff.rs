@@ -15,6 +15,8 @@
 //!   pending IRQs) must match at every boundary,
 //! - the EA-MPU decision logs (query + decision, including rule slots)
 //!   of the logged participants must be byte-identical,
+//! - the control-flow monitors over the program's text must hold the
+//!   same edge log,
 //! - the RAM digests must match at the end of every pass.
 //!
 //! Two drive modes: [`run_diff`] exercises the real run loops
@@ -26,8 +28,9 @@
 //! it.
 
 use crate::gen::{setup_rules, words_to_bytes, CaseSetup};
+use eampu::Region;
 use sp_emu::devices::Timer;
-use sp_emu::{EngineKind, Event, Machine, MachineConfig};
+use sp_emu::{CfMonitor, EngineKind, Event, Machine, MachineConfig};
 
 /// RAM size for fuzz machines: big enough for any generated address
 /// drawn from `[0, 2^17)`, small enough that per-case construction and
@@ -89,6 +92,8 @@ pub fn build_machine(setup: &CaseSetup, engine: EngineKind, logged: bool) -> Mac
     }
     m.set_eip(setup.origin);
     m.mpu_mut().set_decision_log_enabled(logged);
+    let text = (setup.words.len() as u32 * 4).max(4);
+    m.attach_cf_monitor(Region::new(setup.origin, text));
     m
 }
 
@@ -124,6 +129,15 @@ pub fn compare_all(at: &str, machines: &[Machine]) -> Result<(), String> {
         if sm != sl {
             return Err(format!(
                 "state divergence at {at}:\n  {engine}: {sm:?}\n  legacy: {sl:?}"
+            ));
+        }
+        let (cm, cl) = (m.cf_monitor(), legacy.cf_monitor());
+        let log = |c: Option<&CfMonitor>| c.map(|c| (c.runs().to_vec(), c.truncated()));
+        if log(cm) != log(cl) {
+            return Err(format!(
+                "control-flow log divergence at {at}:\n  {engine}: {:?}\n  legacy: {:?}",
+                log(cm),
+                log(cl)
             ));
         }
         if !m.mpu().log_enabled() {

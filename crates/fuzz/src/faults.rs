@@ -127,6 +127,7 @@ fn gen_image(rng: &mut FuzzRng) -> TaskImage {
     let ctx = StreamCtx {
         origin: 0,
         span: 256,
+        window: (0x100, 0x100),
     };
     let instrs = gen_stream(rng, &ctx, 24);
     let text = encode_stream(&instrs);

@@ -9,6 +9,11 @@
 //! well-formed tasks. A fraction of operands is deliberately biased
 //! toward the interesting edges (address-space top, region boundaries,
 //! the stream's own text) where span/wrap bugs live.
+//!
+//! One stream in four also holds the loop the block translator fuses
+//! ([`gen_fused_loop`]): a load-op-store triple over one word, at plain
+//! RAM, the loop's own code, device registers or an edge of the task's
+//! data window.
 
 use crate::rng::FuzzRng;
 use eampu::{Perms, Region, Rule};
@@ -36,6 +41,10 @@ pub struct StreamCtx {
     pub origin: u32,
     /// Rough byte span of the stream (for in-range target draws).
     pub span: u32,
+    /// The task's data window as `(start, len)`: [`gen_setup`] may grant
+    /// it to the stream's code by a rule, and fused loops point at its
+    /// edges.
+    pub window: (u32, u32),
 }
 
 fn gen_reg(rng: &mut FuzzRng) -> Reg {
@@ -189,10 +198,115 @@ pub fn gen_instr(rng: &mut FuzzRng, ctx: &StreamCtx) -> Instr {
     }
 }
 
-/// A stream of 1..=`max_len` random instructions.
+/// The most instructions [`gen_fused_loop`] emits.
+const FUSED_LOOP_LEN: usize = 7;
+
+/// A stream of 1..=`max_len` random instructions; one in four streams
+/// long enough holds a [`gen_fused_loop`] at a random place.
 pub fn gen_stream(rng: &mut FuzzRng, ctx: &StreamCtx, max_len: usize) -> Vec<Instr> {
     let len = rng.range(1, max_len as u64) as usize;
-    (0..len).map(|_| gen_instr(rng, ctx)).collect()
+    let fused_at = (len >= FUSED_LOOP_LEN && rng.chance(1, 4))
+        .then(|| rng.below((len - FUSED_LOOP_LEN + 1) as u64) as usize);
+    let mut instrs = Vec::with_capacity(len);
+    while instrs.len() < len {
+        if Some(instrs.len()) == fused_at {
+            let at = ctx.origin + instrs.iter().map(Instr::size_bytes).sum::<u32>();
+            instrs.extend(gen_fused_loop(rng, ctx, at));
+        } else {
+            instrs.push(gen_instr(rng, ctx));
+        }
+    }
+    instrs
+}
+
+/// A loop around `ldw rX, [rB+d]; <op> rX; stw [rB+d], rX`, the
+/// load-op-store triple the block translator fuses, placed at `at`:
+///
+/// ```text
+///     movi rB, word - d
+///     jmp  loop          ; marks the loop entry, as a back edge would
+/// loop:
+///     ldw  rX, [rB+d]
+///     <op> rX, ...       ; an op whose only effects are on rX and flags
+///     stw  [rB+d], rX
+///     addi rB, stride    ; sometimes: sweep across the word's neighbours
+///     jmp  loop          ; or a conditional branch back
+/// ```
+///
+/// The word is plain RAM (sometimes straddling a page or the end of
+/// RAM), one of the loop's own instructions, a device register, or a
+/// word beside an edge of the task's data window. Entered by a jump, the
+/// loop compiles on the case's next pass and runs fused on the ones
+/// after, over the access windows the earlier passes memoised.
+pub fn gen_fused_loop(rng: &mut FuzzRng, ctx: &StreamCtx, at: u32) -> Vec<Instr> {
+    let base = gen_reg(rng);
+    let x = loop {
+        let x = gen_reg(rng);
+        if x != base {
+            break x;
+        }
+    };
+    let rs = gen_reg(rng);
+    let op = match rng.below(6) {
+        0 => Instr::AddImm {
+            rd: x,
+            imm: gen_disp(rng),
+        },
+        1 => Instr::Add { rd: x, rs },
+        2 => Instr::Xor { rd: x, rs },
+        3 => Instr::Not { rd: x },
+        4 => Instr::Shl { rd: x, rs },
+        _ => Instr::Sub { rd: x, rs },
+    };
+    let head = at
+        + Instr::MovImm { rd: base, imm: 0 }.size_bytes()
+        + Instr::Jmp { target: 0 }.size_bytes();
+    let word = match rng.below(4) {
+        0 if rng.chance(1, 4) => (rng.range(1, 32) as u32) * 0x1000 - 2,
+        0 => (rng.next_u32() % (1 << 17)) & !3,
+        1 => head + 4 * rng.below(5) as u32,
+        2 => 0xf000_0000 + 4 * rng.below(4) as u32,
+        _ => {
+            let (start, len) = ctx.window;
+            let edge = if rng.chance(1, 2) { start } else { start + len };
+            edge.wrapping_add(4 * rng.below(5) as u32).wrapping_sub(8)
+        }
+    };
+    let disp = (rng.below(16) as i16 - 8) * 4;
+    let mut instrs = vec![
+        Instr::MovImm {
+            rd: base,
+            imm: word.wrapping_sub(disp as i32 as u32),
+        },
+        Instr::Jmp { target: head },
+        Instr::Ldw {
+            rd: x,
+            rs: base,
+            disp,
+        },
+        op,
+        Instr::Stw {
+            rd: base,
+            rs: x,
+            disp,
+        },
+    ];
+    if rng.chance(1, 2) {
+        let stride = *rng.choose(&[4, -4, 2, 8]);
+        instrs.push(Instr::AddImm {
+            rd: base,
+            imm: stride,
+        });
+    }
+    instrs.push(if rng.chance(3, 4) {
+        Instr::Jmp { target: head }
+    } else {
+        Instr::Jcc {
+            cond: *rng.choose(&CONDS),
+            target: head,
+        }
+    });
+    instrs
 }
 
 /// Encodes a stream to load-ready little-endian bytes.
@@ -255,6 +369,10 @@ pub fn gen_setup(rng: &mut FuzzRng) -> CaseSetup {
     let ctx = StreamCtx {
         origin,
         span: (max_len * 8) as u32,
+        window: (
+            (rng.next_u32() % (1 << 17)) & !3,
+            (0x20 + rng.next_u32() % 0x400) & !3,
+        ),
     };
     let instrs = gen_stream(rng, &ctx, max_len);
     let mut words = Vec::new();
@@ -287,7 +405,12 @@ pub fn gen_setup(rng: &mut FuzzRng) -> CaseSetup {
         })
         .collect();
 
-    let mpu_rules = (0..rng.below(3))
+    // One case in three grants the stream's code its data window.
+    let task_rule = rng.chance(1, 3).then(|| {
+        let (start, len) = ctx.window;
+        (origin, ctx.span, origin, start, len, rng.chance(1, 4))
+    });
+    let random_rules = (0..rng.below(3))
         .map(|_| {
             let code_start = (rng.next_u32() % (1 << 17)) & !3;
             let code_len = (0x20 + rng.next_u32() % 0x400) & !3;
@@ -303,7 +426,8 @@ pub fn gen_setup(rng: &mut FuzzRng) -> CaseSetup {
                 rng.chance(1, 4),
             )
         })
-        .collect();
+        .collect::<Vec<_>>();
+    let mpu_rules = task_rule.into_iter().chain(random_rules).collect();
 
     CaseSetup {
         origin,
@@ -378,6 +502,40 @@ mod tests {
             let again = gen_setup(&mut FuzzRng::new(seed));
             assert_eq!(setup, again);
         }
+    }
+
+    #[test]
+    fn fused_loops_compile_to_fused_triples() {
+        // The translator must fuse the triple the arm generates, or the
+        // arm fuzzes a near miss. A loop whose word is a device register
+        // (none is attached here) or its own code may fault or rewrite
+        // its triple before the loop compiles, so not every seed counts.
+        use sp_emu::{EngineKind, Machine, MachineConfig};
+        use std::sync::Arc;
+        use tytan_trace::{RingRecorder, Tracer};
+
+        let ctx = StreamCtx {
+            origin: 0x1000,
+            span: 64,
+            window: (0x9000, 0x100),
+        };
+        let fused = (0..64)
+            .filter(|&seed| {
+                let instrs = gen_fused_loop(&mut FuzzRng::new(seed), &ctx, ctx.origin);
+                let mut m = Machine::new(MachineConfig {
+                    engine: EngineKind::Translated,
+                    ram_size: crate::diff::FUZZ_RAM,
+                    ..MachineConfig::default()
+                });
+                m.load_image(ctx.origin, &encode_stream(&instrs)).unwrap();
+                m.set_eip(ctx.origin);
+                let tracer = Tracer::new(Arc::new(RingRecorder::new(16)));
+                m.attach_tracer(tracer.clone());
+                m.run(2_000);
+                tracer.counters().get("emu_block_fused") >= Some(1)
+            })
+            .count();
+        assert!(fused >= 32, "only {fused} of 64 loops fused a triple");
     }
 
     #[test]

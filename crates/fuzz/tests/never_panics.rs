@@ -18,7 +18,11 @@ proptest! {
     #[test]
     fn any_single_instruction_steps_without_panicking(seed in any::<u64>()) {
         let mut rng = FuzzRng::new(seed);
-        let ctx = StreamCtx { origin: 0x200, span: 64 };
+        let ctx = StreamCtx {
+            origin: 0x200,
+            span: 64,
+            window: (0x9000, 0x100),
+        };
         let instr = gen_instr(&mut rng, &ctx);
         let mut words = Vec::new();
         sp32::encode(&instr, &mut words);
