@@ -3,6 +3,7 @@
 use crate::{Row, Table};
 use eampu::{EaMpu, Perms, Region, Rule};
 use rtos::{layout, Runner, RunnerConfig, StaticTask};
+use sp_emu::devices::{Sensor, Timer, Uart};
 use sp_emu::{EngineKind, Event, Machine, MachineConfig};
 use std::sync::Arc;
 use tytan::allocator::Allocator;
@@ -924,27 +925,123 @@ pub fn ipc_latency() -> Table {
 
 // --------------------------------------------------------- host throughput
 
-/// Measures the host-side simulation rate of one execution engine: guest
-/// instructions retired per host wall-clock second on the standard busy
-/// loop (MPU enforcement on). This is the substrate health metric the
-/// `sim_throughput` bench tracks.
-pub fn host_guest_ips(engine: EngineKind) -> f64 {
+fn engine_machine(engine: EngineKind, mpu_enabled: bool) -> Machine {
     let mut machine = Machine::new(MachineConfig {
         engine,
         ..MachineConfig::default()
     });
-    machine.set_mpu_enabled(true);
-    let program = sp32::asm::assemble(
-        "main:\n movi r1, 0x9000\n movi r2, 0\n\
-         loop:\n ldw r3, [r1]\n add r3, r2\n stw [r1], r3\n addi r2, 1\n jmp loop\n",
-        0x1000,
-    )
-    .expect("assembles");
+    machine.set_mpu_enabled(mpu_enabled);
+    machine
+}
+
+fn load_at_0x1000(machine: &mut Machine, source: &str) -> sp32::asm::Program {
+    let program = sp32::asm::assemble(source, 0x1000).expect("assembles");
     machine
         .load_image(0x1000, &program.bytes)
         .expect("fits in RAM");
     machine.set_eip(0x1000);
+    program
+}
 
+/// The plain compute loop: load, add, store and count over one RAM word.
+fn busy_machine(engine: EngineKind, mpu_enabled: bool) -> Machine {
+    let mut machine = engine_machine(engine, mpu_enabled);
+    load_at_0x1000(
+        &mut machine,
+        "main:\n movi r1, 0x9000\n movi r2, 0\n\
+         loop:\n ldw r3, [r1]\n add r3, r2\n stw [r1], r3\n addi r2, 1\n jmp loop\n",
+    );
+    machine
+}
+
+/// The busy loop under one rule covering its code and data, the
+/// secure-task shape: every load and store is a checked access, where
+/// the empty rule table of `mpu_on` compiles them to no check at all.
+fn secure_task_machine() -> Machine {
+    let mut machine = busy_machine(EngineKind::Translated, true);
+    machine.mpu_mut().set_rule(
+        0,
+        Rule::new(
+            Region::new(0x1000, 0x100),
+            0x1000,
+            Region::new(0x9000, 0x100),
+            Perms::RW,
+        ),
+    );
+    machine
+}
+
+/// Every pass reads a sensor register and writes a UART register, so
+/// device routing dominates.
+fn mmio_machine() -> Machine {
+    let mut machine = engine_machine(EngineKind::Translated, true);
+    machine.add_device(Box::new(Sensor::new(0xf000_0110, 7)));
+    machine.add_device(Box::new(Uart::new(0xf000_0200)));
+    load_at_0x1000(
+        &mut machine,
+        "main:\n movi r1, 0xf0000110\n movi r2, 0xf0000200\n\
+         loop:\n ldw r3, [r1]\n stw [r2], r3\n jmp loop\n",
+    );
+    machine
+}
+
+/// A counting loop under a timer interrupt every 200 cycles, taken
+/// through the IDT.
+fn irq_machine() -> Machine {
+    let mut machine = engine_machine(EngineKind::Translated, true);
+    let program = load_at_0x1000(
+        &mut machine,
+        "main:\n sti\nloop:\n addi r2, 1\n jmp loop\n\
+         handler:\n addi r3, 1\n iret\n",
+    );
+    machine.set_reg(sp32::Reg::R7, 0x8000);
+    machine.set_idt_base(0x40);
+    machine
+        .set_idt_entry(32, program.symbol("handler").expect("handler label"))
+        .expect("IDT entry in RAM");
+    let timer = machine.add_device(Box::new(Timer::new(0xf000_0000, 32)));
+    machine
+        .device_mut::<Timer>(timer)
+        .expect("timer attached")
+        .configure(200, true);
+    machine
+}
+
+/// Self-modifying code: every pass stores the loop's first word back over
+/// itself. Semantics never change, but the translator drops and
+/// recompiles the loop block on every pass, its worst case.
+fn smc_machine(engine: EngineKind) -> Machine {
+    let mut machine = engine_machine(engine, true);
+    load_at_0x1000(
+        &mut machine,
+        "main:\n movi r1, target\n ldw r2, [r1]\n\
+         loop:\ntarget:\n addi r4, 1\n stw [r1], r2\n jmp loop\n",
+    );
+    machine
+}
+
+/// A workload label and the builder of its machine.
+type EngineCase = (&'static str, fn() -> Machine);
+
+/// The `engine_throughput` workloads, the block translator unless the
+/// label ends in `_legacy`. `mpu_on` against `mpu_on_legacy` is the
+/// translator speedup, so the two stay neighbours in every round.
+const ENGINE_CASES: [EngineCase; 8] = [
+    ("mpu_on", || busy_machine(EngineKind::Translated, true)),
+    ("mpu_on_legacy", || busy_machine(EngineKind::Legacy, true)),
+    ("mpu_off", || busy_machine(EngineKind::Translated, false)),
+    ("mpu_rules", secure_task_machine),
+    ("mmio_heavy", mmio_machine),
+    ("irq_heavy", irq_machine),
+    ("smc_thrash", || smc_machine(EngineKind::Translated)),
+    ("smc_thrash_legacy", || smc_machine(EngineKind::Legacy)),
+];
+
+/// Measures the host-side simulation rate of one workload: guest
+/// instructions retired per host wall-clock second on the machine `build`
+/// returns, after a warm-up.
+pub fn host_guest_ips(build: fn() -> Machine) -> f64 {
+    let mut machine = build();
     let warmed = 100_000;
     while machine.stats().instructions < warmed {
         machine.run(50_000);
@@ -959,8 +1056,8 @@ pub fn host_guest_ips(engine: EngineKind) -> f64 {
     (machine.stats().instructions - start_instr) as f64 / elapsed.max(1e-9)
 }
 
-/// Legacy/translator measurement pairs behind each `engine_throughput`
-/// row; every row reports the median over the pairs.
+/// Rounds behind each `engine_throughput` row; every row reports the
+/// median over the rounds.
 const ENGINE_PAIRS: usize = 5;
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -968,41 +1065,42 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Compares execution-engine throughput on the mpu_on busy loop: the
-/// legacy reference loop and the block translator, measured in
-/// `ENGINE_PAIRS` (5) alternating pairs, plus the derived `translator
-/// speedup` (median of the per-pair translator-over-legacy ratios) — the
+/// Compares execution-engine throughput over `ENGINE_CASES`: every case
+/// is timed once per round, in `ENGINE_PAIRS` (5) rounds whose order
+/// alternates, and reports its median. The derived `translator speedup`
+/// (median of the per-round `mpu_on` over `mpu_on_legacy` ratios) is the
 /// row the `--engine-floor` gate in `tables` asserts stays above a floor.
 pub fn engine_throughput() -> Table {
-    let pairs: Vec<(f64, f64)> = (0..ENGINE_PAIRS)
-        .map(|_| {
-            let legacy = host_guest_ips(EngineKind::Legacy);
-            (legacy, host_guest_ips(EngineKind::Translated))
-        })
+    let mut samples = vec![Vec::with_capacity(ENGINE_PAIRS); ENGINE_CASES.len()];
+    for round in 0..ENGINE_PAIRS {
+        let mut order: Vec<usize> = (0..ENGINE_CASES.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for case in order {
+            samples[case].push(host_guest_ips(ENGINE_CASES[case].1));
+        }
+    }
+    let speedup = median(
+        samples[0]
+            .iter()
+            .zip(&samples[1])
+            .map(|(translated, legacy)| translated / legacy.max(1e-9))
+            .collect(),
+    );
+    let mut rows: Vec<Row> = ENGINE_CASES
+        .iter()
+        .zip(samples)
+        .map(|((label, _), samples)| Row::measured_only(*label, median(samples), "instr/s"))
         .collect();
+    rows.push(Row::measured_only("translator speedup", speedup, "speedup"));
     Table {
         id: "engine_throughput",
-        title: "execution-engine throughput (mpu_on busy loop)",
-        note: "host-side wall-clock metric, median of 5 alternating legacy/translator \
-               pairs; speedup = median per-pair ratio of the block translator over \
-               the legacy reference on the same workload",
-        rows: vec![
-            Row::measured_only(
-                "legacy reference",
-                median(pairs.iter().map(|p| p.0).collect()),
-                "instr/s",
-            ),
-            Row::measured_only(
-                "block translator",
-                median(pairs.iter().map(|p| p.1).collect()),
-                "instr/s",
-            ),
-            Row::measured_only(
-                "translator speedup",
-                median(pairs.iter().map(|(l, t)| t / l.max(1e-9)).collect()),
-                "speedup",
-            ),
-        ],
+        title: "execution-engine throughput (guest instructions per host second)",
+        note: "host-side wall-clock metric, median of 5 rounds in alternating order; \
+               block translator unless `_legacy`; speedup = median per-round ratio of \
+               mpu_on over mpu_on_legacy, the same busy loop on the legacy reference",
+        rows,
     }
 }
 

@@ -4,9 +4,9 @@
 //! experiment runs the corresponding code path on the simulated platform,
 //! measures **simulated clock cycles** (the unit the paper reports), and
 //! returns a [`Table`] pairing each measured value with the paper's
-//! number. `cargo run -p tytan-bench --bin tables` prints them all; the
-//! Criterion benches in `benches/` wrap the same experiments for
-//! host-side performance tracking.
+//! number. `cargo run -p tytan-bench --bin tables` prints them all, and
+//! with `--json` pins every deterministic count in `BENCH_tables.counts`.
+//! Host speed has one table, `engine_throughput`.
 //!
 //! Absolute cycle counts come from the documented cost model (DESIGN.md)
 //! — the reproduced claims are the *shapes*: which phases dominate, what

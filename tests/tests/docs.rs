@@ -1,7 +1,7 @@
 //! Doc drift: the design notes and the README must not name files or
-//! items that no longer exist. A deletion that leaves its path or its
-//! `Type::item` behind in the docs fails here instead of misleading the
-//! next reader.
+//! items that no longer exist. A deletion that leaves its path, its
+//! `Type::item` or its bare `function()` behind in the docs fails here
+//! instead of misleading the next reader.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -76,18 +76,23 @@ fn ident_prefix(text: &str) -> (&str, &str) {
     text.split_at(end)
 }
 
-/// The item a backticked `A::b` or `A::b()` names, `b`, unless the span
-/// is no such path or its root is foreign.
+/// The item a backticked `A::b`, `A::b()` or bare `b()` names, `b`,
+/// unless the span is no such path or call, or its root is foreign.
 fn item_name(span: &str) -> Option<&str> {
-    let path = span.strip_suffix("()").unwrap_or(span);
+    let (path, min_segments) = match span.strip_suffix("()") {
+        Some(path) => (path, 1),
+        None => (span, 2),
+    };
     let segments: Vec<&str> = path.split("::").collect();
     let is_ident = |s: &&str| {
         !s.is_empty()
             && ident_prefix(s).1.is_empty()
             && !s.starts_with(|c: char| c.is_ascii_digit())
     };
-    (segments.len() >= 2 && segments.iter().all(is_ident) && !FOREIGN_ROOTS.contains(&segments[0]))
-        .then(|| segments[segments.len() - 1])
+    (segments.len() >= min_segments
+        && segments.iter().all(is_ident)
+        && !FOREIGN_ROOTS.contains(&segments[0]))
+    .then(|| segments[segments.len() - 1])
 }
 
 /// Every name a Rust source line defines: the identifier after a
@@ -182,7 +187,8 @@ fn docs_name_only_defined_items() {
     }
     assert!(
         missing.is_empty(),
-        "`Type::item` names in the docs define nothing under crates/ or benchmark/:\n{}",
+        "`Type::item` and `function()` names in the docs define nothing under crates/ or \
+         benchmark/:\n{}",
         missing.join("\n")
     );
 }
@@ -191,10 +197,13 @@ fn docs_name_only_defined_items() {
 fn a_deleted_item_is_reported() {
     let defined = workspace_names(repo_root());
     let text = "see `Machine::run`, `CfMonitor::record_repeat()`, `AccessMode::Memo`, \
-                `TOp::prefix`, `Machine::gone_forever()`, `u32::MAX`, `std::mem::take` \
-                and `a::b c`";
+                `TOp::prefix`, `Machine::gone_forever()`, `u32::MAX`, `std::mem::take`, \
+                `engine_throughput()`, `deleted_helper()`, `a::b c`, `run` and `f(x)`";
     assert_eq!(
         undefined_items("doc", text, &defined),
-        vec!["doc: `Machine::gone_forever()`".to_string()]
+        vec![
+            "doc: `Machine::gone_forever()`".to_string(),
+            "doc: `deleted_helper()`".to_string()
+        ]
     );
 }
